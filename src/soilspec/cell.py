@@ -49,6 +49,7 @@ __all__ = [
     "JscResult",
     "jsc_junction",
     "jsc_cell",
+    "stack_current",
     "build_cell",
     "boxcar_cell",
     "load_cell",
@@ -203,13 +204,24 @@ def jsc_cell(e: Spectrum, cell: CellModel, tau: Spectrum | None = None) -> JscRe
     Ties are broken by junction order (first wins) and reported via the
     ``tie`` flag.
     """
-    eligible = [j for j in cell.junctions if j.limiting_eligible]
+    currents = {j.name: jsc_junction(e, j, tau)
+                for j in cell.junctions if j.limiting_eligible}
+    return stack_current(currents, cell)
+
+
+def stack_current(currents: Mapping[str, float], cell: CellModel) -> JscResult:
+    """Stack current from per-junction currents keyed by junction name.
+
+    The minimum over the cell's limiting-eligible junctions; ties are
+    broken by junction order (first wins) and reported via the ``tie``
+    flag. Currents of ineligible junctions may be absent.
+    """
+    eligible = [j.name for j in cell.junctions if j.limiting_eligible]
     if not eligible:
         raise NoEligibleJunction(f"cell {cell.name!r}: no limiting-eligible junction")
-    currents = [(jsc_junction(e, j, tau), j.name) for j in eligible]
     # min() keeps the first minimal element, which is the tie-break rule.
-    value, limiting = min(currents, key=lambda c: c[0])
-    tie = sum(1 for c, _ in currents if c == value) > 1
+    value, limiting = min(((currents[n], n) for n in eligible), key=lambda c: c[0])
+    tie = sum(1 for n in eligible if currents[n] == value) > 1
     return JscResult(value=value, limiting=limiting, tie=tie)
 
 

@@ -24,14 +24,13 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cell import CellModel, Junction, jsc_cell, jsc_junction
+from .cell import CellModel, Junction, jsc_cell, jsc_junction, stack_current
 from .errors import (
     ControlBelowFloor,
-    NoEligibleJunction,
     ZeroCleanCurrent,
     ZeroCurrent,
     ZeroDenominator,
@@ -42,10 +41,10 @@ from .spectral import (
     Kind,
     Spectrum,
     Waveband,
-    _union_grid,
     integrate,
     pointwise_product,
     require_kind,
+    union_grid,
 )
 
 __all__ = [
@@ -84,7 +83,7 @@ def soiling_transmittance(soiled: Spectrum, control: Spectrum,
     """
     require_kind(soiled, Kind.TRANSMITTANCE, "soiled scan")
     require_kind(control, Kind.TRANSMITTANCE, "control scan")
-    grid = _union_grid([soiled, control])
+    grid = union_grid([soiled, control])
     s = np.interp(grid, soiled.wavelengths_nm, soiled.values)
     c = np.interp(grid, control.wavelengths_nm, control.values)
     if c.min() < control_floor:
@@ -134,30 +133,41 @@ class _Currents:
     broadband_soiled: float
 
 
+def _sum_by_grid(spectra: Sequence[Spectrum]) -> list[Spectrum]:
+    """One irradiance spectrum per distinct wavelength grid, in first-seen
+    order, holding the sum of the values of the spectra on that grid."""
+    groups: dict[bytes, list[Spectrum]] = {}
+    for e in spectra:
+        groups.setdefault(e.wavelengths_nm.tobytes(), []).append(e)
+    return [
+        group[0] if len(group) == 1
+        else Spectrum(group[0].wavelengths_nm, np.sum([e.values for e in group], axis=0),
+                      Kind.IRRADIANCE, group[0].units)
+        for group in groups.values()
+    ]
+
+
 def _accumulate_currents(spectra: Sequence[Spectrum], cell: CellModel,
                          tau: Spectrum) -> _Currents:
     require_kind(tau, Kind.TRANSMITTANCE, "soiling transmittance")
+    for e in spectra:
+        require_kind(e, Kind.IRRADIANCE, "irradiance spectrum")
+    # Every current and broadband integral is linear in E (interpolation,
+    # product and trapezoid alike), so the sum over spectra sharing a grid
+    # equals the integral of their summed values.
+    if len(spectra) > 1:
+        spectra = _sum_by_grid(spectra)
     cleaned = {j.name: 0.0 for j in cell.junctions}
     soiled = {j.name: 0.0 for j in cell.junctions}
     b_clean = 0.0
     b_soil = 0.0
     for e in spectra:
-        require_kind(e, Kind.IRRADIANCE, "irradiance spectrum")
         for j in cell.junctions:
             cleaned[j.name] += jsc_junction(e, j)
             soiled[j.name] += jsc_junction(e, j, tau)
         b_clean += integrate(e, cell.full_band)
         b_soil += integrate(pointwise_product(e, tau), cell.full_band)
     return _Currents(cleaned, soiled, b_clean, b_soil)
-
-
-def _min_eligible(currents: Mapping[str, float], cell: CellModel) -> tuple[float, str]:
-    eligible = [j.name for j in cell.junctions if j.limiting_eligible]
-    if not eligible:
-        raise NoEligibleJunction(f"cell {cell.name!r}: no limiting-eligible junction")
-    value = min(currents[n] for n in eligible)
-    limiting = next(n for n in eligible if currents[n] == value)
-    return value, limiting
 
 
 def _resolve_pair(cell: CellModel, pair: tuple[str, str] | None) -> tuple[Junction, Junction]:
@@ -318,18 +328,23 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     broadband integral is summed over the given spectra before any ratio
     is taken. With a single spectrum it reduces exactly to the
     instantaneous report.
+
+    Each current and integral is linear in the irradiance, so spectra
+    that share a wavelength grid are summed first and evaluated once:
+    there is one evaluation per distinct grid, and the results equal the
+    per-spectrum sums up to floating-point round-off.
     """
     if len(spectra) == 0:
         raise ValueError("need at least one irradiance spectrum")
     cur = _accumulate_currents(spectra, cell, tau)
-    clean_min, limiting_cleaned = _min_eligible(cur.cleaned, cell)
-    soiled_min, limiting_soiled = _min_eligible(cur.soiled, cell)
-    if clean_min == 0.0:
+    clean = stack_current(cur.cleaned, cell)
+    soiled = stack_current(cur.soiled, cell)
+    if clean.value == 0.0:
         raise ZeroCleanCurrent("cleaned stack current is zero")
     if cur.broadband_cleaned == 0.0:
         raise ZeroDenominator("broadband irradiance integral is zero")
 
-    sr = soiled_min / clean_min
+    sr = soiled.value / clean.value
     bs = cur.broadband_soiled / cur.broadband_cleaned
     if bs == 0.0:
         raise ZeroDenominator("broadband soiling ratio is zero")
@@ -360,8 +375,8 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
         smr_soiled=smr_soiled,
         smratio=smratio_value,
         ast=ast_map,
-        limiting_cleaned=limiting_cleaned,
-        limiting_soiled=limiting_soiled,
+        limiting_cleaned=clean.limiting,
+        limiting_soiled=soiled.limiting,
     )
 
 

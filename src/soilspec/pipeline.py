@@ -16,7 +16,9 @@ be collapsed into a weekly value in more than one defensible way:
   integrals are summed over all spectral records of the day before any
   ratio is formed, which matches how a fielded system accumulates
   charge. For a day with a single spectral record the two modes agree
-  exactly.
+  exactly. The integrals are linear in the irradiance, so they are
+  evaluated once per distinct wavelength grid of the day on the summed
+  spectra; the results equal per-record sums up to round-off.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
     NoWeeksFound,
     SoilspecError,
     TooFewPoints,
+    ZeroDenominator,
     ZeroVariance,
 )
 from .metrics import IndexReport, ast, index_report_weighted, soiling_transmittance
@@ -49,8 +52,8 @@ from .spectral import (
     Kind,
     Spectrum,
     Waveband,
-    _union_grid,
     read_spectrum_csv,
+    union_grid,
     write_spectrum_csv,
     write_text_atomic,
 )
@@ -185,6 +188,8 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel,
     ``spread_mode="relative"`` divides by their mean) the week is
     rejected with reason ``SpreadExceeded``. Otherwise the accepted
     transmittance is the arithmetic mean of the three replicate curves.
+    A relative spread of replicates whose mean AST is zero raises
+    :class:`ZeroDenominator`.
     """
     if not m.complete:
         raise IncompleteReplicates(
@@ -198,12 +203,18 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel,
     asts = tuple(ast(t, cell.full_band) for t in taus)
     spread = max(asts) - min(asts)
     if spread_mode == "relative":
-        spread = spread / (sum(asts) / len(asts))
+        mean = sum(asts) / len(asts)
+        if mean == 0.0:
+            raise ZeroDenominator(
+                f"week {m.week_id}: replicate ASTs average to zero; "
+                "relative spread is undefined"
+            )
+        spread = spread / mean
     elif spread_mode != "absolute":
         raise ValueError(f"spread_mode must be 'absolute' or 'relative', got {spread_mode!r}")
     if spread > spread_threshold:
         return WeekValidation(False, None, "SpreadExceeded", asts, spread)
-    grid = _union_grid(taus)
+    grid = union_grid(taus)
     mean_vals = np.mean(
         [np.interp(grid, t.wavelengths_nm, t.values) for t in taus], axis=0
     )
@@ -342,12 +353,17 @@ class CampaignResult:
 
 
 def _noon_record(day: FieldDay) -> FieldRecord | None:
-    """Spectral record nearest 12:00 local clock time (earlier wins ties)."""
+    """Spectral record nearest 12:00 local clock time (earlier wins ties).
+
+    Noon is taken in each record's own ``tzinfo``, so naive and tz-aware
+    timestamps both work.
+    """
     recs = day.spectral_records
     if not recs:
         return None
-    noon = dt.datetime.combine(day.date, dt.time(12, 0))
-    return min(recs, key=lambda r: abs(r.timestamp - noon))
+    noon = dt.time(12, 0)
+    return min(recs, key=lambda r: abs(
+        r.timestamp - dt.datetime.combine(day.date, noon, r.timestamp.tzinfo)))
 
 
 def run_campaign(weeks: Iterable[WeeklyMeasurement],

@@ -43,6 +43,7 @@ __all__ = [
     "resample",
     "integrate",
     "pointwise_product",
+    "union_grid",
     "read_spectrum_csv",
     "write_spectrum_csv",
     "write_text_atomic",
@@ -240,7 +241,7 @@ def integrate(s: Spectrum, band: Waveband) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-def _union_grid(spectra: Iterable[Spectrum]) -> np.ndarray:
+def union_grid(spectra: Iterable[Spectrum]) -> np.ndarray:
     """Union of sample grids restricted to the common overlap."""
     spectra = list(spectra)
     lo = max(s.support[0] for s in spectra)
@@ -267,7 +268,7 @@ def pointwise_product(*spectra: Spectrum) -> Spectrum:
     """
     if len(spectra) < 2:
         raise ValueError("need at least two spectra")
-    grid = _union_grid(spectra)
+    grid = union_grid(spectra)
     vals = np.ones_like(grid)
     units = DIMENSIONLESS
     for s in spectra:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from soilspec import Kind, Spectrum, boxcar_cell, load_bundled_3j, reference_spectrum
+from soilspec import (
+    Kind,
+    SoilingModel,
+    Spectrum,
+    boxcar_cell,
+    load_bundled_3j,
+    reference_spectrum,
+    synth_spectrum,
+    synth_tau,
+)
 
 
 def flat_spectrum(lo, hi, value, kind=Kind.IRRADIANCE):
@@ -26,6 +35,27 @@ def midpoint_riemann(f, lo, hi, step=0.01):
 def sampled_eval(s):
     """Piecewise-linear evaluator of a sampled spectrum for oracles."""
     return lambda x: np.interp(x, s.wavelengths_nm, s.values)
+
+
+def mixed_grid_day():
+    """Five irradiance spectra of one day on two interleaved grids.
+
+    Three sit on a 5 nm grid and two on a 4 nm grid offset by 2 nm; each
+    has its own tilt and scale, so no two are proportional.
+    """
+    g5 = np.arange(300.0, 2000.0 + 1e-9, 5.0)
+    g4 = np.arange(282.0, 1998.0 + 1e-9, 4.0)
+    cases = [(g5, 0.0, 0.3), (g4, 0.4, 0.8), (g5, -0.3, 1.0), (g4, 0.8, 0.5), (g5, 0.2, 0.9)]
+    spectra = []
+    for grid, tilt, scale in cases:
+        s = synth_spectrum(tilt, grid)
+        spectra.append(s.with_values(s.values * scale))
+    return spectra
+
+
+def bundled_tau():
+    """A blue-heavy soiling transmittance over the bundled cell's full band."""
+    return synth_tau(SoilingModel(k=0.3, alpha=1.0), np.linspace(300, 1810, 303))
 
 
 @pytest.fixture()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import soilspec.metrics
 from soilspec import (
     IndexReport,
     Kind,
@@ -11,6 +12,9 @@ from soilspec import (
     bsratio,
     index_report,
     index_report_weighted,
+    integrate,
+    jsc_junction,
+    pointwise_product,
     smr,
     smratio,
     soiling_transmittance,
@@ -29,7 +33,14 @@ from soilspec.errors import (
 from soilspec.metrics import NoisyTransmittance
 from soilspec.synth import SoilingModel
 
-from conftest import flat_spectrum, linear_spectrum, midpoint_riemann, sampled_eval
+from conftest import (
+    bundled_tau,
+    flat_spectrum,
+    linear_spectrum,
+    midpoint_riemann,
+    mixed_grid_day,
+    sampled_eval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +328,53 @@ def test_weighted_report_sums_currents(toy2j, linear_tau):
     assert combined.sratio == pytest.approx(direct.sratio, rel=1e-12)
     assert combined.bsratio == pytest.approx(direct.bsratio, rel=1e-12)
     assert combined.smratio == pytest.approx(direct.smratio, rel=1e-12)
+
+
+def _per_spectrum_indexes(spectra, cell, tau):
+    """Indexes from currents and integrals summed spectrum by spectrum."""
+    clean = {j.name: sum(jsc_junction(e, j) for e in spectra) for j in cell.junctions}
+    soiled = {j.name: sum(jsc_junction(e, j, tau) for e in spectra) for j in cell.junctions}
+    b_clean = sum(integrate(e, cell.full_band) for e in spectra)
+    b_soil = sum(integrate(pointwise_product(e, tau), cell.full_band) for e in spectra)
+    eligible = [j.name for j in cell.junctions if j.limiting_eligible]
+    lim_c = min(eligible, key=lambda n: clean[n])
+    lim_s = min(eligible, key=lambda n: soiled[n])
+    top, mid = cell.junctions[0].name, cell.junctions[1].name
+    ref = cell.reference_currents
+    sr = soiled[lim_s] / clean[lim_c]
+    bs = b_soil / b_clean
+    return {
+        "sratio": sr,
+        "bsratio": bs,
+        "ssratio": sr / bs,
+        "smr_cleaned": (clean[top] / clean[mid]) * (ref[mid] / ref[top]),
+        "smr_soiled": (soiled[top] / soiled[mid]) * (ref[mid] / ref[top]),
+        "smratio": (soiled[top] / soiled[mid]) * (clean[mid] / clean[top]),
+    }, (lim_c, lim_s)
+
+
+def test_weighted_report_mixed_grids_matches_per_spectrum_sums(bundled_cell, monkeypatch):
+    spectra = mixed_grid_day()
+    tau = bundled_tau()
+    calls = []
+    monkeypatch.setattr(
+        soilspec.metrics, "jsc_junction",
+        lambda *args: calls.append(args) or jsc_junction(*args),
+    )
+    report = index_report_weighted(spectra, bundled_cell, tau)
+    # one cleaned and one soiled current per junction and distinct grid
+    assert len(calls) == 2 * 2 * len(bundled_cell.junctions)
+    expected, limiting = _per_spectrum_indexes(spectra, bundled_cell, tau)
+    for key, value in expected.items():
+        assert getattr(report, key) == pytest.approx(value, rel=1e-12, abs=0.0), key
+    assert (report.limiting_cleaned, report.limiting_soiled) == limiting
+
+
+def test_weighted_report_checks_kind_of_every_spectrum(toy2j, flat_e, linear_tau):
+    # a wrong-kind curve on the same grid must not be summed into the day
+    stray = flat_spectrum(300, 900, 1.0, Kind.TRANSMITTANCE)
+    with pytest.raises(KindMismatch):
+        index_report_weighted([flat_e, flat_e, stray], toy2j, linear_tau)
 
 
 # ---------------------------------------------------------------------------

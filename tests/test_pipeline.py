@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from soilspec.errors import (
     NoIrradianceRecords,
     NoWeeksFound,
     TooFewPoints,
+    ZeroDenominator,
 )
 from soilspec.pipeline import WeeklyOutcome, campaign_fits
 
-from conftest import flat_spectrum
+from conftest import bundled_tau, flat_spectrum, mixed_grid_day
 
 DATE = dt.date(2017, 1, 2)
 
@@ -117,6 +119,19 @@ def test_relative_spread_mode(toy2j):
     assert validate_week(m, toy2j).accepted
     v = validate_week(m, toy2j, spread_mode="relative")
     assert not v.accepted
+
+
+def test_relative_spread_zero_mean_ast(toy2j):
+    # all-zero soiled scans give zero ASTs, whose mean cannot scale a spread
+    zero = measurement([0.0, 0.0, 0.0])
+    with pytest.raises(ZeroDenominator):
+        validate_week(zero, toy2j, spread_mode="relative")
+    weeks = [zero, measurement([0.9, 0.9, 0.9], week_id=2,
+                               scan_date=DATE + dt.timedelta(days=7))]
+    days = [clear_day(DATE), clear_day(DATE + dt.timedelta(days=7))]
+    result = run_campaign(weeks, days, toy2j, spread_mode="relative")
+    assert [w.rejection_reason for w in result.weekly] == ["ZeroDenominator", None]
+    assert result.weekly[1].accepted
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +279,28 @@ def test_noon_mode_picks_nearest_noon_record(toy2j):
     assert noon.weekly[0].report == direct
 
 
+def test_noon_mode_with_tz_aware_timestamps(toy2j):
+    tz = dt.timezone(dt.timedelta(hours=1))
+    times = [dt.time(11, 0), dt.time(12, 10), dt.time(13, 0)]
+    records = tuple(
+        FieldRecord(
+            timestamp=dt.datetime.combine(DATE, t, tz),
+            dni=800.0, gni=1000.0,
+            spectral_dni=flat_spectrum(300, 900, float(i + 1)),
+        )
+        for i, t in enumerate(times)
+    )
+    weeks = [
+        measurement([0.9, 0.9, 0.9]),
+        measurement([0.9, 0.9, 0.9], week_id=2, scan_date=DATE + dt.timedelta(days=7)),
+    ]
+    days = [FieldDay(date=DATE, records=records)]
+    result = run_campaign(weeks, days, toy2j, aggregation=Aggregation.NOON)
+    tau = validate_week(weeks[0], toy2j).tau
+    assert result.weekly[0].report == index_report(flat_spectrum(300, 900, 2.0), toy2j, tau)
+    assert result.weekly[1].rejection_reason == "NoClearDay"
+
+
 def test_campaign_serialization_deterministic(toy2j):
     weeks = [measurement([0.8, 0.8, 0.8])]
     days = [clear_day(DATE)]
@@ -273,6 +310,26 @@ def test_campaign_serialization_deterministic(toy2j):
     csv_a = run_campaign(weeks, days, toy2j).weekly_csv()
     csv_b = run_campaign(weeks, days, toy2j).weekly_csv()
     assert csv_a == csv_b
+
+
+def test_mixed_grid_day_campaign_deterministic(bundled_cell):
+    tau = bundled_tau()
+    soiled = tau.with_values(0.9 * tau.values)
+    control = flat_spectrum(300, 2000, 0.9, Kind.TRANSMITTANCE)
+    week = WeeklyMeasurement(week_id=1, scan_date=DATE,
+                             soiled_scans=(soiled,) * 3, control_scans=(control,) * 3)
+    records = tuple(
+        FieldRecord(
+            timestamp=dt.datetime.combine(DATE, dt.time(10 + i, 0)),
+            dni=800.0, gni=1000.0, spectral_dni=e,
+        )
+        for i, e in enumerate(mixed_grid_day())
+    )
+    days = [FieldDay(date=DATE, records=records)]
+    a = run_campaign([week], days, bundled_cell).to_json()
+    b = run_campaign([week], days, bundled_cell).to_json()
+    assert json.loads(a)["weeks"][0]["accepted"]
+    assert a == b
 
 
 def test_zero_deposition_campaign_sratio_is_one(bundled_cell):
