@@ -254,13 +254,11 @@ def build_cell(
 
 def boxcar_cell(
     bands: Sequence[tuple[str, float, float]],
-    sr_height: float = 1.0,
     reference: Spectrum | None = None,
     not_eligible: Sequence[str] = (),
-    name: str = "boxcar",
     full_band_name: str = "full",
 ) -> CellModel:
-    """Toy cell with a flat spectral response on each band.
+    """Toy cell named ``"boxcar"`` with SR == 1 A/W on each band.
 
     With SR == 1 the junction current reduces to the band integral of the
     irradiance, which makes hand-checked oracles easy. The default
@@ -276,14 +274,14 @@ def boxcar_cell(
             band=Waveband(bname, bmin, bmax),
             sr=Spectrum(
                 np.array([bmin, bmax]),
-                np.array([sr_height, sr_height]),
+                np.array([1.0, 1.0]),
                 Kind.SPECTRAL_RESPONSE,
             ),
             limiting_eligible=bname not in set(not_eligible),
         )
         for bname, bmin, bmax in bands
     ]
-    return build_cell(name, junctions, reference, full_band_name=full_band_name)
+    return build_cell("boxcar", junctions, reference, full_band_name=full_band_name)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +378,8 @@ def load_cell(config_path: str | Path) -> CellModel:
 
     junctions = []
     for entry in jdocs:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{config_path}: junction entry must be a mapping, got {entry!r}")
         jname = entry.get("name")
         if not jname:
             raise ConfigError(f"{config_path}: junction missing 'name'")

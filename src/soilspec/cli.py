@@ -28,6 +28,7 @@ from .errors import (
 )
 from .metrics import index_report
 from .pipeline import (
+    SPREAD_THRESHOLD,
     Aggregation,
     campaign_fits,
     load_campaign_dir,
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregation", choices=[a.value for a in Aggregation],
                    default=Aggregation.DAILY_CURRENT_WEIGHTED.value)
     p.add_argument("--pair", default=None, help="SMR junction pair, e.g. top,mid")
-    p.add_argument("--spread-threshold", type=float, default=0.01,
+    p.add_argument("--spread-threshold", type=float, default=SPREAD_THRESHOLD,
                    help="replicate AST spread rejection threshold (absolute)")
     p.set_defaults(func=_cmd_campaign)
 

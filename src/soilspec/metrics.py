@@ -71,14 +71,13 @@ class NoisyTransmittance(UserWarning):
     """Soiling transmittance exceeded 1 (measurement noise)."""
 
 
-def soiling_transmittance(soiled: Spectrum, control: Spectrum,
-                          control_floor: float = CONTROL_FLOOR) -> Spectrum:
+def soiling_transmittance(soiled: Spectrum, control: Spectrum) -> Spectrum:
     """Soiling transmittance from a soiled/control coupon scan pair.
 
     Pointwise ratio soiled/control on the union grid over the overlap of
     the two scans. Ratio values in (1, 1 + 0.02] are kept (noise) with a
     warning; values above that are clamped to the bound, also with a
-    warning. A control value below ``control_floor`` anywhere in the
+    warning. A control value below :data:`CONTROL_FLOOR` anywhere in the
     overlap raises :class:`ControlBelowFloor`.
     """
     require_kind(soiled, Kind.TRANSMITTANCE, "soiled scan")
@@ -86,9 +85,9 @@ def soiling_transmittance(soiled: Spectrum, control: Spectrum,
     grid = union_grid([soiled, control])
     s = np.interp(grid, soiled.wavelengths_nm, soiled.values)
     c = np.interp(grid, control.wavelengths_nm, control.values)
-    if c.min() < control_floor:
+    if c.min() < CONTROL_FLOOR:
         raise ControlBelowFloor(
-            f"control transmittance {c.min():.4g} below floor {control_floor} "
+            f"control transmittance {c.min():.4g} below floor {CONTROL_FLOOR} "
             f"near {grid[int(np.argmin(c))]:.1f} nm"
         )
     ratio = s / c
@@ -155,8 +154,7 @@ def _accumulate_currents(spectra: Sequence[Spectrum], cell: CellModel,
     # Every current and broadband integral is linear in E (interpolation,
     # product and trapezoid alike), so the sum over spectra sharing a grid
     # equals the integral of their summed values.
-    if len(spectra) > 1:
-        spectra = _sum_by_grid(spectra)
+    spectra = _sum_by_grid(spectra)
     cleaned = {j.name: 0.0 for j in cell.junctions}
     soiled = {j.name: 0.0 for j in cell.junctions}
     b_clean = 0.0

@@ -44,14 +44,12 @@ from .errors import (
     NoWeeksFound,
     SoilspecError,
     TooFewPoints,
-    ZeroDenominator,
     ZeroVariance,
 )
 from .metrics import IndexReport, ast, index_report_weighted, soiling_transmittance
 from .spectral import (
     Kind,
     Spectrum,
-    Waveband,
     read_spectrum_csv,
     union_grid,
     write_spectrum_csv,
@@ -81,6 +79,7 @@ __all__ = [
     "CLOUDY_THRESHOLD",
     "SPREAD_THRESHOLD",
     "SCAN_COVERAGE_NM",
+    "CADENCE_DAYS",
 ]
 
 # Days with total-DNI/total-GNI below this ratio are cloudy.
@@ -90,6 +89,8 @@ CLOUDY_THRESHOLD = 0.75
 SPREAD_THRESHOLD = 0.01
 # Instrument convention for weekly coupon scans.
 SCAN_COVERAGE_NM = (300.0, 2000.0)
+# Days between weekly scans when the manifest does not say otherwise.
+CADENCE_DAYS = 7
 
 
 class Aggregation(enum.Enum):
@@ -178,18 +179,15 @@ class WeekValidation:
 # ---------------------------------------------------------------------------
 
 def validate_week(m: WeeklyMeasurement, cell: CellModel,
-                  spread_threshold: float = SPREAD_THRESHOLD,
-                  spread_mode: str = "absolute") -> WeekValidation:
+                  spread_threshold: float = SPREAD_THRESHOLD) -> WeekValidation:
     """Apply the triplicate-spread rejection rule and average the scans.
 
     Computes the soiling transmittance of each replicate pair and its
     average over the cell's full band. If max - min of the three averages
-    exceeds ``spread_threshold`` (absolute in AST units by default;
-    ``spread_mode="relative"`` divides by their mean) the week is
-    rejected with reason ``SpreadExceeded``. Otherwise the accepted
-    transmittance is the arithmetic mean of the three replicate curves.
-    A relative spread of replicates whose mean AST is zero raises
-    :class:`ZeroDenominator`.
+    exceeds ``spread_threshold`` (in AST units; :data:`SPREAD_THRESHOLD`
+    by default) the week is rejected with reason ``SpreadExceeded``.
+    Otherwise the accepted transmittance is the arithmetic mean of the
+    three replicate curves.
     """
     if not m.complete:
         raise IncompleteReplicates(
@@ -202,16 +200,6 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel,
     ]
     asts = tuple(ast(t, cell.full_band) for t in taus)
     spread = max(asts) - min(asts)
-    if spread_mode == "relative":
-        mean = sum(asts) / len(asts)
-        if mean == 0.0:
-            raise ZeroDenominator(
-                f"week {m.week_id}: replicate ASTs average to zero; "
-                "relative spread is undefined"
-            )
-        spread = spread / mean
-    elif spread_mode != "absolute":
-        raise ValueError(f"spread_mode must be 'absolute' or 'relative', got {spread_mode!r}")
     if spread > spread_threshold:
         return WeekValidation(False, None, "SpreadExceeded", asts, spread)
     grid = union_grid(taus)
@@ -222,8 +210,8 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel,
     return WeekValidation(True, tau, None, asts, spread)
 
 
-def is_cloudy(day: FieldDay, threshold: float = CLOUDY_THRESHOLD) -> bool:
-    """True iff the day's total-DNI/total-GNI ratio is below the threshold.
+def is_cloudy(day: FieldDay) -> bool:
+    """True iff the day's total-DNI/total-GNI ratio is below :data:`CLOUDY_THRESHOLD`.
 
     Sums run over records with positive GNI; a day without any raises
     :class:`NoIrradianceRecords`.
@@ -233,7 +221,7 @@ def is_cloudy(day: FieldDay, threshold: float = CLOUDY_THRESHOLD) -> bool:
         raise NoIrradianceRecords(f"day {day.date}: no records with GNI > 0")
     total_dni = sum(r.dni for r in recs)
     total_gni = sum(r.gni for r in recs)
-    return total_dni / total_gni < threshold
+    return total_dni / total_gni < CLOUDY_THRESHOLD
 
 
 def select_spectra(scan_date: dt.date,
@@ -371,8 +359,7 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
                  cell: CellModel,
                  aggregation: Aggregation = Aggregation.DAILY_CURRENT_WEIGHTED,
                  pair: tuple[str, str] | None = None,
-                 spread_threshold: float = SPREAD_THRESHOLD,
-                 spread_mode: str = "absolute") -> CampaignResult:
+                 spread_threshold: float = SPREAD_THRESHOLD) -> CampaignResult:
     """Run the full weekly procedure over a campaign.
 
     Per-week failures are recorded as rejections (with the error kind as
@@ -380,7 +367,8 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     accepted weeks only.
     """
     day_map = {d.date: d for d in days}
-    band_names = (cell.full_band.name,) + tuple(j.band.name for j in cell.junctions)
+    bands = (cell.full_band,) + tuple(j.band for j in cell.junctions)
+    band_names = tuple(b.name for b in bands)
     outcomes: list[WeeklyOutcome] = []
     for m in sorted(weeks, key=lambda w: w.week_id):
         scan_date = m.scan_date
@@ -392,12 +380,12 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
         accepted = False
         reason: str | None = None
         try:
-            v = validate_week(m, cell, spread_threshold, spread_mode)
+            v = validate_week(m, cell, spread_threshold)
             if not v.accepted:
                 reason = v.reason
             else:
                 tau = v.tau
-                ast_by_band = {b: ast(tau, _band_of(cell, b)) for b in band_names}
+                ast_by_band = {b.name: ast(tau, b) for b in bands}
                 ast_full = ast_by_band[cell.full_band.name]
                 day = select_spectra(scan_date, day_map)
                 spectra_date = day.date
@@ -434,15 +422,6 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
         aggregation=aggregation.value,
         cell_name=cell.name,
     )
-
-
-def _band_of(cell: CellModel, name: str) -> Waveband:
-    if name == cell.full_band.name:
-        return cell.full_band
-    for j in cell.junctions:
-        if j.band.name == name:
-            return j.band
-    raise KeyError(name)
 
 
 _SUMMARY_INDEXES = ("sratio", "bsratio", "ssratio", "smr_cleaned", "smr_soiled", "smratio")
@@ -594,18 +573,17 @@ def read_field_csv(path: str | Path) -> FieldDay:
     return FieldDay(date=records[0].timestamp.date(), records=tuple(records))
 
 
-def write_field_day(day: FieldDay, out_dir: str | Path,
-                    spectra_subdir: str = "spectra") -> Path:
-    """Write one field day (and its referenced spectra) into a data dir."""
+def write_field_day(day: FieldDay, out_dir: str | Path) -> Path:
+    """Write one field day into a data dir, its spectra under ``spectra/``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [FIELD_HEADER]
     for r in day.records:
         spec_rel = ""
         if r.spectral_dni is not None:
-            (out_dir / spectra_subdir).mkdir(exist_ok=True)
+            (out_dir / "spectra").mkdir(exist_ok=True)
             stamp = r.timestamp.strftime("%Y-%m-%dT%H-%M")
-            spec_rel = f"{spectra_subdir}/{stamp}.csv"
+            spec_rel = f"spectra/{stamp}.csv"
             write_spectrum_csv(r.spectral_dni, out_dir / spec_rel)
         rows.append(",".join([
             r.timestamp.isoformat(),
@@ -625,8 +603,7 @@ def write_field_day(day: FieldDay, out_dir: str | Path,
 
 def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
                        days: Sequence[FieldDay],
-                       out_dir: str | Path,
-                       cadence_days: int = 7) -> Path:
+                       out_dir: str | Path) -> Path:
     """Write a complete campaign data directory the loader can ingest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -638,13 +615,13 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
             write_spectrum_csv(scan, out_dir / f"week{m.week_id:02d}_control_{rep}.csv")
     for day in sorted(days, key=lambda d: d.date):
         write_field_day(day, out_dir)
-    manifest: dict = {"cadence_days": cadence_days}
+    manifest: dict = {"cadence_days": CADENCE_DAYS}
     if weeks:
         first = weeks[0]
         manifest["start_date"] = first.scan_date.isoformat()
         regular = all(
             m.scan_date == first.scan_date
-            + dt.timedelta(days=cadence_days * (m.week_id - first.week_id))
+            + dt.timedelta(days=CADENCE_DAYS * (m.week_id - first.week_id))
             for m in weeks
         )
         if not regular:
@@ -663,18 +640,16 @@ def _parse_date(value) -> dt.date:
     return dt.date.fromisoformat(str(value))
 
 
-def load_campaign_dir(data_dir: str | Path,
-                      required_coverage: tuple[float, float] | None = SCAN_COVERAGE_NM,
-                      ) -> tuple[list[WeeklyMeasurement], list[FieldDay]]:
+def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], list[FieldDay]]:
     """Load weekly scans and field days from a campaign data directory.
 
     Weekly scans follow the ``week<NN>_<soiled|control>_<1|2|3>.csv``
     convention; ``manifest.yaml`` may carry ``start_date`` and
-    ``cadence_days`` (scan dates default to start + cadence * week
-    offset) plus explicit per-week ``scan_date`` overrides. Scans that do
-    not span ``required_coverage`` draw a warning; weeks whose scans
-    cannot cover the analysis cell's full band are later rejected by the
-    campaign run.
+    ``cadence_days`` (default :data:`CADENCE_DAYS`; scan dates default to
+    start + cadence * week offset) plus explicit per-week ``scan_date``
+    overrides. Scans that do not span :data:`SCAN_COVERAGE_NM` draw a
+    warning; weeks whose scans cannot cover the analysis cell's full band
+    are later rejected by the campaign run.
     """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
@@ -706,9 +681,13 @@ def load_campaign_dir(data_dir: str | Path,
 
     overrides: dict[int, dict] = {}
     for entry in manifest.get("weeks", []) or []:
+        if not (isinstance(entry, dict) and "week_id" in entry):
+            raise ConfigError(
+                f"{manifest_path}: each weeks entry needs a 'week_id', got {entry!r}"
+            )
         overrides[int(entry["week_id"])] = entry
 
-    cadence = int(manifest.get("cadence_days", 7))
+    cadence = int(manifest.get("cadence_days", CADENCE_DAYS))
     start = manifest.get("start_date")
     if start is None:
         if days:
@@ -729,8 +708,8 @@ def load_campaign_dir(data_dir: str | Path,
             scan_date = _parse_date(entry["scan_date"])
         else:
             scan_date = start_date + dt.timedelta(days=cadence * (wid - first_wid))
-        soiled = _read_scans(scans[wid]["soiled"], required_coverage)
-        control = _read_scans(scans[wid]["control"], required_coverage)
+        soiled = _read_scans(scans[wid]["soiled"])
+        control = _read_scans(scans[wid]["control"])
         weeks.append(
             WeeklyMeasurement(
                 week_id=wid,
@@ -742,19 +721,17 @@ def load_campaign_dir(data_dir: str | Path,
     return weeks, days
 
 
-def _read_scans(paths: Mapping[int, Path],
-                required_coverage: tuple[float, float] | None) -> tuple[Spectrum, ...]:
+def _read_scans(paths: Mapping[int, Path]) -> tuple[Spectrum, ...]:
     out = []
     for rep in sorted(paths):
         s = read_spectrum_csv(paths[rep])
-        if required_coverage is not None:
-            lo, hi = s.support
-            if lo > required_coverage[0] or hi < required_coverage[1]:
-                warnings.warn(
-                    f"{paths[rep].name}: scan covers [{lo}, {hi}] nm, less than "
-                    f"the {required_coverage} nm convention",
-                    UserWarning,
-                    stacklevel=2,
-                )
+        lo, hi = s.support
+        if lo > SCAN_COVERAGE_NM[0] or hi < SCAN_COVERAGE_NM[1]:
+            warnings.warn(
+                f"{paths[rep].name}: scan covers [{lo}, {hi}] nm, less than "
+                f"the {SCAN_COVERAGE_NM} nm convention",
+                UserWarning,
+                stacklevel=2,
+            )
         out.append(s)
     return tuple(out)

@@ -301,7 +301,9 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
 
     The first line must be the sidecar metadata line
     ``# kind=<Irradiance|Transmittance|SpectralResponse> units=<...>``;
-    additional ``#`` comment lines after it are skipped.
+    additional ``#`` comment lines after it are skipped. A data row that
+    is not two comma-separated numbers raises ``ValueError`` naming
+    ``path:line``.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -316,20 +318,32 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
             kind = Kind(kind_name)
         except ValueError:
             raise ValueError(f"{path}: unknown spectrum kind {kind_name!r}") from None
+        n_head = 2  # metadata line, comment lines, header line
         line = fh.readline().rstrip("\n")
         while line.startswith("#"):
+            n_head += 1
             line = fh.readline().rstrip("\n")
         if line != _HEADER:
             raise ValueError(f"{path}: expected header {_HEADER!r}, got {line!r}")
         wl: list[float] = []
         vals: list[float] = []
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            a, b = raw.split(",")
-            wl.append(float(a))
-            vals.append(float(b))
+        try:
+            for raw in fh:
+                raw = raw.strip()
+                if not raw:
+                    continue
+                a, b = raw.split(",")
+                wl.append(float(a))
+                vals.append(float(b))
+        except ValueError:
+            # Rows are not counted in the loop, which runs millions of times
+            # per archive; the first data line equal to the bad row is it.
+            fh.seek(0)
+            lineno = next(n for n, text in enumerate(fh, 1)
+                          if n > n_head and text.strip() == raw)
+            raise ValueError(
+                f"{path}:{lineno}: expected 'wavelength_nm,value' numbers, got {raw!r}"
+            ) from None
     return Spectrum(np.asarray(wl), np.asarray(vals), kind, units)
 
 

@@ -259,6 +259,10 @@ def load_scenario(path: str | Path) -> CampaignScenario:
     kwargs = dict(doc)
     rain = []
     for entry in kwargs.pop("rain_weeks", []) or []:
+        if not (isinstance(entry, dict) and {"week", "wash_fraction"} <= set(entry)):
+            raise ConfigError(
+                f"{path}: each rain_weeks entry needs 'week' and 'wash_fraction', got {entry!r}"
+            )
         rain.append(RainEvent(week=int(entry["week"]),
                               wash_fraction=float(entry["wash_fraction"])))
     if "start_date" in kwargs:

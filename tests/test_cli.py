@@ -178,3 +178,46 @@ def test_campaign_aggregation_noon(tmp_path, capsys):
     doc = json.loads((out / "campaign.json").read_text())
     assert doc["aggregation"] == "noon"
     assert doc["summary"]["n_accepted"] == 2
+
+
+def _assert_config_error(rc, capsys, name):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert name in doc["message"]
+
+
+def test_campaign_manifest_week_without_id(tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 2\ndeposition_per_week: 0.02\nseed: 5\n")
+    data = tmp_path / "data"
+    assert main(["synth", "--scenario", str(scenario), "--out", str(data)]) == 0
+    (data / "manifest.yaml").write_text(
+        "start_date: 2017-01-02\nweeks:\n  - {scan_date: 2017-01-11}\n"
+    )
+    capsys.readouterr()
+    rc = main(["campaign", "--cell", str(bundled_cell_config_path()),
+               "--data", str(data), "--out", str(tmp_path / "out")])
+    _assert_config_error(rc, capsys, "manifest.yaml")
+
+
+def test_synth_rain_week_without_wash_fraction(tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 2\ndeposition_per_week: 0.02\nrain_weeks:\n  - {week: 1}\n")
+    rc = main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    _assert_config_error(rc, capsys, "s.yaml")
+
+
+def test_compute_junction_entry_not_a_mapping(toy_fixtures, capsys):
+    (toy_fixtures / "cell.yaml").write_text(
+        "name: toy\n"
+        "reference_spectrum: reference.csv\n"
+        "junctions:\n"
+        "  - top\n"
+        "  - {name: mid, band: [700, 900], sr_file: sr_mid.csv}\n"
+    )
+    rc = main(["compute", str(toy_fixtures / "e.csv"), str(toy_fixtures / "tau.csv"),
+               "--cell", str(toy_fixtures / "cell.yaml")])
+    _assert_config_error(rc, capsys, "cell.yaml")

@@ -28,7 +28,6 @@ from soilspec.errors import (
     NoIrradianceRecords,
     NoWeeksFound,
     TooFewPoints,
-    ZeroDenominator,
 )
 from soilspec.pipeline import WeeklyOutcome, campaign_fits
 
@@ -111,27 +110,6 @@ def test_incomplete_replicates(toy2j):
     assert not broken.complete
     with pytest.raises(IncompleteReplicates):
         validate_week(broken, toy2j)
-
-
-def test_relative_spread_mode(toy2j):
-    # absolute spread 0.009 is fine; relative to a 0.45 mean it is 2%
-    m = measurement([0.445, 0.450, 0.454])
-    assert validate_week(m, toy2j).accepted
-    v = validate_week(m, toy2j, spread_mode="relative")
-    assert not v.accepted
-
-
-def test_relative_spread_zero_mean_ast(toy2j):
-    # all-zero soiled scans give zero ASTs, whose mean cannot scale a spread
-    zero = measurement([0.0, 0.0, 0.0])
-    with pytest.raises(ZeroDenominator):
-        validate_week(zero, toy2j, spread_mode="relative")
-    weeks = [zero, measurement([0.9, 0.9, 0.9], week_id=2,
-                               scan_date=DATE + dt.timedelta(days=7))]
-    days = [clear_day(DATE), clear_day(DATE + dt.timedelta(days=7))]
-    result = run_campaign(weeks, days, toy2j, spread_mode="relative")
-    assert [w.rejection_reason for w in result.weekly] == ["ZeroDenominator", None]
-    assert result.weekly[1].accepted
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,19 @@ def test_csv_rejects_unsorted_rows(tmp_path):
         "wavelength_nm,value\n400.0,1.0\n300.0,1.0\n"
     )
     with pytest.raises(ValueError, match="strictly increasing"):
+        read_spectrum_csv(path)
+
+
+@pytest.mark.parametrize("row", ["400.0,1.0,7.0", "400.0", "400.0,abc"])
+def test_csv_bad_row_names_path_and_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        f"# kind=Irradiance units={IRRADIANCE_UNITS}\n"
+        "# comment\n"
+        "wavelength_nm,value\n300.0,1.0\n\n" + row + "\n500.0,1.0\n"
+    )
+    pattern = re.escape(f"{path}:6: ") + ".*" + re.escape(repr(row))
+    with pytest.raises(ValueError, match=pattern):
         read_spectrum_csv(path)
 
 
