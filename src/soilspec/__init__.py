@@ -23,6 +23,7 @@ from .spectral import (  # noqa: F401
     Spectrum,
     Waveband,
     integrate,
+    integrate_product,
     pointwise_product,
     read_spectrum_csv,
     resample,

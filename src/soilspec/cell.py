@@ -37,8 +37,7 @@ from .spectral import (
     Kind,
     Spectrum,
     Waveband,
-    integrate,
-    pointwise_product,
+    integrate_product,
     read_spectrum_csv,
     require_kind,
 )
@@ -126,12 +125,10 @@ def jsc_junction(e: Spectrum, junction: Junction, tau: Spectrum | None = None) -
     current.
     """
     require_kind(e, Kind.IRRADIANCE, "irradiance spectrum")
-    if tau is not None:
-        require_kind(tau, Kind.TRANSMITTANCE, "soiling transmittance")
-        integrand = pointwise_product(e, tau, junction.sr)
-    else:
-        integrand = pointwise_product(e, junction.sr)
-    return integrate(integrand, junction.band)
+    if tau is None:
+        return integrate_product(e, junction.sr, band=junction.band)
+    require_kind(tau, Kind.TRANSMITTANCE, "soiling transmittance")
+    return integrate_product(e, tau, junction.sr, band=junction.band)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .spectral import (
     Spectrum,
     Waveband,
     integrate,
-    pointwise_product,
+    integrate_product,
     require_kind,
     union_grid,
 )
@@ -164,7 +164,7 @@ def _accumulate_currents(spectra: Sequence[Spectrum], cell: CellModel,
             cleaned[j.name] += jsc_junction(e, j)
             soiled[j.name] += jsc_junction(e, j, tau)
         b_clean += integrate(e, cell.full_band)
-        b_soil += integrate(pointwise_product(e, tau), cell.full_band)
+        b_soil += integrate_product(e, tau, band=cell.full_band)
     return _Currents(cleaned, soiled, b_clean, b_soil)
 
 
@@ -198,7 +198,7 @@ def bsratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:
     den = integrate(e, cell.full_band)
     if den == 0.0:
         raise ZeroDenominator("broadband irradiance integral is zero")
-    return integrate(pointwise_product(e, tau), cell.full_band) / den
+    return integrate_product(e, tau, band=cell.full_band) / den
 
 
 def ssratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:

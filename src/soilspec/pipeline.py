@@ -577,11 +577,12 @@ def write_field_day(day: FieldDay, out_dir: str | Path) -> Path:
     """Write one field day into a data dir, its spectra under ``spectra/``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if any(r.spectral_dni is not None for r in day.records):
+        (out_dir / "spectra").mkdir(exist_ok=True)
     rows = [FIELD_HEADER]
     for r in day.records:
         spec_rel = ""
         if r.spectral_dni is not None:
-            (out_dir / "spectra").mkdir(exist_ok=True)
             stamp = r.timestamp.strftime("%Y-%m-%dT%H-%M")
             spec_rel = f"spectra/{stamp}.csv"
             write_spectrum_csv(r.spectral_dni, out_dir / spec_rel)
@@ -679,8 +680,11 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
     if not scans:
         raise NoWeeksFound(f"no weekly coupon scans found in {data_dir}")
 
+    entries = manifest.get("weeks") or []
+    if not isinstance(entries, list):
+        raise ConfigError(f"{manifest_path}: 'weeks' must be a list, got {entries!r}")
     overrides: dict[int, dict] = {}
-    for entry in manifest.get("weeks", []) or []:
+    for entry in entries:
         if not (isinstance(entry, dict) and "week_id" in entry):
             raise ConfigError(
                 f"{manifest_path}: each weeks entry needs a 'week_id', got {entry!r}"

@@ -5,6 +5,12 @@ density, a transmittance, or a spectral response. All downstream indexes
 reduce to three operations on spectra: resampling onto a new grid,
 pointwise products, and definite integrals over a :class:`Waveband`.
 
+Junction currents and soiled broadband integrals are integrals of a
+product; :func:`integrate_product` computes them from the factors'
+arrays without building the product spectrum, and equals
+``integrate(pointwise_product(...), band)`` bit for bit.
+:func:`pointwise_product` stays for callers that need the product curve.
+
 Conventions
 -----------
 * Wavelengths are in nanometres, strictly increasing, at least two samples.
@@ -23,6 +29,7 @@ from __future__ import annotations
 import enum
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -42,6 +49,7 @@ __all__ = [
     "Waveband",
     "resample",
     "integrate",
+    "integrate_product",
     "pointwise_product",
     "union_grid",
     "read_spectrum_csv",
@@ -217,6 +225,30 @@ def resample(s: Spectrum, grid: Sequence[float] | np.ndarray) -> Spectrum:
     return Spectrum(g, vals, s.kind, s.units)
 
 
+def _band_trapezoid(w: np.ndarray, v: np.ndarray, band: Waveband) -> float:
+    """Trapezoid of samples (w, v) over a band, endpoints interpolated.
+
+    The band's interior samples are bracketed by the two band limits, at
+    the values interpolated there. Raises :class:`BandOutOfSupport` when
+    the band leaves [w[0], w[-1]].
+    """
+    lo, hi = band.lambda_min_nm, band.lambda_max_nm
+    if lo < w[0] or hi > w[-1]:
+        raise BandOutOfSupport(
+            f"band {band.name!r} [{lo}, {hi}] nm not covered by support "
+            f"[{float(w[0])}, {float(w[-1])}] nm"
+        )
+    i0 = int(w.searchsorted(lo, side="right"))
+    i1 = int(w.searchsorted(hi, side="left"))
+    # w[i0-1] <= lo < w[i0] and w[i1-1] < hi <= w[i1]: the slice holds the
+    # interior samples plus one on each side, which the limits replace.
+    x = w[i0 - 1:i1 + 1].copy()
+    y = v[i0 - 1:i1 + 1].copy()
+    x[0], x[-1] = lo, hi
+    y[0], y[-1] = np.interp((lo, hi), w, v)
+    return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 def integrate(s: Spectrum, band: Waveband) -> float:
     """Definite integral of a spectrum over a waveband.
 
@@ -224,21 +256,7 @@ def integrate(s: Spectrum, band: Waveband) -> float:
     endpoints inserted by interpolation. Exact for piecewise-linear
     integrands on the sample grid.
     """
-    lo, hi = band.lambda_min_nm, band.lambda_max_nm
-    slo, shi = s.support
-    if lo < slo or hi > shi:
-        raise BandOutOfSupport(
-            f"band {band.name!r} [{lo}, {hi}] nm not covered by support "
-            f"[{slo}, {shi}] nm"
-        )
-    w, v = s.wavelengths_nm, s.values
-    i0 = int(np.searchsorted(w, lo, side="right"))
-    i1 = int(np.searchsorted(w, hi, side="left"))
-    xs = np.concatenate(([lo], w[i0:i1], [hi]))
-    ys = np.concatenate(
-        ([np.interp(lo, w, v)], v[i0:i1], [np.interp(hi, w, v)])
-    )
-    return float(np.trapezoid(ys, xs))
+    return _band_trapezoid(s.wavelengths_nm, s.values, band)
 
 
 def union_grid(spectra: Iterable[Spectrum]) -> np.ndarray:
@@ -258,6 +276,15 @@ def union_grid(spectra: Iterable[Spectrum]) -> np.ndarray:
     return pts
 
 
+def _product(spectra: Sequence[Spectrum]) -> tuple[np.ndarray, np.ndarray]:
+    """Union grid of the factors and their product sampled on it."""
+    grid = union_grid(spectra)
+    vals = np.interp(grid, spectra[0].wavelengths_nm, spectra[0].values)
+    for s in spectra[1:]:
+        vals = vals * np.interp(grid, s.wavelengths_nm, s.values)
+    return grid, vals
+
+
 def pointwise_product(*spectra: Spectrum) -> Spectrum:
     """Pointwise product of two or more spectra.
 
@@ -268,14 +295,26 @@ def pointwise_product(*spectra: Spectrum) -> Spectrum:
     """
     if len(spectra) < 2:
         raise ValueError("need at least two spectra")
-    grid = union_grid(spectra)
-    vals = np.ones_like(grid)
+    grid, vals = _product(spectra)
     units = DIMENSIONLESS
     for s in spectra:
-        vals = vals * np.interp(grid, s.wavelengths_nm, s.values)
         units = _combine_units(units, s.units)
     kind = max((s.kind for s in spectra), key=_KIND_RANK.__getitem__)
     return Spectrum(grid, vals, kind, units)
+
+
+def integrate_product(*spectra: Spectrum, band: Waveband) -> float:
+    """Integral over ``band`` of the pointwise product of the spectra.
+
+    Equal to ``integrate(pointwise_product(*spectra), band)``, bit for
+    bit, without building the product :class:`Spectrum`: the factors are
+    multiplied in argument order on their union grid and the band
+    trapezoid is applied to the result. The product is not checked for
+    finite values. Raises :class:`NoOverlap` when the supports do not
+    overlap and :class:`BandOutOfSupport` when the overlap does not
+    cover the band.
+    """
+    return _band_trapezoid(*_product(spectra), band)
 
 
 def require_kind(s: Spectrum, kind: Kind, what: str) -> None:
@@ -348,11 +387,20 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write a text file via temp-then-rename so readers never see a torn file."""
+    """Write a text file via temp-then-rename so readers never see a torn file.
+
+    The temp name is unique to the writing process and thread, so
+    concurrent writers of one path each rename a whole file of their own
+    and the last rename wins.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_spectrum_csv(s: Spectrum, path: str | Path) -> None:
@@ -360,9 +408,6 @@ def write_spectrum_csv(s: Spectrum, path: str | Path) -> None:
 
     Floats are written with ``repr``, which round-trips exactly.
     """
-    lines = [f"# kind={s.kind.value} units={s.units}", _HEADER]
-    lines.extend(
-        f"{float(w)!r},{float(v)!r}"
-        for w, v in zip(s.wavelengths_nm, s.values)
-    )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    rows = zip(map(repr, s.wavelengths_nm.tolist()), map(repr, s.values.tolist()))
+    body = "\n".join(map(",".join, rows))
+    write_text_atomic(path, f"# kind={s.kind.value} units={s.units}\n{_HEADER}\n{body}\n")

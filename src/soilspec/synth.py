@@ -257,8 +257,11 @@ def load_scenario(path: str | Path) -> CampaignScenario:
     if "weeks" not in doc or "deposition_per_week" not in doc:
         raise ConfigError(f"{path}: scenario needs 'weeks' and 'deposition_per_week'")
     kwargs = dict(doc)
+    entries = kwargs.pop("rain_weeks", None) or []
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: 'rain_weeks' must be a list, got {entries!r}")
     rain = []
-    for entry in kwargs.pop("rain_weeks", []) or []:
+    for entry in entries:
         if not (isinstance(entry, dict) and {"week", "wash_fraction"} <= set(entry)):
             raise ConfigError(
                 f"{path}: each rain_weeks entry needs 'week' and 'wash_fraction', got {entry!r}"

@@ -203,6 +203,25 @@ def test_campaign_manifest_week_without_id(tmp_path, capsys):
     _assert_config_error(rc, capsys, "manifest.yaml")
 
 
+def test_campaign_manifest_weeks_not_a_list(tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 2\ndeposition_per_week: 0.02\nseed: 5\n")
+    data = tmp_path / "data"
+    assert main(["synth", "--scenario", str(scenario), "--out", str(data)]) == 0
+    (data / "manifest.yaml").write_text("start_date: 2017-01-02\nweeks: 5\n")
+    capsys.readouterr()
+    rc = main(["campaign", "--cell", str(bundled_cell_config_path()),
+               "--data", str(data), "--out", str(tmp_path / "out")])
+    _assert_config_error(rc, capsys, "manifest.yaml")
+
+
+def test_synth_rain_weeks_not_a_list(tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 2\ndeposition_per_week: 0.02\nrain_weeks: 5\n")
+    rc = main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    _assert_config_error(rc, capsys, "s.yaml")
+
+
 def test_synth_rain_week_without_wash_fraction(tmp_path, capsys):
     scenario = tmp_path / "s.yaml"
     scenario.write_text("weeks: 2\ndeposition_per_week: 0.02\nrain_weeks:\n  - {week: 1}\n")

@@ -20,6 +20,7 @@ from soilspec import (
     soiling_transmittance,
     sratio,
     ssratio,
+    synth_spectrum,
     synth_tau,
 )
 from soilspec.errors import (
@@ -375,6 +376,31 @@ def test_weighted_report_checks_kind_of_every_spectrum(toy2j, flat_e, linear_tau
     stray = flat_spectrum(300, 900, 1.0, Kind.TRANSMITTANCE)
     with pytest.raises(KindMismatch):
         index_report_weighted([flat_e, flat_e, stray], toy2j, linear_tau)
+
+
+# Computed with the Spectrum-building product path this report used before
+# integrate_product; an equivalent rewrite must reproduce every bit.
+_FROZEN_REPORT = {
+    "sratio": float.fromhex("0x1.a100276cfaaeap-1"),
+    "bsratio": float.fromhex("0x1.98054868022fep-1"),
+    "ssratio": float.fromhex("0x1.05a25b23ea22fp+0"),
+    "smr_cleaned": float.fromhex("0x1.201c5391f122fp+0"),
+    "smr_soiled": float.fromhex("0x1.003d444cc2046p+0"),
+    "smratio": float.fromhex("0x1.c75c936607c1cp-1"),
+    "limiting_cleaned": "mid",
+    "limiting_soiled": "top",
+    "ast_MJ": float.fromhex("0x1.ac208992e6ebap-1"),
+    "ast_top": float.fromhex("0x1.68b27c0f27b17p-1"),
+    "ast_mid": float.fromhex("0x1.a8ba8222b488fp-1"),
+    "ast_bot": float.fromhex("0x1.ccb62fd346bb6p-1"),
+}
+
+
+def test_report_frozen_values(bundled_cell):
+    # E and tau on offset grids, so every current runs on a union grid
+    e = synth_spectrum(0.3, np.arange(297.5, 1815.0, 5.0))
+    tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), np.arange(298.0, 1814.0, 4.0))
+    assert index_report(e, bundled_cell, tau).to_dict() == _FROZEN_REPORT
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from soilspec import Kind, Spectrum, Waveband, integrate, pointwise_product, resample
+from soilspec import (
+    Kind,
+    Spectrum,
+    Waveband,
+    integrate,
+    integrate_product,
+    pointwise_product,
+    resample,
+)
 from soilspec.errors import BandOutOfSupport, GridOutOfSupport, NoOverlap
 from soilspec.spectral import (
     CURRENT_DENSITY_UNITS,
@@ -14,6 +24,7 @@ from soilspec.spectral import (
     SR_UNITS,
     read_spectrum_csv,
     write_spectrum_csv,
+    write_text_atomic,
 )
 
 from conftest import flat_spectrum, linear_spectrum, midpoint_riemann, sampled_eval
@@ -247,6 +258,85 @@ def test_product_units_and_kind():
 
 
 # ---------------------------------------------------------------------------
+# integrate_product
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _factor(draw, kind, vmax):
+    """A spectrum whose random, strictly increasing grid spans [400, 800]."""
+    lo = draw(st.floats(250.0, 400.0))
+    hi = draw(st.floats(800.0, 1000.0))
+    inner = draw(st.lists(st.floats(lo, hi), max_size=40))
+    w = np.unique([lo, hi, *inner])
+    v = draw(st.lists(st.floats(0.0, vmax), min_size=w.size, max_size=w.size))
+    return Spectrum(w, np.asarray(v), kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    e=_factor(Kind.IRRADIANCE, 2.0),
+    tau=st.none() | _factor(Kind.TRANSMITTANCE, 1.0),
+    sr=_factor(Kind.SPECTRAL_RESPONSE, 0.7),
+    f0=st.floats(0.0, 1.0),
+    f1=st.floats(0.0, 1.0),
+)
+def test_integrate_product_equals_integrated_product(e, tau, sr, f0, f1):
+    fs = (e, sr) if tau is None else (e, tau, sr)
+    lo = max(f.support[0] for f in fs)
+    hi = min(f.support[1] for f in fs)
+    a, b = sorted((lo + f0 * (hi - lo), lo + f1 * (hi - lo)))
+    assume(a < b)
+    band = Waveband("b", a, b)
+    assert integrate_product(*fs, band=band) == integrate(pointwise_product(*fs), band)
+
+
+def _grid_factors():
+    e = Spectrum(np.arange(300.0, 901.0, 10.0),
+                 np.linspace(0.5, 1.5, 61), Kind.IRRADIANCE)
+    tau = Spectrum(np.arange(305.0, 896.0, 7.5),
+                   np.linspace(0.6, 0.95, 79), Kind.TRANSMITTANCE)
+    sr = linear_spectrum(300.0, 900.0, 0.2, 0.6, Kind.SPECTRAL_RESPONSE)
+    return e, tau, sr
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (400.0, 600.0),    # limits on sample points of E
+    (402.5, 410.0),    # limits on sample points of tau
+    (501.0, 503.0),    # inside one interval of every grid
+    (305.0, 890.0),    # the full overlap of the three supports
+])
+def test_integrate_product_explicit_bands(lo, hi):
+    e, tau, sr = _grid_factors()
+    band = Waveband("b", lo, hi)
+    for fs in ((e, tau, sr), (e, sr), (e, tau)):
+        assert integrate_product(*fs, band=band) == integrate(pointwise_product(*fs), band)
+
+
+def test_integrate_product_inside_one_interval_is_one_trapezoid():
+    # the product is sampled on the union grid {300, 900} (0.5 and 2.0) and
+    # is linear in between, so the band integral is one exact trapezoid
+    e = linear_spectrum(300.0, 900.0, 1.0, 2.0, Kind.IRRADIANCE)
+    tau = linear_spectrum(300.0, 900.0, 0.5, 1.0)
+    p = [0.5 + 1.5 * (x - 300.0) / 600.0 for x in (480.0, 540.0)]
+    got = integrate_product(e, tau, band=Waveband("b", 480.0, 540.0))
+    assert got == pytest.approx(60.0 * (p[0] + p[1]) / 2.0, rel=1e-14)
+
+
+def test_integrate_product_band_out_of_support():
+    e, tau, sr = _grid_factors()
+    # inside E's support but not tau's
+    with pytest.raises(BandOutOfSupport):
+        integrate_product(e, tau, sr, band=Waveband("b", 300.0, 600.0))
+
+
+def test_integrate_product_disjoint_supports():
+    a = flat_spectrum(300, 400, 1.0)
+    b = flat_spectrum(500, 600, 1.0, Kind.SPECTRAL_RESPONSE)
+    with pytest.raises(NoOverlap):
+        integrate_product(a, b, band=Waveband("b", 300.0, 600.0))
+
+
+# ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------
 
@@ -300,3 +390,36 @@ def test_csv_dimensionless_transmittance(tmp_path):
     )
     s = read_spectrum_csv(path)
     assert s.kind is Kind.TRANSMITTANCE and s.units == DIMENSIONLESS
+
+
+def test_write_text_atomic_concurrent_writers(tmp_path):
+    path = tmp_path / "shared.csv"
+    texts = [f"writer {i}\n" * 5000 for i in range(6)]
+    start = threading.Barrier(len(texts))
+    errors = []
+
+    def write(text):
+        try:
+            start.wait(timeout=10)
+            for _ in range(25):
+                write_text_atomic(path, text)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_text(encoding="utf-8") in texts
+    assert list(tmp_path.glob("*.tmp")) == []
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x", encoding="utf-8")
+    assert path.stat().st_mode == plain.stat().st_mode
