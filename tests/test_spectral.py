@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from soilspec import (
@@ -280,11 +280,21 @@ def _factor(draw, kind, vmax):
     f0=st.floats(0.0, 1.0),
     f1=st.floats(0.0, 1.0),
 )
+# lo + 1.0 * (hi - lo) rounds one ulp above hi for these supports.
+@example(
+    e=Spectrum(np.array([250.0, 801.0]), np.zeros(2), Kind.IRRADIANCE),
+    tau=None,
+    sr=Spectrum(np.array([250.18427688726564, 800.1681702649825]), np.zeros(2),
+                Kind.SPECTRAL_RESPONSE),
+    f0=0.0,
+    f1=1.0,
+)
 def test_integrate_product_equals_integrated_product(e, tau, sr, f0, f1):
     fs = (e, sr) if tau is None else (e, tau, sr)
     lo = max(f.support[0] for f in fs)
     hi = min(f.support[1] for f in fs)
-    a, b = sorted((lo + f0 * (hi - lo), lo + f1 * (hi - lo)))
+    # Clip the band limits: the fraction arithmetic may round past the support.
+    a, b = sorted(min(max(lo + f * (hi - lo), lo), hi) for f in (f0, f1))
     assume(a < b)
     band = Waveband("b", a, b)
     assert integrate_product(*fs, band=band) == integrate(pointwise_product(*fs), band)
