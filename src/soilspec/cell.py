@@ -136,15 +136,16 @@ class CellModel:
     """An ordered multi-junction stack with reference calibration.
 
     ``reference_currents`` are the per-junction currents under
-    ``reference_spectrum``; they are recomputed at construction and must
-    match to 1e-9 relative.
+    ``reference_spectrum``. They are computed at construction; a mapping
+    passed in pins them and must match the computed values to 1e-9
+    relative.
     """
 
     name: str
     junctions: tuple[Junction, ...]
     full_band: Waveband
     reference_spectrum: Spectrum
-    reference_currents: Mapping[str, float]
+    reference_currents: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if len(self.junctions) < 2:
@@ -169,18 +170,19 @@ class CellModel:
             )
         require_kind(self.reference_spectrum, Kind.IRRADIANCE, "reference spectrum")
         object.__setattr__(self, "junctions", tuple(self.junctions))
-        object.__setattr__(self, "reference_currents", dict(self.reference_currents))
-        for j in self.junctions:
-            expected = jsc_junction(self.reference_spectrum, j)
-            stored = self.reference_currents.get(j.name)
+        computed = {j.name: jsc_junction(self.reference_spectrum, j) for j in self.junctions}
+        currents = computed if self.reference_currents is None else dict(self.reference_currents)
+        object.__setattr__(self, "reference_currents", currents)
+        for jname, expected in computed.items():
+            stored = currents.get(jname)
             if stored is None:
                 raise ConfigError(
-                    f"cell {self.name!r}: missing reference current for {j.name!r}"
+                    f"cell {self.name!r}: missing reference current for {jname!r}"
                 )
             scale = max(abs(expected), abs(stored))
             if scale > 0.0 and abs(stored - expected) > _REL_TOL_REFERENCE * scale:
                 raise ConfigError(
-                    f"cell {self.name!r}: reference current for {j.name!r} is "
+                    f"cell {self.name!r}: reference current for {jname!r} is "
                     f"{stored}, recomputed {expected} (tolerance 1e-9 relative)"
                 )
 
@@ -193,6 +195,11 @@ class CellModel:
     @property
     def junction_names(self) -> tuple[str, ...]:
         return tuple(j.name for j in self.junctions)
+
+    @property
+    def bands(self) -> tuple[Waveband, ...]:
+        """The full band, then the junction bands in stack order."""
+        return (self.full_band,) + tuple(j.band for j in self.junctions)
 
 
 def jsc_cell(e: Spectrum, cell: CellModel, tau: Spectrum | None = None) -> JscResult:
@@ -238,8 +245,6 @@ def build_cell(
             min(j.band.lambda_min_nm for j in junctions),
             max(j.band.lambda_max_nm for j in junctions),
         )
-    if reference_currents is None:
-        reference_currents = {j.name: jsc_junction(reference, j) for j in junctions}
     return CellModel(
         name=name,
         junctions=junctions,
@@ -401,6 +406,14 @@ def load_cell(config_path: str | Path) -> CellModel:
         full_band = Waveband(str(fb["name"]), float(fb["min_nm"]), float(fb["max_nm"]))
 
     stored = doc.get("reference_currents")
+    if stored is not None and not (
+        isinstance(stored, dict)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in stored.values())
+    ):
+        raise ConfigError(
+            f"{config_path}: 'reference_currents' must map junction names to numbers, "
+            f"got {stored!r}"
+        )
     return build_cell(
         name=str(name),
         junctions=junctions,

@@ -11,10 +11,14 @@ full band.
 * ``smr``     - top/mid current ratio normalised to the reference
   spectrum; with a soiling transmittance it is the soiled variant.
 * ``smratio`` - soiled/cleaned SMR. The reference currents cancel, so it
-  is computed in the cancelled form and never needs calibration.
-* ``ast``     - average of the soiling transmittance over a waveband.
+  is the SMR form with the cleaned currents in place of the reference
+  ones and never needs calibration: SMR and SMratio share one formula.
+* ``ast``     - average of the soiling transmittance over a waveband,
+  reported per band of ``CellModel.bands``.
 
-The identities sratio == bsratio * ssratio and
+The standalone functions and the report share each formula and its zero
+guard; a report with a zero index raises ``ZeroCurrent``, so a campaign
+rejects that week. The identities sratio == bsratio * ssratio and
 smratio == smr_soiled / smr_cleaned hold to floating-point round-off by
 construction.
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -183,12 +187,27 @@ def _resolve_pair(cell: CellModel, pair: tuple[str, str] | None) -> tuple[Juncti
 # Index operations
 # ---------------------------------------------------------------------------
 
+def _ratio(num: float, den: float, error: type[Exception], what: str) -> float:
+    """num / den, raising ``error`` when the denominator is zero."""
+    if den == 0.0:
+        raise error(f"{what} is zero")
+    return num / den
+
+
+def _matching(num: Mapping[str, float], den: Mapping[str, float],
+              ji: Junction, jj: Junction) -> float:
+    """The matching-ratio form (num_i / num_j) * (den_j / den_i) of SMR and SMratio."""
+    i, j = ji.name, jj.name
+    if num[j] == 0.0 or den[i] == 0.0:
+        raise ZeroCurrent(f"matching-ratio denominator is zero ({j}: {num[j]}, {i}: {den[i]})")
+    return (num[i] / num[j]) * (den[j] / den[i])
+
+
 def sratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:
     """Soiling ratio: soiled/cleaned stack short-circuit current."""
-    clean = jsc_cell(e, cell)
-    if clean.value == 0.0:
-        raise ZeroCleanCurrent("cleaned stack current is zero")
-    return jsc_cell(e, cell, tau).value / clean.value
+    clean = jsc_cell(e, cell).value
+    return _ratio(jsc_cell(e, cell, tau).value, clean, ZeroCleanCurrent,
+                  "cleaned stack current")
 
 
 def bsratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:
@@ -196,17 +215,14 @@ def bsratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:
     require_kind(e, Kind.IRRADIANCE, "irradiance spectrum")
     require_kind(tau, Kind.TRANSMITTANCE, "soiling transmittance")
     den = integrate(e, cell.full_band)
-    if den == 0.0:
-        raise ZeroDenominator("broadband irradiance integral is zero")
-    return integrate_product(e, tau, band=cell.full_band) / den
+    return _ratio(integrate_product(e, tau, band=cell.full_band), den, ZeroDenominator,
+                  "broadband irradiance integral")
 
 
 def ssratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:
     """Spectral soiling ratio: sratio / bsratio."""
     b = bsratio(e, cell, tau)
-    if b == 0.0:
-        raise ZeroDenominator("broadband soiling ratio is zero")
-    return sratio(e, cell, tau) / b
+    return _ratio(sratio(e, cell, tau), b, ZeroDenominator, "broadband soiling ratio")
 
 
 def smr(e: Spectrum, cell: CellModel, tau: Spectrum | None = None,
@@ -218,15 +234,8 @@ def smr(e: Spectrum, cell: CellModel, tau: Spectrum | None = None,
     ones; without it, the cleaned ones.
     """
     ji, jj = _resolve_pair(cell, pair)
-    j_i = jsc_junction(e, ji, tau)
-    j_j = jsc_junction(e, jj, tau)
-    ref_i = cell.reference_currents[ji.name]
-    ref_j = cell.reference_currents[jj.name]
-    if j_j == 0.0 or ref_i == 0.0:
-        raise ZeroCurrent(
-            f"SMR denominator current is zero (J_{jj.name}={j_j}, J*_{ji.name}={ref_i})"
-        )
-    return (j_i / j_j) * (ref_j / ref_i)
+    currents = {j.name: jsc_junction(e, j, tau) for j in (ji, jj)}
+    return _matching(currents, cell.reference_currents, ji, jj)
 
 
 def smratio(e: Spectrum, cell: CellModel, tau: Spectrum,
@@ -238,16 +247,9 @@ def smratio(e: Spectrum, cell: CellModel, tau: Spectrum,
     and works for cells without calibrated reference currents.
     """
     ji, jj = _resolve_pair(cell, pair)
-    js_i = jsc_junction(e, ji, tau)
-    js_j = jsc_junction(e, jj, tau)
-    jc_i = jsc_junction(e, ji)
-    jc_j = jsc_junction(e, jj)
-    if js_j == 0.0 or jc_i == 0.0:
-        raise ZeroCurrent(
-            f"SMratio denominator current is zero "
-            f"(J_soiled_{jj.name}={js_j}, J_cleaned_{ji.name}={jc_i})"
-        )
-    return (js_i / js_j) * (jc_j / jc_i)
+    soiled = {j.name: jsc_junction(e, j, tau) for j in (ji, jj)}
+    cleaned = {j.name: jsc_junction(e, j) for j in (ji, jj)}
+    return _matching(soiled, cleaned, ji, jj)
 
 
 # ---------------------------------------------------------------------------
@@ -337,42 +339,25 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     cur = _accumulate_currents(spectra, cell, tau)
     clean = stack_current(cur.cleaned, cell)
     soiled = stack_current(cur.soiled, cell)
-    if clean.value == 0.0:
-        raise ZeroCleanCurrent("cleaned stack current is zero")
-    if cur.broadband_cleaned == 0.0:
-        raise ZeroDenominator("broadband irradiance integral is zero")
-
-    sr = soiled.value / clean.value
-    bs = cur.broadband_soiled / cur.broadband_cleaned
-    if bs == 0.0:
-        raise ZeroDenominator("broadband soiling ratio is zero")
-    ss = sr / bs
-
+    sr = _ratio(soiled.value, clean.value, ZeroCleanCurrent, "cleaned stack current")
+    bs = _ratio(cur.broadband_soiled, cur.broadband_cleaned, ZeroDenominator,
+                "broadband irradiance integral")
+    ss = _ratio(sr, bs, ZeroDenominator, "broadband soiling ratio")
     ji, jj = _resolve_pair(cell, pair)
-    ref_i = cell.reference_currents[ji.name]
-    ref_j = cell.reference_currents[jj.name]
-    jc_i, jc_j = cur.cleaned[ji.name], cur.cleaned[jj.name]
-    js_i, js_j = cur.soiled[ji.name], cur.soiled[jj.name]
-    if 0.0 in (jc_i, jc_j, js_i, js_j, ref_i, ref_j):
-        raise ZeroCurrent(
-            f"a {ji.name}/{jj.name} junction current needed for SMR/SMratio is zero"
-        )
-    smr_cleaned = (jc_i / jc_j) * (ref_j / ref_i)
-    smr_soiled = (js_i / js_j) * (ref_j / ref_i)
-    smratio_value = (js_i / js_j) * (jc_j / jc_i)
-
-    ast_map = {cell.full_band.name: ast(tau, cell.full_band)}
-    for j in cell.junctions:
-        ast_map[j.band.name] = ast(tau, j.band)
-
+    indexes = {
+        "sratio": sr,
+        "bsratio": bs,
+        "ssratio": ss,
+        "smr_cleaned": _matching(cur.cleaned, cell.reference_currents, ji, jj),
+        "smr_soiled": _matching(cur.soiled, cell.reference_currents, ji, jj),
+        "smratio": _matching(cur.soiled, cur.cleaned, ji, jj),
+    }
+    zero = [name for name, value in indexes.items() if value == 0.0]
+    if zero:
+        raise ZeroCurrent(f"a junction current is zero, so {', '.join(zero)} is zero")
     return IndexReport(
-        sratio=sr,
-        bsratio=bs,
-        ssratio=ss,
-        smr_cleaned=smr_cleaned,
-        smr_soiled=smr_soiled,
-        smratio=smratio_value,
-        ast=ast_map,
+        **indexes,
+        ast={b.name: ast(tau, b) for b in cell.bands},
         limiting_cleaned=clean.limiting,
         limiting_soiled=soiled.limiting,
     )

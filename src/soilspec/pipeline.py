@@ -367,8 +367,7 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     accepted weeks only.
     """
     day_map = {d.date: d for d in days}
-    bands = (cell.full_band,) + tuple(j.band for j in cell.junctions)
-    band_names = tuple(b.name for b in bands)
+    band_names = tuple(b.name for b in cell.bands)
     outcomes: list[WeeklyOutcome] = []
     for m in sorted(weeks, key=lambda w: w.week_id):
         scan_date = m.scan_date
@@ -385,8 +384,6 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
                 reason = v.reason
             else:
                 tau = v.tau
-                ast_by_band = {b.name: ast(tau, b) for b in bands}
-                ast_full = ast_by_band[cell.full_band.name]
                 day = select_spectra(scan_date, day_map)
                 spectra_date = day.date
                 if aggregation is Aggregation.NOON:
@@ -401,6 +398,11 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
                     accepted = True
         except SoilspecError as exc:
             reason = exc.kind
+        if tau is not None:
+            # An accepted tau covers every band of the cell, so ast cannot raise.
+            ast_by_band = (report.ast if report is not None
+                           else {b.name: ast(tau, b) for b in cell.bands})
+            ast_full = ast_by_band[cell.full_band.name]
         outcomes.append(
             WeeklyOutcome(
                 week_id=m.week_id,
@@ -414,7 +416,7 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
                 ast_by_band=ast_by_band,
             )
         )
-    summary = _summarize(outcomes, band_names)
+    summary = _summarize(outcomes)
     return CampaignResult(
         weekly=tuple(outcomes),
         summary=summary,
@@ -424,28 +426,17 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     )
 
 
-_SUMMARY_INDEXES = ("sratio", "bsratio", "ssratio", "smr_cleaned", "smr_soiled", "smratio")
-
-
-def _summarize(outcomes: Sequence[WeeklyOutcome], band_names: tuple[str, ...]) -> dict:
+def _summarize(outcomes: Sequence[WeeklyOutcome]) -> dict:
     accepted = [w for w in outcomes if w.accepted]
-    indexes: dict = {}
-    for key in _SUMMARY_INDEXES:
-        vals = [getattr(w.report, key) for w in accepted]
-        if vals:
-            indexes[key] = {
-                "mean": float(np.mean(vals)),
-                "min": float(np.min(vals)),
-                "max": float(np.max(vals)),
-            }
-    for bname in band_names:
-        vals = [w.ast_by_band[bname] for w in accepted]
-        if vals:
-            indexes[f"ast_{bname}"] = {
-                "mean": float(np.mean(vals)),
-                "min": float(np.min(vals)),
-                "max": float(np.max(vals)),
-            }
+    columns: dict[str, list[float]] = {}
+    for w in accepted:
+        for key, value in w.report.to_dict().items():
+            if isinstance(value, float):
+                columns.setdefault(key, []).append(value)
+    indexes = {
+        key: {"mean": float(np.mean(vals)), "min": float(np.min(vals)), "max": float(np.max(vals))}
+        for key, vals in columns.items()
+    }
     return {
         "n_weeks": len(outcomes),
         "n_accepted": len(accepted),

@@ -256,6 +256,14 @@ def load_scenario(path: str | Path) -> CampaignScenario:
         raise ConfigError(f"{path}: unknown scenario keys {sorted(unknown)}")
     if "weeks" not in doc or "deposition_per_week" not in doc:
         raise ConfigError(f"{path}: scenario needs 'weeks' and 'deposition_per_week'")
+    for key, value in doc.items():
+        if key in ("rain_weeks", "start_date"):
+            continue
+        integer = key in ("weeks", "seed")
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise ConfigError(
+                f"{path}: {key!r} must be {'an integer' if integer else 'a number'}, got {value!r}"
+            )
     kwargs = dict(doc)
     entries = kwargs.pop("rain_weeks", None) or []
     if not isinstance(entries, list):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from soilspec import (
+    CellModel,
     Junction,
     Kind,
     Spectrum,
@@ -86,6 +87,19 @@ def test_reference_current_mismatch_rejected():
     cell = build_cell("c", junctions, ref,
                       reference_currents={"a": 400.0, "b": 200.0})
     assert cell.reference_currents == {"a": 400.0, "b": 200.0}
+    with pytest.raises(ConfigError, match="missing reference current"):
+        build_cell("c", junctions, ref, reference_currents={"a": 400.0})
+
+
+def test_cell_model_computes_reference_currents_and_lists_bands():
+    junctions = (
+        Junction("a", Waveband("a", 300, 700), flat_sr(300, 700)),
+        Junction("b", Waveband("b", 700, 900), flat_sr(700, 900, 0.5)),
+    )
+    full = Waveband("full", 300, 900)
+    cell = CellModel("c", junctions, full, flat_spectrum(300, 900, 1.0))
+    assert cell.reference_currents == {"a": 400.0, "b": 100.0}
+    assert cell.bands == (full, junctions[0].band, junctions[1].band)
 
 
 # ---------------------------------------------------------------------------

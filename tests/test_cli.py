@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from soilspec import Kind, read_spectrum_csv, write_spectrum_csv
@@ -240,3 +241,53 @@ def test_compute_junction_entry_not_a_mapping(toy_fixtures, capsys):
     rc = main(["compute", str(toy_fixtures / "e.csv"), str(toy_fixtures / "tau.csv"),
                "--cell", str(toy_fixtures / "cell.yaml")])
     _assert_config_error(rc, capsys, "cell.yaml")
+
+
+def test_campaign_pair_with_zero_soiled_stack_current_rejects_week(tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 3\ndeposition_per_week: 0.02\nnoise_sigma: 0.0\n")
+    data = tmp_path / "data"
+    assert main(["synth", "--scenario", str(scenario), "--out", str(data)]) == 0
+    # week 2's soiled coupon is opaque over the top-junction band
+    for rep in (1, 2, 3):
+        scan_path = data / f"week02_soiled_{rep}.csv"
+        scan = read_spectrum_csv(scan_path)
+        write_spectrum_csv(scan.with_values(np.where(scan.wavelengths_nm <= 720.0, 0.0,
+                                                     scan.values)), scan_path)
+    out = tmp_path / "out"
+    rc = main(["campaign", "--cell", str(bundled_cell_config_path()),
+               "--data", str(data), "--out", str(out), "--pair", "mid,bot"])
+    assert rc == 0
+    capsys.readouterr()
+    weeks = json.loads((out / "campaign.json").read_text())["weeks"]
+    assert [(w["accepted"], w["rejection_reason"]) for w in weeks] == [
+        (True, None), (False, "ZeroCurrent"), (True, None)]
+
+
+@pytest.mark.parametrize("value", ["5", "{top: abc, mid: 1.0, bot: 1.0}"])
+def test_compute_reference_currents_not_numbers(toy_fixtures, capsys, value):
+    (toy_fixtures / "cell.yaml").write_text(
+        "name: toy\n"
+        "reference_spectrum: reference.csv\n"
+        "junctions:\n"
+        "  - {name: top, band: [300, 700], sr_file: sr_top.csv}\n"
+        "  - {name: mid, band: [700, 900], sr_file: sr_mid.csv}\n"
+        f"reference_currents: {value}\n"
+    )
+    rc = main(["compute", str(toy_fixtures / "e.csv"), str(toy_fixtures / "tau.csv"),
+               "--cell", str(toy_fixtures / "cell.yaml")])
+    _assert_config_error(rc, capsys, "cell.yaml")
+
+
+@pytest.mark.parametrize("line", [
+    "weeks: abc", "weeks: 3.5", "weeks: true", "seed: 1.5",
+    "grid_step_nm: abc", "deposition_per_week: [1]", "noise_sigma: false",
+])
+def test_synth_scenario_value_of_wrong_type(tmp_path, capsys, line):
+    key = line.split(":")[0]
+    defaults = {"weeks": "weeks: 2", "deposition_per_week": "deposition_per_week: 0.02"}
+    defaults[key] = line
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("\n".join(defaults.values()) + "\n")
+    rc = main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    _assert_config_error(rc, capsys, f"s.yaml: '{key}'")

@@ -4,12 +4,14 @@ import pytest
 import soilspec.metrics
 from soilspec import (
     IndexReport,
+    Junction,
     Kind,
     Spectrum,
     Waveband,
     ast,
     boxcar_cell,
     bsratio,
+    build_cell,
     index_report,
     index_report_weighted,
     integrate,
@@ -427,3 +429,99 @@ def test_step_tau_ssratio_above_one(toy2j, flat_e):
     broad = midpoint_riemann(tau_f, 300.0, 900.0, 0.01) / 600.0
     assert b == pytest.approx(broad, rel=1e-6)
     assert ss == pytest.approx((soiled_mid / 200.0) / broad, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# standalone index functions and the report share one formula per index
+# ---------------------------------------------------------------------------
+
+_PAIRS = (None, ("mid", "bot"), ("bot", "mid"), ("top", "bot"))
+
+
+def _offset_grid(rng):
+    """A randomly stepped grid over the bundled cell's full band, starting
+    a random fraction of a step below it."""
+    step = rng.uniform(4.0, 6.0)
+    start = 300.0 - rng.uniform(0.0, step)
+    return start + step * np.arange(int(np.ceil((1810.0 - start) / step)) + 1)
+
+
+def test_standalone_indexes_equal_report_bit_for_bit(bundled_cell):
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        e = synth_spectrum(float(rng.uniform(-1.0, 1.0)), _offset_grid(rng))
+        model = SoilingModel(float(rng.uniform(0.02, 0.6)), float(rng.uniform(0.5, 2.0)))
+        tau = synth_tau(model, _offset_grid(rng))
+        for pair in _PAIRS:
+            rep = index_report(e, bundled_cell, tau, pair=pair)
+            assert sratio(e, bundled_cell, tau) == rep.sratio
+            assert bsratio(e, bundled_cell, tau) == rep.bsratio
+            assert ssratio(e, bundled_cell, tau) == rep.ssratio
+            assert smr(e, bundled_cell, pair=pair) == rep.smr_cleaned
+            assert smr(e, bundled_cell, tau, pair=pair) == rep.smr_soiled
+            assert smratio(e, bundled_cell, tau, pair=pair) == rep.smratio
+
+
+_ZCC, _ZD, _ZC = ZeroCleanCurrent, ZeroDenominator, ZeroCurrent
+# Per case: what (sratio, bsratio, ssratio) raise, then per pair of _PAIRS
+# what (smr cleaned, smr soiled, smratio, index_report) raise; None where a
+# value is returned. The report raises ZeroCurrent for any zero index,
+# whichever junctions the pair names.
+_ERRORS = {
+    "dark": ((_ZCC, _ZD, _ZD), [(_ZC, _ZC, _ZC, _ZCC)] * 4),
+    "tau0_top": ((None,) * 3, [(None, None, None, _ZC)] * 4),
+    "tau0_mid": ((None,) * 3, [(None, _ZC, _ZC, _ZC), (None, None, None, _ZC),
+                               (None, _ZC, _ZC, _ZC), (None, None, None, _ZC)]),
+    "tau0_bot": ((None,) * 3, [(None, None, None, None), (None, _ZC, _ZC, _ZC),
+                               (None, None, None, _ZC), (None, _ZC, _ZC, _ZC)]),
+    "tau0_all": ((None, None, _ZD), [(None, _ZC, _ZC, _ZD)] * 4),
+    "zero_top_sr": ((_ZCC, None, _ZCC), [(_ZC, _ZC, _ZC, _ZCC), (None, None, None, _ZCC),
+                                         (None, None, None, _ZCC), (_ZC, _ZC, _ZC, _ZCC)]),
+}
+
+
+def _error_case(name, cell, reference):
+    grid = np.arange(300.0, 1811.0, 1.0)
+
+    def tau_zero_on(lo, hi):
+        inside = (grid >= lo) & (grid <= hi)
+        return Spectrum(grid, np.where(inside, 0.0, 0.8), Kind.TRANSMITTANCE)
+
+    if name == "dark":
+        return reference.with_values(reference.values * 0.0), bundled_tau(), cell
+    if name == "tau0_all":
+        return reference, tau_zero_on(300.0, 1810.0), cell
+    if name == "zero_top_sr":
+        top = cell.junctions[0]
+        dark_top = Junction(top.name, top.band, top.sr.with_values(top.sr.values * 0.0))
+        zero_top = build_cell("zero-top", (dark_top,) + cell.junctions[1:], reference,
+                              full_band=cell.full_band)
+        return reference, bundled_tau(), zero_top
+    band = cell.junction(name.removeprefix("tau0_")).band
+    return reference, tau_zero_on(band.lambda_min_nm, band.lambda_max_nm), cell
+
+
+def _raised(call):
+    try:
+        call()
+    except (ZeroCleanCurrent, ZeroDenominator, ZeroCurrent) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(_ERRORS))
+def test_standalone_indexes_and_report_error_parity(name, bundled_cell, reference):
+    e, tau, cell = _error_case(name, bundled_cell, reference)
+    plain, by_pair = _ERRORS[name]
+    assert (
+        _raised(lambda: sratio(e, cell, tau)),
+        _raised(lambda: bsratio(e, cell, tau)),
+        _raised(lambda: ssratio(e, cell, tau)),
+    ) == plain
+    for pair, expected in zip(_PAIRS, by_pair):
+        assert (
+            _raised(lambda: smr(e, cell, pair=pair)),
+            _raised(lambda: smr(e, cell, tau, pair=pair)),
+            _raised(lambda: smratio(e, cell, tau, pair=pair)),
+            _raised(lambda: index_report(e, cell, tau, pair=pair)),
+        ) == expected, pair

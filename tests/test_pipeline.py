@@ -207,6 +207,28 @@ def test_run_campaign_mixed_outcomes(toy2j):
     assert by_id[3].report is None
 
 
+def _zero_top_week_campaign():
+    """Three weeks; week 2's soiled scans are 0 for lambda <= 720 nm, so its
+    soiled top-junction current and stack current are zero."""
+    weeks, days = synth_campaign(
+        CampaignScenario(weeks=3, deposition_per_week=0.02, noise_sigma=0.0))
+    m = weeks[1]
+    dark = tuple(s.with_values(np.where(s.wavelengths_nm <= 720.0, 0.0, s.values))
+                 for s in m.soiled_scans)
+    weeks[1] = WeeklyMeasurement(m.week_id, m.scan_date, dark, m.control_scans)
+    return weeks, days
+
+
+@pytest.mark.parametrize("pair", [None, ("mid", "bot"), ("bot", "mid")])
+def test_zero_soiled_stack_current_rejects_week_for_any_pair(bundled_cell, pair):
+    weeks, days = _zero_top_week_campaign()
+    result = run_campaign(weeks, days, bundled_cell, pair=pair)
+    assert [(w.accepted, w.rejection_reason) for w in result.weekly] == [
+        (True, None), (False, "ZeroCurrent"), (True, None)]
+    # the rejected week keeps its tau-side values
+    assert result.weekly[1].ast_by_band["top"] == 0.0
+
+
 def test_run_campaign_report_matches_direct(toy2j):
     weeks = [measurement([0.8, 0.8, 0.8])]
     days = [clear_day(DATE)]
