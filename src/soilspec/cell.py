@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import yaml
 
+from .config import read_yaml, typed
 from .errors import (
     BandCoverage,
     ConfigError,
@@ -310,15 +310,14 @@ def reference_spectrum() -> Spectrum:
     return read_spectrum_csv(path)
 
 
-def _load_sr(entry: Mapping, base_dir: Path, jname: str) -> Spectrum:
-    sr_file = entry.get("sr_file")
-    eqe_file = entry.get("eqe_file")
+def _load_sr(entry: Mapping, config_path: Path, jname: str) -> Spectrum:
+    sr_file = typed(entry, "sr_file", str, config_path, default=None)
+    eqe_file = typed(entry, "eqe_file", str, config_path, default=None)
     if (sr_file is None) == (eqe_file is None):
         raise ConfigError(
-            f"junction {jname!r}: specify exactly one of sr_file or eqe_file"
+            f"{config_path}: junction {jname!r}: specify exactly one of sr_file or eqe_file"
         )
-    rel = sr_file if sr_file is not None else eqe_file
-    path = base_dir / rel
+    path = config_path.parent / (sr_file or eqe_file)
     if not path.is_file():
         raise ConfigError(f"junction {jname!r}: response file not found: {path}")
     curve = read_spectrum_csv(path)
@@ -352,74 +351,52 @@ def load_cell(config_path: str | Path) -> CellModel:
         reference_currents: {top: 123.4, bot: 234.5}        # optional, checked
     """
     config_path = Path(config_path)
-    if not config_path.is_file():
-        raise FileNotFoundError(f"cell config not found: {config_path}")
-    try:
-        doc = yaml.safe_load(config_path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{config_path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{config_path}: config must be a mapping")
-    base_dir = config_path.parent
-
-    name = doc.get("name")
-    if not name:
-        raise ConfigError(f"{config_path}: missing 'name'")
-    jdocs = doc.get("junctions")
-    if not isinstance(jdocs, list) or len(jdocs) < 2:
+    doc = read_yaml(config_path)
+    name = typed(doc, "name", str, config_path)
+    jdocs = typed(doc, "junctions", list, config_path)
+    if len(jdocs) < 2:
         raise ConfigError(f"{config_path}: 'junctions' must list >= 2 junctions")
 
-    ref_path = doc.get("reference_spectrum")
+    ref_path = typed(doc, "reference_spectrum", str, config_path, default=None)
     if ref_path is None:
         reference = reference_spectrum()
     else:
-        full = base_dir / ref_path
+        full = config_path.parent / ref_path
         if not full.is_file():
             raise MissingReferenceSpectrum(f"reference spectrum not found: {full}")
         reference = read_spectrum_csv(full)
 
     junctions = []
     for entry in jdocs:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{config_path}: junction entry must be a mapping, got {entry!r}")
-        jname = entry.get("name")
-        if not jname:
-            raise ConfigError(f"{config_path}: junction missing 'name'")
-        band = entry.get("band")
-        if not (isinstance(band, (list, tuple)) and len(band) == 2):
-            raise ConfigError(f"junction {jname!r}: 'band' must be [min_nm, max_nm]")
+        jname = typed(entry, "name", str, config_path)
+        band = [typed({"band": limit}, "band", float, config_path)
+                for limit in typed(entry, "band", list, config_path)]
+        if len(band) != 2:
+            raise ConfigError(f"{config_path}: 'band' must be [min_nm, max_nm], got {band}")
         junctions.append(
             Junction(
                 name=jname,
-                band=Waveband(jname, float(band[0]), float(band[1])),
-                sr=_load_sr(entry, base_dir, jname),
-                limiting_eligible=bool(entry.get("limiting_eligible", True)),
+                band=Waveband(jname, *band),
+                sr=_load_sr(entry, config_path, jname),
+                limiting_eligible=typed(entry, "limiting_eligible", bool, config_path,
+                                        default=True),
             )
         )
 
-    full_band = None
-    fb = doc.get("full_band")
-    full_band_name = "MJ"
-    if fb is not None:
-        if not (isinstance(fb, dict) and {"name", "min_nm", "max_nm"} <= set(fb)):
-            raise ConfigError(f"{config_path}: full_band needs name/min_nm/max_nm")
-        full_band = Waveband(str(fb["name"]), float(fb["min_nm"]), float(fb["max_nm"]))
-
-    stored = doc.get("reference_currents")
-    if stored is not None and not (
-        isinstance(stored, dict)
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in stored.values())
-    ):
-        raise ConfigError(
-            f"{config_path}: 'reference_currents' must map junction names to numbers, "
-            f"got {stored!r}"
-        )
+    fb = typed(doc, "full_band", dict, config_path, default=None)
+    full_band = None if fb is None else Waveband(
+        typed(fb, "name", str, config_path),
+        typed(fb, "min_nm", float, config_path),
+        typed(fb, "max_nm", float, config_path),
+    )
+    stored = typed(doc, "reference_currents", dict, config_path, default=None)
+    stored = stored and {jname: typed(stored, jname, float, config_path) for jname in stored}
     return build_cell(
-        name=str(name),
+        name=name,
         junctions=junctions,
         reference=reference,
         full_band=full_band,
-        full_band_name=full_band_name,
+        full_band_name="MJ",
         reference_currents=stored,
     )
 

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cell import load_cell, reference_spectrum_path
+from .cell import CellModel, load_cell, reference_spectrum_path
 from .errors import (
     ConfigError,
     EmptyScenario,
@@ -54,12 +54,13 @@ def _version_string() -> str:
     return f"soilspec {__version__} (reference spectrum sha256 {_reference_hash()})"
 
 
-def _parse_pair(text: str | None) -> tuple[str, str] | None:
+def _parse_pair(text: str | None, cell: CellModel) -> tuple[str, str] | None:
     if text is None:
         return None
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2 or not all(parts):
-        raise ConfigError(f"--pair must be 'name,name', got {text!r}")
+    if len(parts) != 2 or not set(parts) <= set(cell.junction_names):
+        raise ConfigError(f"--pair must name two of the junctions "
+                          f"{list(cell.junction_names)} of cell {cell.name!r}, got {text!r}")
     return parts[0], parts[1]
 
 
@@ -67,7 +68,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     e = read_spectrum_csv(args.e_file)
     tau = read_spectrum_csv(args.tau_file)
     cell = load_cell(args.cell)
-    report = index_report(e, cell, tau, pair=_parse_pair(args.pair))
+    report = index_report(e, cell, tau, pair=_parse_pair(args.pair, cell))
     print(report.to_json())
     return 0
 
@@ -77,13 +78,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if not data_dir:
         raise ConfigError(f"no data dir: pass --data or set {DATA_DIR_ENV}")
     cell = load_cell(args.cell)
+    pair = _parse_pair(args.pair, cell)
     weeks, days = load_campaign_dir(data_dir)
     result = run_campaign(
         weeks,
         days,
         cell,
         aggregation=Aggregation(args.aggregation),
-        pair=_parse_pair(args.pair),
+        pair=pair,
         spread_threshold=args.spread_threshold,
     )
     fits = campaign_fits(result)

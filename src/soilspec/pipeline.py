@@ -26,6 +26,7 @@ from __future__ import annotations
 import datetime as dt
 import enum
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ import numpy as np
 import yaml
 
 from .cell import CellModel
+from .config import read_yaml, typed
 from .errors import (
     ConfigError,
     IncompleteReplicates,
@@ -118,8 +120,8 @@ class FieldRecord:
 
     def __post_init__(self) -> None:
         for fname in ("dni", "gni", "ghi", "dhi"):
-            if getattr(self, fname) < 0.0:
-                raise ValueError(f"{fname} must be >= 0, got {getattr(self, fname)}")
+            if not 0.0 <= getattr(self, fname) < math.inf:
+                raise ValueError(f"{fname} must be finite and >= 0, got {getattr(self, fname)}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,8 @@ class FieldDay:
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
         ts = [r.timestamp for r in self.records]
+        if len({t.utcoffset() is None for t in ts}) > 1:
+            raise ValueError(f"field day {self.date}: timestamps must be all naive or all tz-aware")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError(f"field day {self.date}: timestamps must be strictly increasing")
         for r in self.records:
@@ -537,31 +541,37 @@ def read_field_csv(path: str | Path) -> FieldDay:
     if not lines or lines[0] != FIELD_HEADER:
         raise ValueError(f"{path}: expected header {FIELD_HEADER!r}")
     records = []
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 9:
-            raise ValueError(f"{path}: expected 9 columns, got {len(parts)}: {raw!r}")
-        spec = None
-        if parts[8]:
-            spec = read_spectrum_csv(path.parent / parts[8])
-        records.append(
-            FieldRecord(
-                timestamp=dt.datetime.fromisoformat(parts[0]),
-                dni=float(parts[1]),
-                gni=float(parts[2]),
-                ghi=float(parts[3]),
-                dhi=float(parts[4]),
-                rainfall_mm=_opt_float(parts[5]),
-                pm10=_opt_float(parts[6]),
-                pm25=_opt_float(parts[7]),
-                spectral_dni=spec,
+    try:
+        for lineno, raw in enumerate(lines[1:], start=2):
+            if not raw.strip():
+                continue
+            parts = raw.split(",")
+            if len(parts) != 9:
+                raise ValueError(f"expected 9 columns, got {len(parts)}: {raw!r}")
+            spec = None
+            if parts[8]:
+                spec = read_spectrum_csv(path.parent / parts[8])
+            records.append(
+                FieldRecord(
+                    timestamp=dt.datetime.fromisoformat(parts[0]),
+                    dni=float(parts[1]),
+                    gni=float(parts[2]),
+                    ghi=float(parts[3]),
+                    dhi=float(parts[4]),
+                    rainfall_mm=_opt_float(parts[5]),
+                    pm10=_opt_float(parts[6]),
+                    pm25=_opt_float(parts[7]),
+                    spectral_dni=spec,
+                )
             )
-        )
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not records:
         raise ValueError(f"{path}: no records")
-    return FieldDay(date=records[0].timestamp.date(), records=tuple(records))
+    try:
+        return FieldDay(date=records[0].timestamp.date(), records=tuple(records))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_field_day(day: FieldDay, out_dir: str | Path) -> Path:
@@ -626,12 +636,6 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
     return out_dir
 
 
-def _parse_date(value) -> dt.date:
-    if isinstance(value, dt.date):
-        return value
-    return dt.date.fromisoformat(str(value))
-
-
 def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], list[FieldDay]]:
     """Load weekly scans and field days from a campaign data directory.
 
@@ -649,17 +653,8 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
 
     days = [read_field_csv(p) for p in sorted(data_dir.glob("field_*.csv"))]
 
-    manifest: dict = {}
     manifest_path = data_dir / "manifest.yaml"
-    if manifest_path.is_file():
-        try:
-            loaded = yaml.safe_load(manifest_path.read_text(encoding="utf-8"))
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{manifest_path}: invalid YAML: {exc}") from exc
-        if loaded is not None:
-            if not isinstance(loaded, dict):
-                raise ConfigError(f"{manifest_path}: manifest must be a mapping")
-            manifest = loaded
+    manifest = read_yaml(manifest_path) if manifest_path.is_file() else {}
 
     scans: dict[int, dict[str, dict[int, Path]]] = {}
     for p in sorted(data_dir.iterdir()):
@@ -671,38 +666,25 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
     if not scans:
         raise NoWeeksFound(f"no weekly coupon scans found in {data_dir}")
 
-    entries = manifest.get("weeks") or []
-    if not isinstance(entries, list):
-        raise ConfigError(f"{manifest_path}: 'weeks' must be a list, got {entries!r}")
-    overrides: dict[int, dict] = {}
-    for entry in entries:
-        if not (isinstance(entry, dict) and "week_id" in entry):
-            raise ConfigError(
-                f"{manifest_path}: each weeks entry needs a 'week_id', got {entry!r}"
-            )
-        overrides[int(entry["week_id"])] = entry
+    overrides = {typed(e, "week_id", int, manifest_path):
+                 typed(e, "scan_date", dt.date, manifest_path, default=None)
+                 for e in typed(manifest, "weeks", list, manifest_path, default=[])}
 
-    cadence = int(manifest.get("cadence_days", CADENCE_DAYS))
-    start = manifest.get("start_date")
-    if start is None:
-        if days:
-            start_date = days[0].date
-        else:
-            raise ConfigError(
-                f"{data_dir}: cannot date weekly scans; provide manifest.yaml "
-                "with start_date or include field_*.csv files"
-            )
-    else:
-        start_date = _parse_date(start)
+    cadence = typed(manifest, "cadence_days", int, manifest_path, default=CADENCE_DAYS,
+                    positive=True)
+    start_date = typed(manifest, "start_date", dt.date, manifest_path,
+                       default=days[0].date if days else None)
+    if start_date is None:
+        raise ConfigError(
+            f"{data_dir}: cannot date weekly scans; provide manifest.yaml "
+            "with start_date or include field_*.csv files"
+        )
     first_wid = min(scans)
 
     weeks: list[WeeklyMeasurement] = []
     for wid in sorted(scans):
-        entry = overrides.get(wid)
-        if entry is not None and "scan_date" in entry:
-            scan_date = _parse_date(entry["scan_date"])
-        else:
-            scan_date = start_date + dt.timedelta(days=cadence * (wid - first_wid))
+        scan_date = overrides.get(wid) or start_date + dt.timedelta(
+            days=cadence * (wid - first_wid))
         soiled = _read_scans(scans[wid]["soiled"])
         control = _read_scans(scans[wid]["control"])
         weeks.append(

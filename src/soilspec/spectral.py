@@ -383,7 +383,10 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
             raise ValueError(
                 f"{path}:{lineno}: expected 'wavelength_nm,value' numbers, got {raw!r}"
             ) from None
-    return Spectrum(np.asarray(wl), np.asarray(vals), kind, units)
+    try:
+        return Spectrum(np.asarray(wl), np.asarray(vals), kind, units)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -20,13 +20,14 @@ behaviour is exercised with a small generative model:
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .cell import CellModel, reference_spectrum
+from .config import read_yaml, typed
 from .errors import ConfigError, EmptyScenario
 from .pipeline import FieldDay, FieldRecord, WeeklyMeasurement
 from .spectral import DIMENSIONLESS, Kind, Spectrum, resample
@@ -126,6 +127,8 @@ class CampaignScenario:
             raise EmptyScenario(f"scenario generates no weeks (weeks={self.weeks})")
         if self.deposition_per_week < 0.0:
             raise ValueError("deposition_per_week must be >= 0")
+        if not (self.grid_min_nm < self.grid_max_nm and self.grid_step_nm > 0.0):
+            raise ValueError("the grid needs grid_min_nm < grid_max_nm and grid_step_nm > 0")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
         if not (0.0 < self.glass_transmittance <= 1.0):
@@ -232,51 +235,19 @@ def synth_campaign(scenario: CampaignScenario,
 # Scenario files
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "weeks", "deposition_per_week", "rain_weeks", "spectrum_tilt", "seed",
-    "alpha", "lambda_ref_nm", "noise_sigma",
-    "grid_min_nm", "grid_max_nm", "grid_step_nm",
-    "start_date", "glass_transmittance", "dni_peak_wm2", "dni_to_gni",
-}
-
-
 def load_scenario(path: str | Path) -> CampaignScenario:
-    """Load a campaign scenario from a YAML document."""
+    """Load a scenario YAML; its keys and types are those of :class:`CampaignScenario`."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"scenario file not found: {path}")
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: scenario must be a mapping")
-    unknown = set(doc) - _SCENARIO_KEYS
+    doc = read_yaml(path)
+    kinds = typing.get_type_hints(CampaignScenario)
+    unknown = set(doc) - set(kinds)
     if unknown:
-        raise ConfigError(f"{path}: unknown scenario keys {sorted(unknown)}")
-    if "weeks" not in doc or "deposition_per_week" not in doc:
-        raise ConfigError(f"{path}: scenario needs 'weeks' and 'deposition_per_week'")
-    for key, value in doc.items():
-        if key in ("rain_weeks", "start_date"):
-            continue
-        integer = key in ("weeks", "seed")
-        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-            raise ConfigError(
-                f"{path}: {key!r} must be {'an integer' if integer else 'a number'}, got {value!r}"
-            )
-    kwargs = dict(doc)
-    entries = kwargs.pop("rain_weeks", None) or []
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: 'rain_weeks' must be a list, got {entries!r}")
-    rain = []
-    for entry in entries:
-        if not (isinstance(entry, dict) and {"week", "wash_fraction"} <= set(entry)):
-            raise ConfigError(
-                f"{path}: each rain_weeks entry needs 'week' and 'wash_fraction', got {entry!r}"
-            )
-        rain.append(RainEvent(week=int(entry["week"]),
-                              wash_fraction=float(entry["wash_fraction"])))
-    if "start_date" in kwargs:
-        value = kwargs["start_date"]
-        kwargs["start_date"] = value if isinstance(value, dt.date) else dt.date.fromisoformat(str(value))
-    return CampaignScenario(rain_weeks=tuple(rain), **kwargs)
+        raise ConfigError(f"{path}: unknown scenario keys {sorted(unknown, key=repr)}")
+    rain = [(typed(e, "week", int, path), typed(e, "wash_fraction", float, path))
+            for e in typed(doc, "rain_weeks", list, path, default=[])]
+    kwargs = {f.name: typed(doc, f.name, kinds[f.name], path, f.default)
+              for f in fields(CampaignScenario) if f.name != "rain_weeks"}
+    try:
+        return CampaignScenario(rain_weeks=tuple(RainEvent(*r) for r in rain), **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -1,10 +1,16 @@
+import copy
+import datetime as dt
 import json
+import shutil
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from soilspec import Kind, read_spectrum_csv, write_spectrum_csv
-from soilspec.cell import bundled_cell_config_path
+from soilspec.cell import bundled_cell_config_path, reference_spectrum_path
 from soilspec.cli import main
 
 from conftest import flat_spectrum, linear_spectrum
@@ -291,3 +297,193 @@ def test_synth_scenario_value_of_wrong_type(tmp_path, capsys, line):
     scenario.write_text("\n".join(defaults.values()) + "\n")
     rc = main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
     _assert_config_error(rc, capsys, f"s.yaml: '{key}'")
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    """A 2-week synthetic campaign dir; tests that edit it work on a copy."""
+    root = tmp_path_factory.mktemp("small")
+    (root / "s.yaml").write_text("weeks: 2\ndeposition_per_week: 0.02\nseed: 9\n")
+    assert main(["synth", "--scenario", str(root / "s.yaml"), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+def _one_error(capsys):
+    """The single JSON error object a failed run printed on stderr."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    doc = json.loads(lines[0])
+    assert set(doc) == {"error", "message"}
+    return doc
+
+
+@pytest.mark.parametrize("name, old, new, key", [
+    ("manifest.yaml", "cadence_days: 7", "cadence_days: 0", "cadence_days"),
+    ("manifest.yaml", "cadence_days: 7", "cadence_days: -7", "cadence_days"),
+    ("manifest.yaml", "cadence_days: 7", "cadence_days: [1]", "cadence_days"),
+    ("manifest.yaml", "cadence_days: 7", "cadence_days: 7.9", "cadence_days"),
+    ("manifest.yaml", "start_date: '2017-01-02'", "start_date: abc", "start_date"),
+    ("manifest.yaml", "start_date: '2017-01-02'", "start_date: 2017-13-01", "start_date"),
+    ("manifest.yaml", "cadence_days: 7", "weeks: [{week_id: 1, scan_date: abc}]", "scan_date"),
+    ("cell.yaml", "limiting_eligible: false", 'limiting_eligible: "false"', "limiting_eligible"),
+    ("cell.yaml", "band: [300, 720]", 'band: ["300", 720]', "band"),
+    ("s.yaml", "seed: 9", "rain_weeks: [{week: abc, wash_fraction: 0.5}]", "week"),
+    ("s.yaml", "deposition_per_week: 0.02", "deposition_per_week: .nan", "deposition_per_week"),
+])
+def test_config_value_of_wrong_type_names_file_and_key(small_data, tmp_path, capsys,
+                                                         name, old, new, key):
+    cells = shutil.copytree(bundled_cell_config_path().parent, tmp_path / "cells")
+    data = shutil.copytree(small_data, tmp_path / "data")
+    path = {"manifest.yaml": data / "manifest.yaml",
+            "cell.yaml": cells / bundled_cell_config_path().name,
+            "s.yaml": tmp_path / "s.yaml"}[name]
+    if name == "s.yaml":
+        path.write_text("weeks: 2\ndeposition_per_week: 0.02\nseed: 9\n")
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    if name == "s.yaml":
+        rc = main(["synth", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    else:
+        rc = main(["campaign", "--cell", str(cells / bundled_cell_config_path().name),
+                   "--data", str(data), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ConfigError"
+    assert f"{path.name}: '{key}'" in doc["message"]
+
+
+_OTHER_VALUES = ["abc", "", True, False, None, 0, -7, 2.5, float("nan"), float("inf"),
+                 [1], {"k": 1}, dt.date(2017, 1, 2)]
+_SMALL_SCENARIO = {"weeks": 2, "deposition_per_week": 0.02, "seed": 3,
+                   "start_date": dt.date(2017, 1, 2), "grid_step_nm": 10.0,
+                   "rain_weeks": [{"week": 1, "wash_fraction": 0.5}]}
+
+
+def _locations(node, where=()):
+    """Every key or list index inside a parsed YAML document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        yield where + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _locations(v, where + (k,))
+
+
+def _replaced(doc, where, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for k in where[:-1]:
+        node = node[k]
+    node[where[-1]] = value
+    return doc
+
+
+def _lookup(doc, where):
+    for k in where:
+        doc = doc[k]
+    return doc
+
+
+@st.composite
+def _mutation(draw, doc):
+    where = draw(st.sampled_from(list(_locations(doc))))
+    original = _lookup(doc, where)
+    value = draw(st.sampled_from([v for v in _OTHER_VALUES if type(v) is not type(original)]))
+    return where, value
+
+
+def _assert_clean_exit(rc, capsys):
+    assert rc in (0, 1, 2)
+    if rc:
+        _one_error(capsys)
+    capsys.readouterr()
+
+
+_BUNDLED_CELL = yaml.safe_load(bundled_cell_config_path().read_text())
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_mutation(_BUNDLED_CELL))
+def test_cell_config_value_of_another_type_never_escapes(tmp_path, capsys, mutation):
+    cells = tmp_path / "cells"
+    if not cells.exists():
+        shutil.copytree(bundled_cell_config_path().parent, cells)
+        write_spectrum_csv(flat_spectrum(280, 4000, 0.9, Kind.TRANSMITTANCE), tmp_path / "tau.csv")
+    config = cells / "cell.yaml"
+    config.write_text(yaml.safe_dump(_replaced(_BUNDLED_CELL, *mutation)))
+    rc = main(["compute", str(reference_spectrum_path()), str(tmp_path / "tau.csv"),
+               "--cell", str(config)])
+    _assert_clean_exit(rc, capsys)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_mutation(_SMALL_SCENARIO))
+@example(mutation=(("grid_step_nm",), 0))  # was a ZeroDivisionError traceback
+def test_scenario_value_of_another_type_never_escapes(tmp_path, capsys, mutation):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump(_replaced(_SMALL_SCENARIO, *mutation)))
+    rc = main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    _assert_clean_exit(rc, capsys)
+
+
+def _campaign(data, tmp_path, *extra):
+    return main(["campaign", "--cell", str(bundled_cell_config_path()),
+                 "--data", str(data), "--out", str(tmp_path / "out"), *extra])
+
+
+def test_campaign_bad_scan_names_its_file(small_data, tmp_path, capsys):
+    data = shutil.copytree(small_data, tmp_path / "data")
+    scan = data / "week01_soiled_1.csv"
+    lines = scan.read_text().splitlines()
+    lines.insert(3, lines[3])  # the first data row twice
+    scan.write_text("\n".join(lines) + "\n")
+    assert _campaign(data, tmp_path) == 1
+    message = _one_error(capsys)["message"]
+    assert "week01_soiled_1.csv: " in message and "strictly increasing" in message
+
+
+@pytest.mark.parametrize("column, value", [(1, "nan"), (2, "nan"), (2, "inf"), (4, "nan")])
+def test_campaign_non_finite_irradiance_names_file_and_line(small_data, tmp_path, capsys,
+                                                            column, value):
+    data = shutil.copytree(small_data, tmp_path / "data")
+    field = sorted(data.glob("field_*.csv"))[0]
+    lines = field.read_text().splitlines()
+    parts = lines[50].split(",")
+    parts[column] = value
+    lines[50] = ",".join(parts)
+    field.write_text("\n".join(lines) + "\n")
+    assert _campaign(data, tmp_path) == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ValueError"
+    assert f"{field.name}:51: " in doc["message"] and "finite" in doc["message"]
+
+
+def test_campaign_field_day_mixing_naive_and_aware_timestamps(small_data, tmp_path, capsys):
+    data = shutil.copytree(small_data, tmp_path / "data")
+    field = sorted(data.glob("field_*.csv"))[0]
+    lines = field.read_text().splitlines()
+    stamp = lines[10].split(",")[0]
+    lines[10] = lines[10].replace(stamp, stamp + "+00:00", 1)
+    field.write_text("\n".join(lines) + "\n")
+    assert _campaign(data, tmp_path) == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ValueError"
+    assert f"{field.name}: " in doc["message"] and "all naive or all tz-aware" in doc["message"]
+
+
+@pytest.mark.parametrize("command", ["campaign", "compute"])
+def test_pair_names_checked_against_cell(small_data, tmp_path, capsys, command):
+    if command == "campaign":
+        rc = _campaign(small_data, tmp_path, "--pair", "top,foo")
+    else:
+        write_spectrum_csv(flat_spectrum(280, 4000, 0.9, Kind.TRANSMITTANCE), tmp_path / "tau.csv")
+        rc = main(["compute", str(reference_spectrum_path()), str(tmp_path / "tau.csv"),
+                   "--cell", str(bundled_cell_config_path()), "--pair", "top,foo"])
+    assert rc == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ConfigError"
+    assert "'top,foo'" in doc["message"] and "['top', 'mid', 'bot']" in doc["message"]
