@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import read_yaml, typed
+from .config import read_yaml, reject_unknown_keys, typed
 from .errors import (
     BandCoverage,
     ConfigError,
@@ -349,9 +349,15 @@ def load_cell(config_path: str | Path) -> CellModel:
             sr_file: sr_bot.csv
             limiting_eligible: false
         reference_currents: {top: 123.4, bot: 234.5}        # optional, checked
+
+    Any other key, at the top level, in a junction or in ``full_band``,
+    is a :class:`ConfigError`, and so is a band or cell that fails
+    validation; both name the file.
     """
     config_path = Path(config_path)
     doc = read_yaml(config_path)
+    reject_unknown_keys(doc, ("name", "junctions", "reference_spectrum", "full_band",
+                              "reference_currents"), config_path, "cell config")
     name = typed(doc, "name", str, config_path)
     jdocs = typed(doc, "junctions", list, config_path)
     if len(jdocs) < 2:
@@ -369,36 +375,35 @@ def load_cell(config_path: str | Path) -> CellModel:
     junctions = []
     for entry in jdocs:
         jname = typed(entry, "name", str, config_path)
+        reject_unknown_keys(entry, ("name", "band", "sr_file", "eqe_file", "limiting_eligible"),
+                            config_path, "junction")
         band = [typed({"band": limit}, "band", float, config_path)
                 for limit in typed(entry, "band", list, config_path)]
         if len(band) != 2:
             raise ConfigError(f"{config_path}: 'band' must be [min_nm, max_nm], got {band}")
-        junctions.append(
-            Junction(
-                name=jname,
-                band=Waveband(jname, *band),
-                sr=_load_sr(entry, config_path, jname),
-                limiting_eligible=typed(entry, "limiting_eligible", bool, config_path,
-                                        default=True),
-            )
-        )
+        junctions.append((jname, band, _load_sr(entry, config_path, jname),
+                          typed(entry, "limiting_eligible", bool, config_path, default=True)))
 
     fb = typed(doc, "full_band", dict, config_path, default=None)
-    full_band = None if fb is None else Waveband(
-        typed(fb, "name", str, config_path),
-        typed(fb, "min_nm", float, config_path),
-        typed(fb, "max_nm", float, config_path),
-    )
+    if fb is not None:
+        reject_unknown_keys(fb, ("name", "min_nm", "max_nm"), config_path, "full_band")
+        fb = (typed(fb, "name", str, config_path),
+              typed(fb, "min_nm", float, config_path),
+              typed(fb, "max_nm", float, config_path))
     stored = typed(doc, "reference_currents", dict, config_path, default=None)
     stored = stored and {jname: typed(stored, jname, float, config_path) for jname in stored}
-    return build_cell(
-        name=name,
-        junctions=junctions,
-        reference=reference,
-        full_band=full_band,
-        full_band_name="MJ",
-        reference_currents=stored,
-    )
+    try:
+        return build_cell(
+            name=name,
+            junctions=[Junction(jname, Waveband(jname, *band), sr, eligible)
+                       for jname, band, sr, eligible in junctions],
+            reference=reference,
+            full_band=None if fb is None else Waveband(*fb),
+            full_band_name="MJ",
+            reference_currents=stored,
+        )
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{config_path}: {exc}") from None
 
 
 @lru_cache(maxsize=1)

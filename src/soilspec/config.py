@@ -17,7 +17,7 @@ import yaml
 
 from .errors import ConfigError
 
-__all__ = ["read_yaml", "typed"]
+__all__ = ["read_yaml", "reject_unknown_keys", "typed"]
 
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
                str: "a non-empty string", list: "a list", dict: "a mapping",
@@ -76,3 +76,11 @@ def typed(doc: dict, key, kind: type, path: str | Path, default=MISSING,
         raise ConfigError(f"{path}: '{key}' must be {_KIND_NAMES[kind]}"
                           f"{' > 0' if positive else ''}, got {value!r}")
     return float(value) if kind is float else value
+
+
+def reject_unknown_keys(doc: dict, known, path: str | Path, what: str) -> None:
+    """Raise a ConfigError naming the file and the keys of the mapping ``doc``
+    that are not in ``known``; ``what`` names the mapping in the message."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"{path}: unknown {what} keys {sorted(unknown, key=repr)}")

@@ -29,7 +29,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from .cell import CellModel
-from .config import read_yaml, typed
+from .config import read_yaml, reject_unknown_keys, typed
 from .errors import (
     ConfigError,
     IncompleteReplicates,
@@ -104,9 +104,28 @@ class Aggregation(enum.Enum):
 # Data model
 # ---------------------------------------------------------------------------
 
+class _ReadOnFirstAccess:
+    """Default of :attr:`FieldRecord.spectral_dni`, found only while a record
+    built from a path has not read it: reads the CSV and stores the
+    spectrum on the record, where later accesses find it directly."""
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return None  # the field's default
+        spectrum = read_spectrum_csv(record._spectrum_file)
+        object.__setattr__(record, "spectral_dni", spectrum)
+        return spectrum
+
+
 @dataclass(frozen=True)
 class FieldRecord:
-    """One 5-minute meteorological record; spectral DNI optional."""
+    """One 5-minute meteorological record; spectral DNI optional.
+
+    ``spectral_dni`` may be given as the path of a spectrum CSV, which is
+    read when the attribute is first accessed (``==`` and ``repr`` access
+    it too); :attr:`has_spectrum` tells whether a record carries a
+    spectrum without reading it.
+    """
 
     timestamp: dt.datetime
     dni: float
@@ -116,12 +135,21 @@ class FieldRecord:
     rainfall_mm: float | None = None
     pm10: float | None = None
     pm25: float | None = None
-    spectral_dni: Spectrum | None = None
+    spectral_dni: Spectrum | Path | None = _ReadOnFirstAccess()
+    _spectrum_file = None  # the path given as spectral_dni, if any
 
     def __post_init__(self) -> None:
         for fname in ("dni", "gni", "ghi", "dhi"):
             if not 0.0 <= getattr(self, fname) < math.inf:
                 raise ValueError(f"{fname} must be finite and >= 0, got {getattr(self, fname)}")
+        if isinstance(self.spectral_dni, Path):
+            object.__setattr__(self, "_spectrum_file", self.spectral_dni)
+            object.__delattr__(self, "spectral_dni")
+
+    @property
+    def has_spectrum(self) -> bool:
+        """Whether the record carries a spectrum; reads no file."""
+        return self._spectrum_file is not None or self.spectral_dni is not None
 
 
 @dataclass(frozen=True)
@@ -130,9 +158,13 @@ class FieldDay:
 
     date: dt.date
     records: tuple[FieldRecord, ...]
+    # The records that carry a spectrum; the campaign asks for them once a week.
+    spectral_records: tuple[FieldRecord, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "spectral_records",
+                           tuple(r for r in self.records if r.has_spectrum))
         ts = [r.timestamp for r in self.records]
         if len({t.utcoffset() is None for t in ts}) > 1:
             raise ValueError(f"field day {self.date}: timestamps must be all naive or all tz-aware")
@@ -143,10 +175,6 @@ class FieldDay:
                 raise ValueError(
                     f"record at {r.timestamp} does not belong to day {self.date}"
                 )
-
-    @property
-    def spectral_records(self) -> tuple[FieldRecord, ...]:
-        return tuple(r for r in self.records if r.spectral_dni is not None)
 
 
 @dataclass(frozen=True)
@@ -369,6 +397,11 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     Per-week failures are recorded as rejections (with the error kind as
     the reason) and never abort the campaign. Summary statistics cover
     accepted weeks only.
+
+    A field spectrum held as a path is read here, and only when a week
+    uses it: the noon record of the selected day in ``NOON`` mode, every
+    spectral record of that day otherwise. A file that cannot be read
+    raises the reader's error, which names the file, and ends the run.
     """
     day_map = {d.date: d for d in days}
     band_names = tuple(b.name for b in cell.bands)
@@ -534,7 +567,8 @@ def read_field_csv(path: str | Path) -> FieldDay:
     """Read one day of field records.
 
     The ``spectrum_file`` column, when present, is a path relative to the
-    CSV's own directory.
+    CSV's own directory. The spectrum is not read here: the record keeps
+    the path and reads it when its ``spectral_dni`` is first accessed.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -548,9 +582,6 @@ def read_field_csv(path: str | Path) -> FieldDay:
             parts = raw.split(",")
             if len(parts) != 9:
                 raise ValueError(f"expected 9 columns, got {len(parts)}: {raw!r}")
-            spec = None
-            if parts[8]:
-                spec = read_spectrum_csv(path.parent / parts[8])
             records.append(
                 FieldRecord(
                     timestamp=dt.datetime.fromisoformat(parts[0]),
@@ -561,7 +592,7 @@ def read_field_csv(path: str | Path) -> FieldDay:
                     rainfall_mm=_opt_float(parts[5]),
                     pm10=_opt_float(parts[6]),
                     pm25=_opt_float(parts[7]),
-                    spectral_dni=spec,
+                    spectral_dni=path.parent / parts[8] if parts[8] else None,
                 )
             )
     except ValueError as exc:
@@ -578,12 +609,12 @@ def write_field_day(day: FieldDay, out_dir: str | Path) -> Path:
     """Write one field day into a data dir, its spectra under ``spectra/``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if any(r.spectral_dni is not None for r in day.records):
+    if day.spectral_records:
         (out_dir / "spectra").mkdir(exist_ok=True)
     rows = [FIELD_HEADER]
     for r in day.records:
         spec_rel = ""
-        if r.spectral_dni is not None:
+        if r.has_spectrum:
             stamp = r.timestamp.strftime("%Y-%m-%dT%H-%M")
             spec_rel = f"spectra/{stamp}.csv"
             write_spectrum_csv(r.spectral_dni, out_dir / spec_rel)
@@ -646,6 +677,13 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
     overrides. Scans that do not span :data:`SCAN_COVERAGE_NM` draw a
     warning; weeks whose scans cannot cover the analysis cell's full band
     are later rejected by the campaign run.
+
+    Every scan and every field-file row is read and validated here. A
+    field record's spectrum CSV is not: the record keeps its path, and
+    :func:`run_campaign` reads it only for the day a week selects (see
+    :class:`FieldRecord`). A manifest key other than ``start_date``,
+    ``cadence_days`` and ``weeks``, or a ``weeks`` entry key other than
+    ``week_id`` and ``scan_date``, is a :class:`ConfigError`.
     """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
@@ -655,6 +693,8 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
 
     manifest_path = data_dir / "manifest.yaml"
     manifest = read_yaml(manifest_path) if manifest_path.is_file() else {}
+    reject_unknown_keys(manifest, ("start_date", "cadence_days", "weeks"), manifest_path,
+                        "manifest")
 
     scans: dict[int, dict[str, dict[int, Path]]] = {}
     for p in sorted(data_dir.iterdir()):
@@ -666,9 +706,11 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
     if not scans:
         raise NoWeeksFound(f"no weekly coupon scans found in {data_dir}")
 
-    overrides = {typed(e, "week_id", int, manifest_path):
-                 typed(e, "scan_date", dt.date, manifest_path, default=None)
-                 for e in typed(manifest, "weeks", list, manifest_path, default=[])}
+    overrides = {}
+    for e in typed(manifest, "weeks", list, manifest_path, default=[]):
+        overrides[typed(e, "week_id", int, manifest_path)] = typed(
+            e, "scan_date", dt.date, manifest_path, default=None)
+        reject_unknown_keys(e, ("week_id", "scan_date"), manifest_path, "manifest week")
 
     cadence = typed(manifest, "cadence_days", int, manifest_path, default=CADENCE_DAYS,
                     positive=True)

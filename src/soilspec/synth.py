@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .cell import CellModel, reference_spectrum
-from .config import read_yaml, typed
+from .config import read_yaml, reject_unknown_keys, typed
 from .errors import ConfigError, EmptyScenario
 from .pipeline import FieldDay, FieldRecord, WeeklyMeasurement
 from .spectral import DIMENSIONLESS, Kind, Spectrum, resample
@@ -240,9 +240,7 @@ def load_scenario(path: str | Path) -> CampaignScenario:
     path = Path(path)
     doc = read_yaml(path)
     kinds = typing.get_type_hints(CampaignScenario)
-    unknown = set(doc) - set(kinds)
-    if unknown:
-        raise ConfigError(f"{path}: unknown scenario keys {sorted(unknown, key=repr)}")
+    reject_unknown_keys(doc, kinds, path, "scenario")
     rain = [(typed(e, "week", int, path), typed(e, "wash_fraction", float, path))
             for e in typed(doc, "rain_weeks", list, path, default=[])]
     kwargs = {f.name: typed(doc, f.name, kinds[f.name], path, f.default)

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from soilspec import Kind, read_spectrum_csv, write_spectrum_csv
+from soilspec import Kind, pipeline, read_spectrum_csv, write_spectrum_csv
 from soilspec.cell import bundled_cell_config_path, reference_spectrum_path
 from soilspec.cli import main
 
@@ -487,3 +487,103 @@ def test_pair_names_checked_against_cell(small_data, tmp_path, capsys, command):
     doc = _one_error(capsys)
     assert doc["error"] == "ConfigError"
     assert "'top,foo'" in doc["message"] and "['top', 'mid', 'bot']" in doc["message"]
+
+
+@pytest.fixture(scope="module")
+def three_weeks(tmp_path_factory):
+    """A 3-week synthetic campaign dir: 18 scans, 3 field days of 7 spectra."""
+    root = tmp_path_factory.mktemp("three")
+    (root / "s.yaml").write_text("weeks: 3\ndeposition_per_week: 0.02\nseed: 5\n")
+    assert main(["synth", "--scenario", str(root / "s.yaml"), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("mode, n_spectra", [("noon", 3), ("daily", 21)])
+def test_campaign_reads_only_the_spectra_it_uses(three_weeks, tmp_path, capsys, monkeypatch,
+                                                mode, n_spectra):
+    calls = []
+    read = pipeline.read_spectrum_csv
+
+    def counted(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(pipeline, "read_spectrum_csv", counted)
+    assert _campaign(three_weeks, tmp_path, "--aggregation", mode) == 0
+    capsys.readouterr()
+    scans = [p for p in calls if p.parent == three_weeks]
+    assert len(scans) == 18
+    assert len(calls) == 18 + n_spectra
+    if mode == "noon":
+        assert all(p.name.endswith("T12-00.csv") for p in calls[18:])
+
+
+def _duplicate_first_row(path):
+    lines = path.read_text().splitlines()
+    lines.insert(2, lines[2])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("damage", [_duplicate_first_row, lambda path: path.unlink()])
+def test_campaign_noon_ignores_a_bad_spectrum_no_week_uses(three_weeks, tmp_path, capsys,
+                                                           damage):
+    assert _campaign(three_weeks, tmp_path / "clean", "--aggregation", "noon") == 0
+    data = shutil.copytree(three_weeks, tmp_path / "data")
+    damage(sorted(data.glob("spectra/*T09-00.csv"))[0])
+    assert _campaign(data, tmp_path / "damaged", "--aggregation", "noon") == 0
+    capsys.readouterr()
+    assert _tree_bytes(tmp_path / "damaged" / "out") == _tree_bytes(tmp_path / "clean" / "out")
+
+
+@pytest.mark.parametrize("mode, hour", [("noon", "12"), ("daily", "09")])
+def test_campaign_bad_spectrum_of_a_used_record_names_its_file(three_weeks, tmp_path, capsys,
+                                                               mode, hour):
+    data = shutil.copytree(three_weeks, tmp_path / "data")
+    spectrum = sorted(data.glob(f"spectra/*T{hour}-00.csv"))[0]
+    _duplicate_first_row(spectrum)
+    assert _campaign(data, tmp_path, "--aggregation", mode) == 1
+    message = _one_error(capsys)["message"]
+    assert f"{spectrum.name}: " in message and "strictly increasing" in message
+
+
+@pytest.mark.parametrize("name, old, new, fragment", [
+    ("cell.yaml", "limiting_eligible: false", "limiting_eligble: false",
+     "unknown junction keys ['limiting_eligble']"),
+    ("cell.yaml", "name: lattice-matched-3j", "name: lattice-matched-3j\nreference_current: {}",
+     "unknown cell config keys ['reference_current']"),
+    ("cell.yaml", "max_nm: 1810}", "max_nm: 1810, step_nm: 5}",
+     "unknown full_band keys ['step_nm']"),
+    ("manifest.yaml", "cadence_days: 7", "cadence_days: 7\ncadence: 7",
+     "unknown manifest keys ['cadence']"),
+    ("manifest.yaml", "cadence_days: 7",
+     "cadence_days: 7\nweeks: [{week_id: 1, scan_date: 2017-01-02, scan_dat: 2017-01-03}]",
+     "unknown manifest week keys ['scan_dat']"),
+    ("s.yaml", "seed: 9", "seed: 9\nsed: 9", "unknown scenario keys ['sed']"),
+    ("cell.yaml", "band: [300, 720]", "band: [300, 2.5]", "waveband 'top'"),
+    ("cell.yaml", "max_nm: 1810}", "max_nm: 200}", "waveband 'MJ'"),
+    ("cell.yaml", "max_nm: 1810}", "max_nm: 1800}", "must span the junction bands"),
+    ("cell.yaml", "name: lattice-matched-3j",
+     "name: lattice-matched-3j\nreference_currents: {top: 1.0, mid: 1.0, bot: 1.0}",
+     "reference current for 'top' is 1.0"),
+])
+def test_config_error_names_file_once(small_data, tmp_path, capsys, name, old, new, fragment):
+    cells = shutil.copytree(bundled_cell_config_path().parent, tmp_path / "cells")
+    data = shutil.copytree(small_data, tmp_path / "data")
+    path = {"manifest.yaml": data / "manifest.yaml",
+            "cell.yaml": cells / bundled_cell_config_path().name,
+            "s.yaml": tmp_path / "s.yaml"}[name]
+    if name == "s.yaml":
+        path.write_text("weeks: 2\ndeposition_per_week: 0.02\nseed: 9\n")
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    if name == "s.yaml":
+        rc = main(["synth", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    else:
+        rc = main(["campaign", "--cell", str(cells / bundled_cell_config_path().name),
+                   "--data", str(data), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ConfigError"
+    assert doc["message"].startswith(f"{path}: ") and doc["message"].count(path.name) == 1
+    assert fragment in doc["message"]

@@ -469,6 +469,27 @@ def test_campaign_dir_round_trip(tmp_path, bundled_cell):
     direct = run_campaign(weeks, days, bundled_cell)
     reloaded = run_campaign(loaded_weeks, loaded_days, bundled_cell)
     assert direct.to_json() == reloaded.to_json()
+    # and from freshly loaded ones, whose field spectra are read by the run
+    for aggregation in Aggregation:
+        direct = run_campaign(weeks, days, bundled_cell, aggregation)
+        reloaded = run_campaign(*load_campaign_dir(out), bundled_cell, aggregation)
+        assert direct.to_json() == reloaded.to_json()
+
+
+def test_loaded_field_spectrum_is_read_on_first_access(tmp_path):
+    weeks, days = synth_campaign(CampaignScenario(weeks=1, deposition_per_week=0.02))
+    out = write_campaign_dir(weeks, days, tmp_path / "campaign")
+    _, (day,) = load_campaign_dir(out)
+    spectra = sorted((out / "spectra").iterdir())
+    for path in spectra[1:]:
+        path.unlink()
+    records = day.spectral_records
+    assert len(records) == len(days[0].spectral_records) == len(spectra)
+    assert sum(r.has_spectrum for r in day.records) == len(spectra)
+    np.testing.assert_array_equal(records[0].spectral_dni.values,
+                                  days[0].spectral_records[0].spectral_dni.values)
+    with pytest.raises(FileNotFoundError, match=spectra[1].name):
+        records[1].spectral_dni
 
 
 def test_load_campaign_dir_empty(tmp_path):

@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,94 @@ def test_csv_bad_row_names_path_and_line(tmp_path, row):
     pattern = re.escape(f"{path}:6: ") + ".*" + re.escape(repr(row))
     with pytest.raises(ValueError, match=pattern):
         read_spectrum_csv(path)
+
+
+_CSV_HEAD = f"# kind=Irradiance units={IRRADIANCE_UNITS}\nwavelength_nm,value\n"
+
+
+def _row_loop(path):
+    """Reference parser: every non-blank body row is two ``float``s."""
+    wl, vals = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            raw = raw.strip()
+            if lineno <= 2 or not raw:
+                continue
+            try:
+                a, b = raw.split(",")
+                wl.append(float(a))
+                vals.append(float(b))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'wavelength_nm,value' "
+                                 f"numbers, got {raw!r}") from None
+    try:
+        return Spectrum(np.asarray(wl), np.asarray(vals), Kind.IRRADIANCE)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _assert_parses_like_row_loop(path, body):
+    path.write_bytes((_CSV_HEAD + body).encode("utf-8"))
+    try:
+        expected = _row_loop(path)
+    except ValueError as exc:
+        expected = exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = read_spectrum_csv(path)
+        except ValueError as exc:
+            got = exc
+    if isinstance(expected, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(expected)
+    else:
+        assert isinstance(got, Spectrum)
+        assert got.wavelengths_nm.tobytes() == expected.wavelengths_nm.tobytes()
+        assert got.values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize("body", [
+    "300.0,1.0\r\n400.0,2.0\r\n",          # CRLF
+    "300.0,1.0\n\n400.0,2.0\n",              # blank line
+    "300.0,1.0\n \t \n400.0,2.0\n",          # whitespace-only line
+    "\n300.0,1.0\n400.0,2.0\n",              # blank first row
+    "300.0,1.0\n400.0,2.0",                  # no final newline
+    " 300.0 , 1.0 \n\t400.0,2.0\t\n",        # blanks around fields
+    "300.0,1.0\n# note\n400.0,2.0\n",        # '#' line after the header
+    "300.0\n400.0\n",                        # 1 column
+    "300.0,1.0,7.0\n400.0,2.0,7.0\n",        # 3 columns
+    "300.0,1.0,\n400.0,2.0,\n",              # trailing comma
+    "300.0,\n400.0,2.0\n",                   # empty field
+    "1_000,1.0\n2_000,2.0\n",                # float() takes underscores
+    "\uff13\uff10\uff10,1.0\n400.0,2.0\n",  # full-width digits
+    "nan,1.0\n400.0,2.0\n",
+    "300.0,nan\n400.0,2.0\n",
+    "300.0,1e400\n400.0,2.0\n",
+    "300.0,1.0\n",                           # one row
+    "",                                      # empty body
+    "\n \n\n",                               # blank body
+])
+def test_csv_parse_matches_row_loop_on_edge_cases(tmp_path, body):
+    _assert_parses_like_row_loop(tmp_path / "s.csv", body)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wl=st.lists(_finite, max_size=12, unique=True), data=st.data(),
+       newline=st.sampled_from(["\n", "\r\n"]), final=st.booleans())
+def test_csv_parse_matches_row_loop_on_random_doubles(tmp_path_factory, wl, data, newline, final):
+    wl = sorted(wl)
+    vals = data.draw(st.lists(_finite, min_size=len(wl), max_size=len(wl)))
+    body = newline.join(f"{a!r},{b!r}" for a, b in zip(wl, vals)) + (newline if final else "")
+    _assert_parses_like_row_loop(tmp_path_factory.mktemp("csv") / "s.csv", body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.text(alphabet="0123456789.,eE+-_ \t\r\n#naif\uff11\x0c\xa0", max_size=40))
+def test_csv_parse_matches_row_loop_on_random_text(tmp_path_factory, body):
+    _assert_parses_like_row_loop(tmp_path_factory.mktemp("csv") / "s.csv", body)
 
 
 def test_csv_dimensionless_transmittance(tmp_path):
