@@ -137,8 +137,8 @@ class CellModel:
 
     ``reference_currents`` are the per-junction currents under
     ``reference_spectrum``. They are computed at construction; a mapping
-    passed in pins them and must match the computed values to 1e-9
-    relative.
+    passed in pins them, must name each junction and no other, and must
+    match the computed values to 1e-9 relative.
     """
 
     name: str
@@ -173,6 +173,11 @@ class CellModel:
         computed = {j.name: jsc_junction(self.reference_spectrum, j) for j in self.junctions}
         currents = computed if self.reference_currents is None else dict(self.reference_currents)
         object.__setattr__(self, "reference_currents", currents)
+        unknown = sorted(set(currents) - set(names))
+        if unknown:
+            raise ConfigError(
+                f"cell {self.name!r}: reference currents for unknown junctions {unknown}"
+            )
         for jname, expected in computed.items():
             stored = currents.get(jname)
             if stored is None:

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__
@@ -64,6 +65,12 @@ def _parse_pair(text: str | None, cell: CellModel) -> tuple[str, str] | None:
     return parts[0], parts[1]
 
 
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, in chunks."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    yield "\n"
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     e = read_spectrum_csv(args.e_file)
     tau = read_spectrum_csv(args.tau_file)
@@ -88,14 +95,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         pair=pair,
         spread_threshold=args.spread_threshold,
     )
+    del weeks, days  # free the loaded inputs before encoding, which sets the peak memory
     fits = campaign_fits(result)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = result.to_json_dict()
     doc["fits"] = fits
-    write_text_atomic(out / "campaign.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(out / "campaign.json", _json_chunks(doc))
     write_text_atomic(out / "weekly.csv", result.weekly_csv())
-    write_text_atomic(out / "fits.json", json.dumps(fits, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(out / "fits.json", _json_chunks(fits))
     s = result.summary
     print(
         f"campaign: {s['n_accepted']}/{s['n_weeks']} weeks accepted; "

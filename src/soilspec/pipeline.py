@@ -310,8 +310,8 @@ class WeeklyOutcome:
             "tau": None
             if self.tau is None
             else {
-                "wavelengths_nm": [float(x) for x in self.tau.wavelengths_nm],
-                "values": [float(x) for x in self.tau.values],
+                "wavelengths_nm": self.tau.wavelengths_nm.tolist(),
+                "values": self.tau.values.tolist(),
             },
         }
 

@@ -414,17 +414,25 @@ def _read_rows(fh, path: Path, n_head: int) -> tuple[list[float], list[float]]:
     return wl, vals
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write a text file via temp-then-rename so readers never see a torn file.
 
-    The temp name is unique to the writing process and thread, so
-    concurrent writers of one path each rename a whole file of their own
-    and the last rename wins.
+    ``text`` is a ``str``, written whole, or an iterable of ``str`` chunks,
+    written one after another as they come, so a large document (say,
+    from ``json.JSONEncoder.iterencode``) never exists as one string. The
+    temp name is unique to the writing process and thread, so concurrent
+    writers of one path each rename a whole file of their own and the last
+    rename wins. If writing fails, the temp file is removed and ``path``
+    is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

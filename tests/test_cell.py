@@ -91,6 +91,17 @@ def test_reference_current_mismatch_rejected():
         build_cell("c", junctions, ref, reference_currents={"a": 400.0})
 
 
+def test_reference_current_for_unknown_junction_rejected():
+    junctions = (
+        Junction("a", Waveband("a", 300, 700), flat_sr(300, 700)),
+        Junction("b", Waveband("b", 700, 900), flat_sr(700, 900)),
+    )
+    ref = flat_spectrum(300, 900, 1.0)
+    with pytest.raises(ConfigError, match=r"unknown junctions \['c', 'z'\]"):
+        build_cell("c", junctions, ref,
+                   reference_currents={"a": 400.0, "b": 200.0, "z": 5.0, "c": 1.0})
+
+
 def test_cell_model_computes_reference_currents_and_lists_bands():
     junctions = (
         Junction("a", Waveband("a", 300, 700), flat_sr(300, 700)),

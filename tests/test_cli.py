@@ -9,7 +9,17 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from soilspec import Kind, pipeline, read_spectrum_csv, write_spectrum_csv
+from soilspec import (
+    Aggregation,
+    Kind,
+    campaign_fits,
+    load_bundled_3j,
+    load_campaign_dir,
+    pipeline,
+    read_spectrum_csv,
+    run_campaign,
+    write_spectrum_csv,
+)
 from soilspec.cell import bundled_cell_config_path, reference_spectrum_path
 from soilspec.cli import main
 
@@ -435,6 +445,19 @@ def _campaign(data, tmp_path, *extra):
                  "--data", str(data), "--out", str(tmp_path / "out"), *extra])
 
 
+@pytest.mark.parametrize("mode", ["noon", "daily"])
+def test_campaign_json_files_match_the_in_memory_run(small_data, tmp_path, capsys, mode):
+    assert _campaign(small_data, tmp_path, "--aggregation", mode) == 0
+    result = run_campaign(*load_campaign_dir(small_data), load_bundled_3j(),
+                          aggregation=Aggregation(mode))
+    fits = campaign_fits(result)
+    doc = result.to_json_dict()
+    doc["fits"] = fits
+    for name, expected in (("campaign.json", doc), ("fits.json", fits)):
+        text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "out" / name).read_bytes() == text.encode("utf-8")
+
+
 def test_campaign_bad_scan_names_its_file(small_data, tmp_path, capsys):
     data = shutil.copytree(small_data, tmp_path / "data")
     scan = data / "week01_soiled_1.csv"
@@ -546,6 +569,10 @@ def test_campaign_bad_spectrum_of_a_used_record_names_its_file(three_weeks, tmp_
     assert f"{spectrum.name}: " in message and "strictly increasing" in message
 
 
+# The bundled cell's own reference currents, which it accepts when pinned.
+_PINNED_CURRENTS = ", ".join(f"{j}: {c!r}" for j, c in load_bundled_3j().reference_currents.items())
+
+
 @pytest.mark.parametrize("name, old, new, fragment", [
     ("cell.yaml", "limiting_eligible: false", "limiting_eligble: false",
      "unknown junction keys ['limiting_eligble']"),
@@ -565,6 +592,9 @@ def test_campaign_bad_spectrum_of_a_used_record_names_its_file(three_weeks, tmp_
     ("cell.yaml", "name: lattice-matched-3j",
      "name: lattice-matched-3j\nreference_currents: {top: 1.0, mid: 1.0, bot: 1.0}",
      "reference current for 'top' is 1.0"),
+    ("cell.yaml", "name: lattice-matched-3j",
+     f"name: lattice-matched-3j\nreference_currents: {{{_PINNED_CURRENTS}, extra: 5.0}}",
+     "reference currents for unknown junctions ['extra']"),
 ])
 def test_config_error_names_file_once(small_data, tmp_path, capsys, name, old, new, fragment):
     cells = shutil.copytree(bundled_cell_config_path().parent, tmp_path / "cells")

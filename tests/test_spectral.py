@@ -491,6 +491,31 @@ def test_csv_dimensionless_transmittance(tmp_path):
     assert s.kind is Kind.TRANSMITTANCE and s.units == DIMENSIONLESS
 
 
+def test_write_text_atomic_chunks_equal_joined_text(tmp_path):
+    chunks = ["# kind=x\n", "", "\u00e9\u03bb,1.5\r\n", "7" * 20000, "\n"]
+    write_text_atomic(tmp_path / "whole.txt", "".join(chunks))
+    write_text_atomic(tmp_path / "chunks.txt", iter(chunks))
+    write_text_atomic(tmp_path / "list.txt", chunks)
+    whole = (tmp_path / "whole.txt").read_bytes()
+    assert whole == "".join(chunks).encode("utf-8")
+    assert (tmp_path / "chunks.txt").read_bytes() == whole
+    assert (tmp_path / "list.txt").read_bytes() == whole
+
+
+def test_write_text_atomic_failing_chunks_leave_old_file(tmp_path):
+    path = tmp_path / "out.json"
+    write_text_atomic(path, "old\n")
+
+    def chunks():
+        yield "new " * 5000
+        raise RuntimeError("encoder failed")
+
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        write_text_atomic(path, chunks())
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_write_text_atomic_concurrent_writers(tmp_path):
     path = tmp_path / "shared.csv"
     texts = [f"writer {i}\n" * 5000 for i in range(6)]

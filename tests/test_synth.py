@@ -166,6 +166,15 @@ def test_campaign_noise_is_seeded():
                               w3[0].soiled_scans[0].values)
 
 
+def test_campaign_field_days_share_hourly_spectra():
+    _, days = synth_campaign(CampaignScenario(weeks=3, deposition_per_week=0.02))
+    by_hour = [{r.timestamp.time(): r.spectral_dni for r in d.spectral_records} for d in days]
+    assert len(by_hour[0]) == 7
+    for other in by_hour[1:]:
+        assert other.keys() == by_hour[0].keys()
+        assert all(other[h] is by_hour[0][h] for h in other)
+
+
 def test_campaign_field_days_are_clear_and_dated():
     scenario = CampaignScenario(weeks=2, deposition_per_week=0.02,
                                 start_date=dt.date(2017, 1, 2))
