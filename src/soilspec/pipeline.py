@@ -53,6 +53,7 @@ from .spectral import (
     Kind,
     Spectrum,
     read_spectrum_csv,
+    spectrum_csv_text,
     union_grid,
     write_spectrum_csv,
     write_text_atomic,
@@ -605,19 +606,53 @@ def read_field_csv(path: str | Path) -> FieldDay:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _spectrum_file(timestamp: dt.datetime) -> str:
+    """A record's spectrum file, relative to the data dir (see :func:`write_field_day`)."""
+    fmt = "%Y-%m-%dT%H-%M"
+    if timestamp.second or timestamp.microsecond:
+        fmt += "-%S"
+    if timestamp.microsecond:
+        fmt += "-%f"
+    return f"spectra/{timestamp.strftime(fmt)}.csv"
+
+
 def write_field_day(day: FieldDay, out_dir: str | Path) -> Path:
-    """Write one field day into a data dir, its spectra under ``spectra/``."""
-    out_dir = Path(out_dir)
+    """Write one field day into a data dir, its spectra under ``spectra/``.
+
+    A record's spectrum goes to ``spectra/<YYYY-MM-DD>T<HH>-<MM>.csv``,
+    named by its local timestamp, with ``-<SS>`` appended when the seconds
+    or microseconds are non-zero and ``-<ffffff>`` when the microseconds
+    are. Two tz-aware records a UTC-offset change apart can share a local
+    time, and so a name; that raises ``ValueError`` naming the day and
+    both timestamps before any file of the day is written.
+    """
+    return _write_field_day(day, Path(out_dir), {})
+
+
+def _write_field_day(day: FieldDay, out_dir: Path, texts: dict[Spectrum, str]) -> Path:
+    """:func:`write_field_day`, taking each spectrum's CSV text from
+    ``texts`` and adding the ones it formats, so a spectrum object that
+    several records share is formatted once per ``texts``."""
+    spec_rels = [_spectrum_file(r.timestamp) if r.has_spectrum else "" for r in day.records]
+    taken: dict[str, dt.datetime] = {}
+    for r, rel in zip(day.records, spec_rels):
+        if not rel:
+            continue
+        if rel in taken:
+            raise ValueError(f"field day {day.date}: records at {taken[rel].isoformat()} and "
+                             f"{r.timestamp.isoformat()} would both write {rel}")
+        taken[rel] = r.timestamp
     out_dir.mkdir(parents=True, exist_ok=True)
     if day.spectral_records:
         (out_dir / "spectra").mkdir(exist_ok=True)
     rows = [FIELD_HEADER]
-    for r in day.records:
-        spec_rel = ""
-        if r.has_spectrum:
-            stamp = r.timestamp.strftime("%Y-%m-%dT%H-%M")
-            spec_rel = f"spectra/{stamp}.csv"
-            write_spectrum_csv(r.spectral_dni, out_dir / spec_rel)
+    for r, spec_rel in zip(day.records, spec_rels):
+        if spec_rel:
+            s = r.spectral_dni
+            text = texts.get(s)
+            if text is None:
+                text = texts[s] = spectrum_csv_text(s)
+            write_text_atomic(out_dir / spec_rel, text)
         rows.append(",".join([
             r.timestamp.isoformat(),
             repr(float(r.dni)),
@@ -637,17 +672,34 @@ def write_field_day(day: FieldDay, out_dir: str | Path) -> Path:
 def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
                        days: Sequence[FieldDay],
                        out_dir: str | Path) -> Path:
-    """Write a complete campaign data directory the loader can ingest."""
+    """Write a complete campaign data directory the loader can ingest.
+
+    A negative or repeated week id, or two field days of one date, would
+    write files the loader skips or reads as one, so each raises
+    ``ValueError`` naming it before any file is written. A spectrum object
+    that several field records share is formatted once and its text
+    written to each record's file.
+    """
+    weeks = sorted(weeks, key=lambda w: w.week_id)
+    days = sorted(days, key=lambda d: d.date)
+    if weeks and weeks[0].week_id < 0:
+        raise ValueError(f"week id {weeks[0].week_id} is negative; week ids must be >= 0")
+    for a, b in zip(weeks, weeks[1:]):
+        if a.week_id == b.week_id:
+            raise ValueError(f"week id {b.week_id} appears more than once")
+    for a, b in zip(days, days[1:]):
+        if a.date == b.date:
+            raise ValueError(f"field day {b.date} appears more than once")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    weeks = sorted(weeks, key=lambda w: w.week_id)
     for m in weeks:
         for rep, scan in enumerate(m.soiled_scans, start=1):
             write_spectrum_csv(scan, out_dir / f"week{m.week_id:02d}_soiled_{rep}.csv")
         for rep, scan in enumerate(m.control_scans, start=1):
             write_spectrum_csv(scan, out_dir / f"week{m.week_id:02d}_control_{rep}.csv")
-    for day in sorted(days, key=lambda d: d.date):
-        write_field_day(day, out_dir)
+    texts: dict[Spectrum, str] = {}
+    for day in days:
+        _write_field_day(day, out_dir, texts)
     manifest: dict = {"cadence_days": CADENCE_DAYS}
     if weeks:
         first = weeks[0]

@@ -54,6 +54,7 @@ __all__ = [
     "pointwise_product",
     "union_grid",
     "read_spectrum_csv",
+    "spectrum_csv_text",
     "write_spectrum_csv",
     "write_text_atomic",
     "IRRADIANCE_UNITS",
@@ -439,11 +440,16 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def write_spectrum_csv(s: Spectrum, path: str | Path) -> None:
-    """Write a spectrum in the two-column CSV format (deterministic, atomic).
+def spectrum_csv_text(s: Spectrum) -> str:
+    """A spectrum in the two-column CSV format, as the text of the file.
 
     Floats are written with ``repr``, which round-trips exactly.
     """
     rows = zip(map(repr, s.wavelengths_nm.tolist()), map(repr, s.values.tolist()))
     body = "\n".join(map(",".join, rows))
-    write_text_atomic(path, f"# kind={s.kind.value} units={s.units}\n{_HEADER}\n{body}\n")
+    return f"# kind={s.kind.value} units={s.units}\n{_HEADER}\n{body}\n"
+
+
+def write_spectrum_csv(s: Spectrum, path: str | Path) -> None:
+    """Write a spectrum in the two-column CSV format (deterministic, atomic)."""
+    write_text_atomic(path, spectrum_csv_text(s))

@@ -1,5 +1,6 @@
 import copy
 import datetime as dt
+import hashlib
 import json
 import shutil
 
@@ -120,6 +121,23 @@ def test_synth_deterministic_and_seed_override(tmp_path, capsys):
                  "--seed", "12"]) == 0
     assert _tree_bytes(tmp_path / "a") != _tree_bytes(tmp_path / "c")
     capsys.readouterr()
+
+
+def test_synth_tree_bytes_are_pinned(tmp_path, capsys):
+    # A digest of every file name and byte of a small seeded synth tree, so
+    # that any drift of the campaign-dir format fails here.
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 3\ndeposition_per_week: 0.02\n"
+                        "rain_weeks:\n  - {week: 2, wash_fraction: 0.5}\n")
+    assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "data"),
+                 "--seed", "7"]) == 0
+    capsys.readouterr()
+    tree = _tree_bytes(tmp_path / "data")
+    assert len(tree) == 43  # 18 scans, 3 field files, 21 spectra, the manifest
+    digest = hashlib.sha256()
+    for name, data in sorted(tree.items()):
+        digest.update(name.encode() + b"\0" + data)
+    assert digest.hexdigest() == "a07625c34b631f0ee2d1b265ea7f10bba5027fcac3d762b1ed0540c944de0426"
 
 
 def test_synth_campaign_round_trip(tmp_path, capsys):

@@ -29,7 +29,9 @@ from soilspec.errors import (
     NoWeeksFound,
     TooFewPoints,
 )
-from soilspec.pipeline import WeeklyOutcome, campaign_fits
+from soilspec import pipeline
+from soilspec.pipeline import WeeklyOutcome, campaign_fits, read_field_csv, write_field_day
+from soilspec.spectral import write_spectrum_csv
 
 from conftest import bundled_tau, flat_spectrum, mixed_grid_day
 
@@ -519,3 +521,80 @@ def test_load_campaign_dir_warns_on_short_coverage(tmp_path):
     out = write_campaign_dir(weeks, [], tmp_path / "c")
     with pytest.warns(UserWarning, match="convention"):
         load_campaign_dir(out)
+
+
+def _spectrum_files(out, day):
+    """(record, spectrum file) pairs of a written day, as its field CSV names them."""
+    rows = (out / f"field_{day.date.isoformat()}.csv").read_text().splitlines()[1:]
+    return [(r, out / row.rsplit(",", 1)[1])
+            for r, row in zip(day.records, rows) if r.has_spectrum]
+
+
+def test_campaign_dir_formats_each_shared_spectrum_once(tmp_path, monkeypatch):
+    weeks, days = synth_campaign(CampaignScenario(weeks=3, deposition_per_week=0.02, seed=5))
+    formats, scan_writes = [], []
+    csv_text, write_csv = pipeline.spectrum_csv_text, pipeline.write_spectrum_csv
+
+    def counted_text(s):
+        formats.append(s)
+        return csv_text(s)
+
+    def counted_write(s, path):
+        scan_writes.append(path)
+        write_csv(s, path)
+
+    monkeypatch.setattr(pipeline, "spectrum_csv_text", counted_text)
+    monkeypatch.setattr(pipeline, "write_spectrum_csv", counted_write)
+    out = write_campaign_dir(weeks, days, tmp_path / "campaign")
+    assert len(formats) == 7  # the seven hourly spectra the 3 days share, not 21
+    assert len(scan_writes) == 18
+    pairs = [pair for day in days for pair in _spectrum_files(out, day)]
+    assert sorted(path for _, path in pairs) == sorted((out / "spectra").iterdir())
+    assert len(pairs) == 21
+    for record, path in pairs:
+        write_spectrum_csv(record.spectral_dni, tmp_path / "alone.csv")
+        assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes(), path.name
+
+
+def test_sub_minute_records_get_spectrum_files_of_their_own(tmp_path):
+    times = [dt.time(11, 59), dt.time(12, 0), dt.time(12, 0, 30),
+             dt.time(12, 0, 30, 250000), dt.time(12, 1, 0, 500000)]
+    records = tuple(
+        FieldRecord(timestamp=dt.datetime.combine(DATE, t), dni=800.0, gni=1000.0,
+                    spectral_dni=flat_spectrum(300.0, 900.0, 1.0 + i))
+        for i, t in enumerate(times))
+    path = write_field_day(FieldDay(date=DATE, records=records), tmp_path)
+    assert sorted(p.name for p in (tmp_path / "spectra").iterdir()) == [
+        "2017-01-02T11-59.csv", "2017-01-02T12-00-30-250000.csv", "2017-01-02T12-00-30.csv",
+        "2017-01-02T12-00.csv", "2017-01-02T12-01-00-500000.csv",
+    ]
+    back = read_field_csv(path)
+    assert [r.timestamp for r in back.records] == [r.timestamp for r in records]
+    for orig, loaded in zip(records, back.records):
+        np.testing.assert_array_equal(loaded.spectral_dni.values, orig.spectral_dni.values)
+
+
+def test_spectrum_file_name_clash_across_an_offset_change_is_refused(tmp_path):
+    day = dt.date(2017, 11, 5)
+    stamps = [dt.datetime(2017, 11, 5, 1, 30, tzinfo=dt.timezone(dt.timedelta(hours=h)))
+              for h in (-4, -5)]
+    records = tuple(FieldRecord(timestamp=ts, dni=800.0, gni=1000.0,
+                                spectral_dni=flat_spectrum(300.0, 900.0, 1.0))
+                    for ts in stamps)
+    out = tmp_path / "c"
+    with pytest.raises(ValueError, match="2017-11-05") as info:
+        write_campaign_dir([], [FieldDay(date=day, records=records)], out)
+    assert all(ts.isoformat() in str(info.value) for ts in stamps)
+    assert not list(out.rglob("*"))
+
+
+@pytest.mark.parametrize("weeks, days, fragment", [
+    ([measurement([0.9] * 3, week_id=-1)], [], "week id -1"),
+    ([measurement([0.9] * 3, week_id=1), measurement([0.8] * 3, week_id=1)], [], "week id 1 "),
+    ([measurement([0.9] * 3)], [clear_day(DATE), clear_day(DATE, (2.0,))], "2017-01-02"),
+], ids=["negative-week-id", "duplicate-week-id", "duplicate-field-day"])
+def test_campaign_dir_refuses_what_the_loader_would_drop(tmp_path, weeks, days, fragment):
+    out = tmp_path / "c"
+    with pytest.raises(ValueError, match=fragment):
+        write_campaign_dir(weeks, days, out)
+    assert not out.exists()
