@@ -32,7 +32,7 @@ from .pipeline import (
     SPREAD_THRESHOLD,
     Aggregation,
     campaign_fits,
-    load_campaign_dir,
+    open_campaign_dir,
     run_campaign,
     write_campaign_dir,
 )
@@ -86,7 +86,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         raise ConfigError(f"no data dir: pass --data or set {DATA_DIR_ENV}")
     cell = load_cell(args.cell)
     pair = _parse_pair(args.pair, cell)
-    weeks, days = load_campaign_dir(data_dir)
+    weeks, days = open_campaign_dir(data_dir)  # scans are read week by week by run_campaign
     result = run_campaign(
         weeks,
         days,
@@ -95,7 +95,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         pair=pair,
         spread_threshold=args.spread_threshold,
     )
-    del weeks, days  # free the loaded inputs before encoding, which sets the peak memory
+    del days  # free the field records before encoding, which sets the peak memory
     fits = campaign_fits(result)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -77,6 +77,7 @@ __all__ = [
     "campaign_fits",
     "read_field_csv",
     "write_field_day",
+    "open_campaign_dir",
     "load_campaign_dir",
     "write_campaign_dir",
     "CLOUDY_THRESHOLD",
@@ -105,27 +106,27 @@ class Aggregation(enum.Enum):
 # Data model
 # ---------------------------------------------------------------------------
 
-class _ReadOnFirstAccess:
-    """Default of :attr:`FieldRecord.spectral_dni`, found only while a record
-    built from a path has not read it: reads the CSV and stores the
-    spectrum on the record, where later accesses find it directly."""
+class _ReadOnAccess:
+    """Default of :attr:`FieldRecord.spectral_dni`, found only on a record
+    built from a path: reads the CSV on every access and keeps nothing, so
+    a spectrum lives only as long as its caller holds it."""
 
     def __get__(self, record, owner=None):
         if record is None:
             return None  # the field's default
-        spectrum = read_spectrum_csv(record._spectrum_file)
-        object.__setattr__(record, "spectral_dni", spectrum)
-        return spectrum
+        return read_spectrum_csv(record._spectrum_file)
 
 
 @dataclass(frozen=True)
 class FieldRecord:
     """One 5-minute meteorological record; spectral DNI optional.
 
-    ``spectral_dni`` may be given as the path of a spectrum CSV, which is
-    read when the attribute is first accessed (``==`` and ``repr`` access
-    it too); :attr:`has_spectrum` tells whether a record carries a
-    spectrum without reading it.
+    ``spectral_dni`` may be given as the path of a spectrum CSV. The record
+    then keeps only the path, and each access of the attribute reads the
+    file anew (``==`` and ``repr`` access it too), so a caller that needs
+    the spectrum more than once should hold on to it;
+    :attr:`has_spectrum` tells whether a record carries a spectrum without
+    reading it.
     """
 
     timestamp: dt.datetime
@@ -136,7 +137,7 @@ class FieldRecord:
     rainfall_mm: float | None = None
     pm10: float | None = None
     pm25: float | None = None
-    spectral_dni: Spectrum | Path | None = _ReadOnFirstAccess()
+    spectral_dni: Spectrum | Path | None = _ReadOnAccess()
     _spectrum_file = None  # the path given as spectral_dni, if any
 
     def __post_init__(self) -> None:
@@ -399,68 +400,79 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     the reason) and never abort the campaign. Summary statistics cover
     accepted weeks only.
 
-    A field spectrum held as a path is read here, and only when a week
-    uses it: the noon record of the selected day in ``NOON`` mode, every
-    spectral record of that day otherwise. A file that cannot be read
-    raises the reader's error, which names the file, and ends the run.
+    ``weeks`` is walked once, in the order given, and no week is held
+    once its outcome is built, so the weeks of :func:`open_campaign_dir`
+    are read one at a time, and a scan that cannot be read raises the
+    reader's error, which names the file, and ends the run. The outcomes
+    are sorted by week id, so the result does not depend on that order.
+
+    A field spectrum held as a path is read here, once per use, and
+    dropped when its week is done: the noon record of the selected day in
+    ``NOON`` mode, every spectral record of that day otherwise. A file
+    that cannot be read ends the run the same way.
     """
     day_map = {d.date: d for d in days}
-    band_names = tuple(b.name for b in cell.bands)
-    outcomes: list[WeeklyOutcome] = []
-    for m in sorted(weeks, key=lambda w: w.week_id):
-        scan_date = m.scan_date
-        tau = None
-        spectra_date = None
-        report = None
-        ast_full = None
-        ast_by_band = None
-        accepted = False
-        reason: str | None = None
-        try:
-            v = validate_week(m, cell, spread_threshold)
-            if not v.accepted:
-                reason = v.reason
-            else:
-                tau = v.tau
-                day = select_spectra(scan_date, day_map)
-                spectra_date = day.date
-                if aggregation is Aggregation.NOON:
-                    rec = _noon_record(day)
-                    spectra = [] if rec is None else [rec.spectral_dni]
-                else:
-                    spectra = [r.spectral_dni for r in day.spectral_records]
-                if not spectra:
-                    reason = "NoSpectralData"
-                else:
-                    report = index_report_weighted(spectra, cell, tau, pair)
-                    accepted = True
-        except SoilspecError as exc:
-            reason = exc.kind
-        if tau is not None:
-            # An accepted tau covers every band of the cell, so ast cannot raise.
-            ast_by_band = (report.ast if report is not None
-                           else {b.name: ast(tau, b) for b in cell.bands})
-            ast_full = ast_by_band[cell.full_band.name]
-        outcomes.append(
-            WeeklyOutcome(
-                week_id=m.week_id,
-                scan_date=scan_date,
-                accepted=accepted,
-                rejection_reason=None if accepted else reason,
-                spectra_date=spectra_date,
-                tau=tau,
-                report=report,
-                ast_full=ast_full,
-                ast_by_band=ast_by_band,
-            )
-        )
-    summary = _summarize(outcomes)
+    # Unlike a for loop's variable, map keeps no week while it fetches the next one.
+    outcomes = sorted(
+        map(lambda m: _week_outcome(m, day_map, cell, aggregation, pair, spread_threshold),
+            weeks),
+        key=lambda w: w.week_id)
     return CampaignResult(
         weekly=tuple(outcomes),
-        summary=summary,
-        ast_band_names=band_names,
+        summary=_summarize(outcomes),
+        ast_band_names=tuple(b.name for b in cell.bands),
         aggregation=aggregation.value,
         cell_name=cell.name,
+    )
+
+
+def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cell: CellModel,
+                  aggregation: Aggregation, pair: tuple[str, str] | None,
+                  spread_threshold: float) -> WeeklyOutcome:
+    """One week of :func:`run_campaign`; a :class:`SoilspecError` becomes its rejection."""
+    scan_date = m.scan_date
+    tau = None
+    spectra_date = None
+    report = None
+    ast_full = None
+    ast_by_band = None
+    accepted = False
+    reason: str | None = None
+    try:
+        v = validate_week(m, cell, spread_threshold)
+        if not v.accepted:
+            reason = v.reason
+        else:
+            tau = v.tau
+            day = select_spectra(scan_date, day_map)
+            spectra_date = day.date
+            if aggregation is Aggregation.NOON:
+                rec = _noon_record(day)
+                spectra = [] if rec is None else [rec.spectral_dni]
+            else:
+                spectra = [r.spectral_dni for r in day.spectral_records]
+            if not spectra:
+                reason = "NoSpectralData"
+            else:
+                report = index_report_weighted(spectra, cell, tau, pair)
+                accepted = True
+    except SoilspecError as exc:
+        reason = exc.kind
+    if tau is not None:
+        # An accepted tau covers every band of the cell, so ast cannot raise.
+        ast_by_band = (report.ast if report is not None
+                       else {b.name: ast(tau, b) for b in cell.bands})
+        ast_full = ast_by_band[cell.full_band.name]
+    return WeeklyOutcome(
+        week_id=m.week_id,
+        scan_date=scan_date,
+        accepted=accepted,
+        rejection_reason=None if accepted else reason,
+        spectra_date=spectra_date,
+        tau=tau,
+        report=report,
+        ast_full=ast_full,
+        ast_by_band=ast_by_band,
     )
 
 
@@ -569,7 +581,7 @@ def read_field_csv(path: str | Path) -> FieldDay:
 
     The ``spectrum_file`` column, when present, is a path relative to the
     CSV's own directory. The spectrum is not read here: the record keeps
-    the path and reads it when its ``spectral_dni`` is first accessed.
+    the path and reads it each time its ``spectral_dni`` is accessed.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -719,23 +731,29 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
     return out_dir
 
 
-def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], list[FieldDay]]:
-    """Load weekly scans and field days from a campaign data directory.
+def open_campaign_dir(data_dir: str | Path
+                      ) -> tuple[Iterator[WeeklyMeasurement], list[FieldDay]]:
+    """Open a campaign data directory: index its scans, read its field days.
 
     Weekly scans follow the ``week<NN>_<soiled|control>_<1|2|3>.csv``
     convention; ``manifest.yaml`` may carry ``start_date`` and
     ``cadence_days`` (default :data:`CADENCE_DAYS`; scan dates default to
     start + cadence * week offset) plus explicit per-week ``scan_date``
-    overrides. Scans that do not span :data:`SCAN_COVERAGE_NM` draw a
-    warning; weeks whose scans cannot cover the analysis cell's full band
-    are later rejected by the campaign run.
+    overrides. A manifest key other than ``start_date``, ``cadence_days``
+    and ``weeks``, or a ``weeks`` entry key other than ``week_id`` and
+    ``scan_date``, is a :class:`ConfigError`, and so are two scan files
+    that name one week, role and replicate (``week01_soiled_1.csv`` and
+    ``week1_soiled_1.csv``).
 
-    Every scan and every field-file row is read and validated here. A
-    field record's spectrum CSV is not: the record keeps its path, and
-    :func:`run_campaign` reads it only for the day a week selects (see
-    :class:`FieldRecord`). A manifest key other than ``start_date``,
-    ``cadence_days`` and ``weeks``, or a ``weeks`` entry key other than
-    ``week_id`` and ``scan_date``, is a :class:`ConfigError`.
+    The manifest, the scan file names and every field-file row are read
+    and checked here. A field record's spectrum CSV is not: the record
+    keeps its path and :func:`run_campaign` reads it only for the day a
+    week selects (see :class:`FieldRecord`). Nor are the scans: the
+    returned iterator reads a week's six scans when iteration reaches that
+    week, in week-id order, so a bad scan raises only then. Scans that do
+    not span :data:`SCAN_COVERAGE_NM` draw a warning as they are read;
+    weeks whose scans cannot cover the analysis cell's full band are later
+    rejected by the campaign run. The iterator can be walked once.
     """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
@@ -754,7 +772,11 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
         if m is None:
             continue
         wid, role, rep = int(m.group(1)), m.group(2), int(m.group(3))
-        scans.setdefault(wid, {"soiled": {}, "control": {}})[role][rep] = p
+        replicates = scans.setdefault(wid, {"soiled": {}, "control": {}})[role]
+        if rep in replicates:
+            raise ConfigError(f"{data_dir}: {replicates[rep].name} and {p.name} are both "
+                              f"week {wid} {role} scan {rep}")
+        replicates[rep] = p
     if not scans:
         raise NoWeeksFound(f"no weekly coupon scans found in {data_dir}")
 
@@ -775,21 +797,27 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
         )
     first_wid = min(scans)
 
-    weeks: list[WeeklyMeasurement] = []
-    for wid in sorted(scans):
-        scan_date = overrides.get(wid) or start_date + dt.timedelta(
-            days=cadence * (wid - first_wid))
-        soiled = _read_scans(scans[wid]["soiled"])
-        control = _read_scans(scans[wid]["control"])
-        weeks.append(
-            WeeklyMeasurement(
-                week_id=wid,
-                scan_date=scan_date,
-                soiled_scans=soiled,
-                control_scans=control,
-            )
+    weeks = (
+        WeeklyMeasurement(
+            week_id=wid,
+            scan_date=overrides.get(wid) or start_date + dt.timedelta(
+                days=cadence * (wid - first_wid)),
+            soiled_scans=_read_scans(scans[wid]["soiled"]),
+            control_scans=_read_scans(scans[wid]["control"]),
         )
+        for wid in sorted(scans)
+    )
     return weeks, days
+
+
+def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], list[FieldDay]]:
+    """:func:`open_campaign_dir` with every week's scans read, in week-id order.
+
+    Holds all scans at once; :func:`run_campaign` over the iterator of
+    :func:`open_campaign_dir` holds one week's.
+    """
+    weeks, days = open_campaign_dir(data_dir)
+    return list(weeks), days
 
 
 def _read_scans(paths: Mapping[int, Path]) -> tuple[Spectrum, ...]:

@@ -146,38 +146,47 @@ def _day_shape(minutes_since_8: np.ndarray, day_minutes: float) -> np.ndarray:
     return np.sin(np.pi * minutes_since_8 / day_minutes)
 
 
-def _day_profile(base_e: Spectrum) -> list[tuple[float, float, Spectrum | None]]:
-    """(minutes after 08:00, day shape, spectrum or None) for each record of a day.
+# One record of a field day: minutes after 08:00, dni, gni, ghi, dhi and the spectrum or None.
+_ProfileEntry = tuple[float, float, float, float, float, Spectrum | None]
+
+
+def _day_profile(base_e: Spectrum, scenario: CampaignScenario) -> list[_ProfileEntry]:
+    """The day-invariant values of each record of a field day.
 
     Every field day has the same profile, so it is built once per campaign
-    and all days share its frozen hourly spectra.
+    and all days share its irradiance values and frozen hourly spectra.
     """
     minutes = np.arange(0, 8 * 60 + 1, 5, dtype=float)  # 08:00-16:00, 5-min cadence
     shape = _day_shape(minutes, 8 * 60)
     spectra_minutes = {(h - 8) * 60 for h in range(9, 16)}  # hourly spectra 09:00-15:00
-    return [(float(m), float(s),
-             base_e.with_values(base_e.values * float(s))
-             if m in spectra_minutes and s > 0.0 else None)
-            for m, s in zip(minutes, shape)]
-
-
-def _field_day(date: dt.date, profile: list[tuple[float, float, Spectrum | None]],
-               scenario: CampaignScenario, rainfall_mm: float, k: float) -> FieldDay:
-    records = []
-    for m, s, spec in profile:
-        ts = dt.datetime.combine(date, dt.time(8, 0)) + dt.timedelta(minutes=m)
+    profile = []
+    for m, s in zip(minutes, shape):
+        s = float(s)
         dni = scenario.dni_peak_wm2 * s
         gni = dni / scenario.dni_to_gni
+        spec = base_e.with_values(base_e.values * s) if m in spectra_minutes and s > 0.0 else None
+        profile.append((float(m), dni, gni, 0.75 * gni, gni - dni, spec))
+    return profile
+
+
+def _field_day(date: dt.date, profile: list[_ProfileEntry],
+               rainfall_mm: float, k: float) -> FieldDay:
+    pm10 = 20.0 + 200.0 * k
+    pm25 = 0.5 * pm10
+    start = dt.datetime.combine(date, dt.time(8, 0))
+    records = []
+    for m, dni, gni, ghi, dhi, spec in profile:
+        ts = start + dt.timedelta(minutes=m)
         records.append(
             FieldRecord(
                 timestamp=ts,
                 dni=dni,
                 gni=gni,
-                ghi=0.75 * gni,
-                dhi=gni - dni,
+                ghi=ghi,
+                dhi=dhi,
                 rainfall_mm=rainfall_mm if ts.time() == dt.time(12, 0) else 0.0,
-                pm10=20.0 + 200.0 * k,
-                pm25=0.5 * (20.0 + 200.0 * k),
+                pm10=pm10,
+                pm25=pm25,
                 spectral_dni=spec,
             )
         )
@@ -194,7 +203,8 @@ def synth_campaign(scenario: CampaignScenario,
     wash returns the next week to the one-week-deposition state. Scan
     noise uses a per-week sub-seed derived from (seed, week), keeping
     generation deterministic and parallelizable across weeks.
-    Every field day shares the same seven hourly spectra (09:00-15:00).
+    Every field day shares the same seven hourly spectra (09:00-15:00)
+    and the same irradiance values; a day's records share its PM values.
     """
     if cell is not None:
         lo, hi = scenario.grid_min_nm, scenario.grid_max_nm
@@ -204,7 +214,7 @@ def synth_campaign(scenario: CampaignScenario,
                 f"[{cell.full_band.lambda_min_nm}, {cell.full_band.lambda_max_nm}] nm"
             )
     grid = scenario.grid
-    profile = _day_profile(synth_spectrum(scenario.spectrum_tilt, grid))
+    profile = _day_profile(synth_spectrum(scenario.spectrum_tilt, grid), scenario)
     wash = {r.week: r.wash_fraction for r in scenario.rain_weeks}
     glass = scenario.glass_transmittance
 
@@ -235,7 +245,7 @@ def synth_campaign(scenario: CampaignScenario,
                 control_scans=tuple(control),
             )
         )
-        days.append(_field_day(scan_date, profile, scenario, rainfall, k))
+        days.append(_field_day(scan_date, profile, rainfall, k))
         if w in wash:
             k *= 1.0 - wash[w]
     return weeks, days

@@ -487,6 +487,16 @@ def test_campaign_bad_scan_names_its_file(small_data, tmp_path, capsys):
     assert "week01_soiled_1.csv: " in message and "strictly increasing" in message
 
 
+def test_campaign_two_spellings_of_one_scan_name_both_files(small_data, tmp_path, capsys):
+    data = shutil.copytree(small_data, tmp_path / "data")
+    shutil.copy(data / "week02_soiled_1.csv", data / "week1_soiled_1.csv")
+    assert _campaign(data, tmp_path) == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ConfigError"
+    assert "week01_soiled_1.csv" in doc["message"] and "week1_soiled_1.csv" in doc["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("column, value", [(1, "nan"), (2, "nan"), (2, "inf"), (4, "nan")])
 def test_campaign_non_finite_irradiance_names_file_and_line(small_data, tmp_path, capsys,
                                                             column, value):
@@ -555,8 +565,16 @@ def test_campaign_reads_only_the_spectra_it_uses(three_weeks, tmp_path, capsys, 
     scans = [p for p in calls if p.parent == three_weeks]
     assert len(scans) == 18
     assert len(calls) == 18 + n_spectra
-    if mode == "noon":
-        assert all(p.name.endswith("T12-00.csv") for p in calls[18:])
+    # Week by week: its six scans, then the spectra of its field day.
+    per_week = 6 + n_spectra // 3
+    days = sorted(three_weeks.glob("field_*.csv"))
+    for week in range(1, 4):
+        block = calls[per_week * (week - 1):per_week * week]
+        assert all(p.name.startswith(f"week{week:02d}_") for p in block[:6])
+        day = days[week - 1].name.removeprefix("field_").removesuffix(".csv")
+        assert all(p.parent.name == "spectra" and p.name.startswith(day) for p in block[6:])
+        if mode == "noon":
+            assert [p.name for p in block[6:]] == [f"{day}T12-00.csv"]
 
 
 def _duplicate_first_row(path):

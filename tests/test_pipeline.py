@@ -1,5 +1,8 @@
 import datetime as dt
+import gc
 import json
+import random
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from soilspec import (
     index_report,
     is_cloudy,
     load_campaign_dir,
+    open_campaign_dir,
     run_campaign,
     select_spectra,
     soiling_rate_fit,
@@ -521,6 +525,53 @@ def test_load_campaign_dir_warns_on_short_coverage(tmp_path):
     out = write_campaign_dir(weeks, [], tmp_path / "c")
     with pytest.warns(UserWarning, match="convention"):
         load_campaign_dir(out)
+
+
+@pytest.fixture(scope="module")
+def six_weeks(tmp_path_factory):
+    weeks, days = synth_campaign(CampaignScenario(weeks=6, deposition_per_week=0.02, seed=3))
+    return write_campaign_dir(weeks, days, tmp_path_factory.mktemp("six") / "campaign")
+
+
+@pytest.mark.parametrize("aggregation", list(Aggregation))
+def test_streamed_campaign_holds_one_week_of_scans(six_weeks, bundled_cell, monkeypatch,
+                                                   aggregation):
+    expected = run_campaign(*load_campaign_dir(six_weeks), bundled_cell, aggregation).to_json()
+    scans, spectra, alive_scans = [], [], []
+    read = pipeline.read_spectrum_csv
+
+    def tracked(path):
+        s = read(path)
+        if path.parent == six_weeks:
+            scans.append(weakref.ref(s))
+            gc.collect()
+            alive_scans.append(sum(r() is not None for r in scans))
+        else:
+            spectra.append(weakref.ref(s))
+        return s
+
+    monkeypatch.setattr(pipeline, "read_spectrum_csv", tracked)
+    weeks, days = open_campaign_dir(six_weeks)
+    assert scans == []  # opening reads no scan
+    result = run_campaign(weeks, days, bundled_cell, aggregation)
+    assert result.to_json() == expected
+    assert len(alive_scans) == 36 and max(alive_scans) == 6
+    gc.collect()
+    assert len(spectra) == (6 if aggregation is Aggregation.NOON else 42)
+    assert sum(r() is not None for r in spectra) == 0 and len(days) == 6
+
+
+def test_campaign_outcomes_do_not_depend_on_week_order(bundled_cell):
+    weeks, days = synth_campaign(CampaignScenario(weeks=6, deposition_per_week=0.02, seed=4))
+    weeks.append(measurement([0.90, 0.95, 0.99], week_id=7))  # a rejected week
+    shuffled = list(weeks)
+    random.Random(1).shuffle(shuffled)
+    expected = run_campaign(weeks, days, bundled_cell)
+    assert [w.accepted for w in expected.weekly] == [True] * 6 + [False]
+    for order in (list(reversed(weeks)), shuffled, (w for w in reversed(weeks))):
+        result = run_campaign(order, days, bundled_cell)
+        assert result.to_json() == expected.to_json()
+        assert result.weekly_csv() == expected.weekly_csv()
 
 
 def _spectrum_files(out, day):
