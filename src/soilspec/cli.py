@@ -29,7 +29,6 @@ from .errors import (
 )
 from .metrics import index_report
 from .pipeline import (
-    SPREAD_THRESHOLD,
     Aggregation,
     campaign_fits,
     open_campaign_dir,
@@ -93,7 +92,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         cell,
         aggregation=Aggregation(args.aggregation),
         pair=pair,
-        spread_threshold=args.spread_threshold,
     )
     del days  # free the field records before encoding, which sets the peak memory
     fits = campaign_fits(result)
@@ -145,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregation", choices=[a.value for a in Aggregation],
                    default=Aggregation.DAILY_CURRENT_WEIGHTED.value)
     p.add_argument("--pair", default=None, help="SMR junction pair, e.g. top,mid")
-    p.add_argument("--spread-threshold", type=float, default=SPREAD_THRESHOLD,
-                   help="replicate AST spread rejection threshold (absolute)")
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("synth", help="generate a synthetic campaign data dir")

@@ -106,27 +106,15 @@ class Aggregation(enum.Enum):
 # Data model
 # ---------------------------------------------------------------------------
 
-class _ReadOnAccess:
-    """Default of :attr:`FieldRecord.spectral_dni`, found only on a record
-    built from a path: reads the CSV on every access and keeps nothing, so
-    a spectrum lives only as long as its caller holds it."""
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return None  # the field's default
-        return read_spectrum_csv(record._spectrum_file)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldRecord:
     """One 5-minute meteorological record; spectral DNI optional.
 
-    ``spectral_dni`` may be given as the path of a spectrum CSV. The record
-    then keeps only the path, and each access of the attribute reads the
-    file anew (``==`` and ``repr`` access it too), so a caller that needs
-    the spectrum more than once should hold on to it;
-    :attr:`has_spectrum` tells whether a record carries a spectrum without
-    reading it.
+    ``spectral_dni`` is kept as given: a :class:`Spectrum`, the path of a
+    spectrum CSV (as :func:`read_field_csv` gives it), or ``None``. A path
+    is read only where a spectrum is used, by :func:`run_campaign` and when
+    the record is written (:func:`write_field_day`), so ``==`` and ``repr``
+    read no file.
     """
 
     timestamp: dt.datetime
@@ -137,21 +125,12 @@ class FieldRecord:
     rainfall_mm: float | None = None
     pm10: float | None = None
     pm25: float | None = None
-    spectral_dni: Spectrum | Path | None = _ReadOnAccess()
-    _spectrum_file = None  # the path given as spectral_dni, if any
+    spectral_dni: Spectrum | Path | None = None
 
     def __post_init__(self) -> None:
         for fname in ("dni", "gni", "ghi", "dhi"):
             if not 0.0 <= getattr(self, fname) < math.inf:
                 raise ValueError(f"{fname} must be finite and >= 0, got {getattr(self, fname)}")
-        if isinstance(self.spectral_dni, Path):
-            object.__setattr__(self, "_spectrum_file", self.spectral_dni)
-            object.__delattr__(self, "spectral_dni")
-
-    @property
-    def has_spectrum(self) -> bool:
-        """Whether the record carries a spectrum; reads no file."""
-        return self._spectrum_file is not None or self.spectral_dni is not None
 
 
 @dataclass(frozen=True)
@@ -166,7 +145,7 @@ class FieldDay:
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
         object.__setattr__(self, "spectral_records",
-                           tuple(r for r in self.records if r.has_spectrum))
+                           tuple(r for r in self.records if r.spectral_dni is not None))
         ts = [r.timestamp for r in self.records]
         if len({t.utcoffset() is None for t in ts}) > 1:
             raise ValueError(f"field day {self.date}: timestamps must be all naive or all tz-aware")
@@ -212,16 +191,14 @@ class WeekValidation:
 # Filtering rules
 # ---------------------------------------------------------------------------
 
-def validate_week(m: WeeklyMeasurement, cell: CellModel,
-                  spread_threshold: float = SPREAD_THRESHOLD) -> WeekValidation:
+def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
     """Apply the triplicate-spread rejection rule and average the scans.
 
     Computes the soiling transmittance of each replicate pair and its
     average over the cell's full band. If max - min of the three averages
-    exceeds ``spread_threshold`` (in AST units; :data:`SPREAD_THRESHOLD`
-    by default) the week is rejected with reason ``SpreadExceeded``.
-    Otherwise the accepted transmittance is the arithmetic mean of the
-    three replicate curves.
+    exceeds :data:`SPREAD_THRESHOLD` (in AST units) the week is rejected
+    with reason ``SpreadExceeded``. Otherwise the accepted transmittance is
+    the arithmetic mean of the three replicate curves.
     """
     if not m.complete:
         raise IncompleteReplicates(
@@ -234,7 +211,7 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel,
     ]
     asts = tuple(ast(t, cell.full_band) for t in taus)
     spread = max(asts) - min(asts)
-    if spread > spread_threshold:
+    if spread > SPREAD_THRESHOLD:
         return WeekValidation(False, None, "SpreadExceeded", asts, spread)
     grid = union_grid(taus)
     mean_vals = np.mean(
@@ -392,8 +369,7 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
                  days: Iterable[FieldDay],
                  cell: CellModel,
                  aggregation: Aggregation = Aggregation.DAILY_CURRENT_WEIGHTED,
-                 pair: tuple[str, str] | None = None,
-                 spread_threshold: float = SPREAD_THRESHOLD) -> CampaignResult:
+                 pair: tuple[str, str] | None = None) -> CampaignResult:
     """Run the full weekly procedure over a campaign.
 
     Per-week failures are recorded as rejections (with the error kind as
@@ -406,16 +382,15 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     reader's error, which names the file, and ends the run. The outcomes
     are sorted by week id, so the result does not depend on that order.
 
-    A field spectrum held as a path is read here, once per use, and
-    dropped when its week is done: the noon record of the selected day in
-    ``NOON`` mode, every spectral record of that day otherwise. A file
-    that cannot be read ends the run the same way.
+    A field record's ``spectral_dni`` that is a path is read here, once
+    per use, and dropped when its week is done: the noon record of the
+    selected day in ``NOON`` mode, every spectral record of that day
+    otherwise. A file that cannot be read ends the run the same way.
     """
     day_map = {d.date: d for d in days}
     # Unlike a for loop's variable, map keeps no week while it fetches the next one.
     outcomes = sorted(
-        map(lambda m: _week_outcome(m, day_map, cell, aggregation, pair, spread_threshold),
-            weeks),
+        map(lambda m: _week_outcome(m, day_map, cell, aggregation, pair), weeks),
         key=lambda w: w.week_id)
     return CampaignResult(
         weekly=tuple(outcomes),
@@ -427,8 +402,7 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
 
 
 def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cell: CellModel,
-                  aggregation: Aggregation, pair: tuple[str, str] | None,
-                  spread_threshold: float) -> WeeklyOutcome:
+                  aggregation: Aggregation, pair: tuple[str, str] | None) -> WeeklyOutcome:
     """One week of :func:`run_campaign`; a :class:`SoilspecError` becomes its rejection."""
     scan_date = m.scan_date
     tau = None
@@ -439,7 +413,7 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
     accepted = False
     reason: str | None = None
     try:
-        v = validate_week(m, cell, spread_threshold)
+        v = validate_week(m, cell)
         if not v.accepted:
             reason = v.reason
         else:
@@ -448,9 +422,9 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
             spectra_date = day.date
             if aggregation is Aggregation.NOON:
                 rec = _noon_record(day)
-                spectra = [] if rec is None else [rec.spectral_dni]
+                spectra = [] if rec is None else [_spectrum(rec)]
             else:
-                spectra = [r.spectral_dni for r in day.spectral_records]
+                spectra = [_spectrum(r) for r in day.spectral_records]
             if not spectra:
                 reason = "NoSpectralData"
             else:
@@ -474,6 +448,12 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
         ast_full=ast_full,
         ast_by_band=ast_by_band,
     )
+
+
+def _spectrum(record: FieldRecord) -> Spectrum | None:
+    """A record's spectrum, read anew if it is held as a path."""
+    s = record.spectral_dni
+    return read_spectrum_csv(s) if isinstance(s, Path) else s
 
 
 def _summarize(outcomes: Sequence[WeeklyOutcome]) -> dict:
@@ -580,8 +560,8 @@ def read_field_csv(path: str | Path) -> FieldDay:
     """Read one day of field records.
 
     The ``spectrum_file`` column, when present, is a path relative to the
-    CSV's own directory. The spectrum is not read here: the record keeps
-    the path and reads it each time its ``spectral_dni`` is accessed.
+    CSV's own directory. The spectrum is not read here: the record's
+    ``spectral_dni`` is that path, ``path.parent / spectrum_file``.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -618,7 +598,7 @@ def read_field_csv(path: str | Path) -> FieldDay:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _spectrum_file(timestamp: dt.datetime) -> str:
+def _spectrum_name(timestamp: dt.datetime) -> str:
     """A record's spectrum file, relative to the data dir (see :func:`write_field_day`)."""
     fmt = "%Y-%m-%dT%H-%M"
     if timestamp.second or timestamp.microsecond:
@@ -645,7 +625,8 @@ def _write_field_day(day: FieldDay, out_dir: Path, texts: dict[Spectrum, str]) -
     """:func:`write_field_day`, taking each spectrum's CSV text from
     ``texts`` and adding the ones it formats, so a spectrum object that
     several records share is formatted once per ``texts``."""
-    spec_rels = [_spectrum_file(r.timestamp) if r.has_spectrum else "" for r in day.records]
+    spec_rels = [_spectrum_name(r.timestamp) if r.spectral_dni is not None else ""
+                 for r in day.records]
     taken: dict[str, dt.datetime] = {}
     for r, rel in zip(day.records, spec_rels):
         if not rel:
@@ -660,7 +641,7 @@ def _write_field_day(day: FieldDay, out_dir: Path, texts: dict[Spectrum, str]) -
     rows = [FIELD_HEADER]
     for r, spec_rel in zip(day.records, spec_rels):
         if spec_rel:
-            s = r.spectral_dni
+            s = _spectrum(r)
             text = texts.get(s)
             if text is None:
                 text = texts[s] = spectrum_csv_text(s)
@@ -743,23 +724,32 @@ def open_campaign_dir(data_dir: str | Path
     and ``weeks``, or a ``weeks`` entry key other than ``week_id`` and
     ``scan_date``, is a :class:`ConfigError`, and so are two scan files
     that name one week, role and replicate (``week01_soiled_1.csv`` and
-    ``week1_soiled_1.csv``).
+    ``week1_soiled_1.csv``) and two field files whose records fall on one
+    date.
 
     The manifest, the scan file names and every field-file row are read
-    and checked here. A field record's spectrum CSV is not: the record
-    keeps its path and :func:`run_campaign` reads it only for the day a
-    week selects (see :class:`FieldRecord`). Nor are the scans: the
-    returned iterator reads a week's six scans when iteration reaches that
-    week, in week-id order, so a bad scan raises only then. Scans that do
-    not span :data:`SCAN_COVERAGE_NM` draw a warning as they are read;
-    weeks whose scans cannot cover the analysis cell's full band are later
-    rejected by the campaign run. The iterator can be walked once.
+    and checked here. A field record's spectrum CSV is not: the record's
+    ``spectral_dni`` is its path, and :func:`run_campaign` reads it only
+    for the day a week selects (see :class:`FieldRecord`). Nor are the
+    scans: the returned iterator reads a week's six scans when iteration
+    reaches that week, in week-id order, so a bad scan raises only then.
+    Scans that do not span :data:`SCAN_COVERAGE_NM` draw a warning as they
+    are read; weeks whose scans cannot cover the analysis cell's full band
+    are later rejected by the campaign run. The iterator can be walked
+    once.
     """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise FileNotFoundError(f"campaign data dir not found: {data_dir}")
 
-    days = [read_field_csv(p) for p in sorted(data_dir.glob("field_*.csv"))]
+    days, day_files = [], {}
+    for p in sorted(data_dir.glob("field_*.csv")):
+        day = read_field_csv(p)
+        if day.date in day_files:
+            raise ConfigError(f"{data_dir}: {day_files[day.date].name} and {p.name} both "
+                              f"hold field day {day.date}")
+        day_files[day.date] = p
+        days.append(day)
 
     manifest_path = data_dir / "manifest.yaml"
     manifest = read_yaml(manifest_path) if manifest_path.is_file() else {}

@@ -152,7 +152,7 @@ class Spectrum:
             raise ValueError("wavelengths and values must be 1-D and equal length")
         if w.size < 2:
             raise ValueError("a spectrum needs at least 2 samples")
-        if not np.all(np.diff(w) > 0):
+        if not np.all(w[1:] > w[:-1]):  # np.diff can overflow to inf and warn
             raise ValueError("wavelengths must be strictly increasing")
         if not np.all(np.isfinite(v)):
             raise ValueError("spectrum values must be finite")

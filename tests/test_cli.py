@@ -497,6 +497,19 @@ def test_campaign_two_spellings_of_one_scan_name_both_files(small_data, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def test_campaign_two_field_files_of_one_date_name_both_files(small_data, tmp_path, capsys):
+    data = shutil.copytree(small_data, tmp_path / "data")
+    first = sorted(data.glob("field_*.csv"))[0]
+    twin = data / "field_2017-01-03.csv"
+    assert first.name == "field_2017-01-02.csv" and not twin.exists()
+    shutil.copy(first, twin)
+    assert _campaign(data, tmp_path) == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ConfigError"
+    assert first.name in doc["message"] and twin.name in doc["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("column, value", [(1, "nan"), (2, "nan"), (2, "inf"), (4, "nan")])
 def test_campaign_non_finite_irradiance_names_file_and_line(small_data, tmp_path, capsys,
                                                             column, value):

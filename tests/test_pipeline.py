@@ -35,7 +35,7 @@ from soilspec.errors import (
 )
 from soilspec import pipeline
 from soilspec.pipeline import WeeklyOutcome, campaign_fits, read_field_csv, write_field_day
-from soilspec.spectral import write_spectrum_csv
+from soilspec.spectral import read_spectrum_csv, write_spectrum_csv
 
 from conftest import bundled_tau, flat_spectrum, mixed_grid_day
 
@@ -468,7 +468,7 @@ def test_campaign_dir_round_trip(tmp_path, bundled_cell):
         assert len(orig.records) == len(back.records)
         for a, b in zip(orig.spectral_records, back.spectral_records):
             np.testing.assert_array_equal(a.spectral_dni.values,
-                                          b.spectral_dni.values)
+                                          read_spectrum_csv(b.spectral_dni).values)
         assert back.records[0].pm10 == orig.records[0].pm10
 
     # identical campaign results from the round-tripped inputs
@@ -482,20 +482,42 @@ def test_campaign_dir_round_trip(tmp_path, bundled_cell):
         assert direct.to_json() == reloaded.to_json()
 
 
-def test_loaded_field_spectrum_is_read_on_first_access(tmp_path):
+def test_loaded_field_spectrum_is_read_on_first_access(tmp_path, bundled_cell):
     weeks, days = synth_campaign(CampaignScenario(weeks=1, deposition_per_week=0.02))
     out = write_campaign_dir(weeks, days, tmp_path / "campaign")
-    _, (day,) = load_campaign_dir(out)
+    expected = run_campaign(weeks, days, bundled_cell, Aggregation.NOON).to_json()
     spectra = sorted((out / "spectra").iterdir())
-    for path in spectra[1:]:
-        path.unlink()
-    records = day.spectral_records
-    assert len(records) == len(days[0].spectral_records) == len(spectra)
-    assert sum(r.has_spectrum for r in day.records) == len(spectra)
-    np.testing.assert_array_equal(records[0].spectral_dni.values,
-                                  days[0].spectral_records[0].spectral_dni.values)
-    with pytest.raises(FileNotFoundError, match=spectra[1].name):
-        records[1].spectral_dni
+    noon = out / "spectra" / f"{days[0].date.isoformat()}T12-00.csv"
+    assert noon in spectra and len(spectra) == len(days[0].spectral_records)
+    for path in spectra:
+        if path != noon:
+            path.unlink()  # no week of a NOON run uses these
+    result = run_campaign(*load_campaign_dir(out), bundled_cell, Aggregation.NOON)
+    assert result.to_json() == expected
+    noon.unlink()
+    loaded = load_campaign_dir(out)
+    with pytest.raises(FileNotFoundError, match=noon.name):
+        run_campaign(*loaded, bundled_cell, Aggregation.NOON)
+
+
+def test_loaded_field_records_hold_their_spectrum_paths(tmp_path, monkeypatch):
+    weeks, days = synth_campaign(CampaignScenario(weeks=2, deposition_per_week=0.02))
+    out = write_campaign_dir(weeks, days, tmp_path / "campaign")
+    _, loaded = load_campaign_dir(out)
+    _, again = load_campaign_dir(out)
+    for day in loaded:
+        assert len(day.spectral_records) == 7
+        assert [r.spectral_dni for r in day.spectral_records] == [
+            out / f"spectra/{r.timestamp.strftime('%Y-%m-%dT%H-%M')}.csv"
+            for r in day.spectral_records]
+    assert not hasattr(loaded[0].records[0], "__dict__")
+
+    def refuse(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(pipeline, "read_spectrum_csv", refuse)
+    assert loaded == again
+    assert repr(loaded) == repr(again)
 
 
 def test_load_campaign_dir_empty(tmp_path):
@@ -578,7 +600,7 @@ def _spectrum_files(out, day):
     """(record, spectrum file) pairs of a written day, as its field CSV names them."""
     rows = (out / f"field_{day.date.isoformat()}.csv").read_text().splitlines()[1:]
     return [(r, out / row.rsplit(",", 1)[1])
-            for r, row in zip(day.records, rows) if r.has_spectrum]
+            for r, row in zip(day.records, rows) if r.spectral_dni is not None]
 
 
 def test_campaign_dir_formats_each_shared_spectrum_once(tmp_path, monkeypatch):
@@ -622,7 +644,8 @@ def test_sub_minute_records_get_spectrum_files_of_their_own(tmp_path):
     back = read_field_csv(path)
     assert [r.timestamp for r in back.records] == [r.timestamp for r in records]
     for orig, loaded in zip(records, back.records):
-        np.testing.assert_array_equal(loaded.spectral_dni.values, orig.spectral_dni.values)
+        np.testing.assert_array_equal(read_spectrum_csv(loaded.spectral_dni).values,
+                                      orig.spectral_dni.values)
 
 
 def test_spectrum_file_name_clash_across_an_offset_change_is_refused(tmp_path):
