@@ -29,6 +29,7 @@ import json
 import math
 import re
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -618,23 +619,31 @@ def write_field_day(day: FieldDay, out_dir: str | Path) -> Path:
     time, and so a name; that raises ``ValueError`` naming the day and
     both timestamps before any file of the day is written.
     """
-    return _write_field_day(day, Path(out_dir), {})
+    return _write_field_day(day, Path(out_dir), {}, _spectrum_names(day))
 
 
-def _write_field_day(day: FieldDay, out_dir: Path, texts: dict[Spectrum, str]) -> Path:
-    """:func:`write_field_day`, taking each spectrum's CSV text from
-    ``texts`` and adding the ones it formats, so a spectrum object that
-    several records share is formatted once per ``texts``."""
-    spec_rels = [_spectrum_name(r.timestamp) if r.spectral_dni is not None else ""
-                 for r in day.records]
+def _spectrum_names(day: FieldDay) -> list[str]:
+    """Each record's spectrum file name (``""`` without a spectrum); a name
+    two records would share raises ``ValueError``."""
+    names = [_spectrum_name(r.timestamp) if r.spectral_dni is not None else ""
+             for r in day.records]
     taken: dict[str, dt.datetime] = {}
-    for r, rel in zip(day.records, spec_rels):
+    for r, rel in zip(day.records, names):
         if not rel:
             continue
         if rel in taken:
             raise ValueError(f"field day {day.date}: records at {taken[rel].isoformat()} and "
                              f"{r.timestamp.isoformat()} would both write {rel}")
         taken[rel] = r.timestamp
+    return names
+
+
+def _write_field_day(day: FieldDay, out_dir: Path, texts: dict[Spectrum, str],
+                     spec_rels: list[str]) -> Path:
+    """:func:`write_field_day` with the names of :func:`_spectrum_names`,
+    taking each spectrum's CSV text from ``texts`` and adding the ones it
+    formats, so a spectrum object that several records share is formatted
+    once per ``texts``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if day.spectral_records:
         (out_dir / "spectra").mkdir(exist_ok=True)
@@ -662,16 +671,33 @@ def _write_field_day(day: FieldDay, out_dir: Path, texts: dict[Spectrum, str]) -
     return path
 
 
+def _write_scans(m: WeeklyMeasurement, out_dir: Path) -> None:
+    """Write one week's coupon scans; :func:`write_campaign_dir` runs it in
+    its helper process."""
+    for role, scans in (("soiled", m.soiled_scans), ("control", m.control_scans)):
+        for rep, scan in enumerate(scans, start=1):
+            write_spectrum_csv(scan, out_dir / f"week{m.week_id:02d}_{role}_{rep}.csv")
+
+
 def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
                        days: Sequence[FieldDay],
                        out_dir: str | Path) -> Path:
     """Write a complete campaign data directory the loader can ingest.
 
-    A negative or repeated week id, or two field days of one date, would
-    write files the loader skips or reads as one, so each raises
-    ``ValueError`` naming it before any file is written. A spectrum object
-    that several field records share is formatted once and its text
-    written to each record's file.
+    A negative or repeated week id, two field days of one date, or two
+    records of one day whose spectra would share a file name (see
+    :func:`write_field_day`) would write files the loader skips or reads
+    as one, so each raises ``ValueError`` naming it. Every check runs
+    before any file is written.
+
+    One helper process writes the weekly coupon scans, a week per task,
+    while this process writes the field days; the manifest is written
+    last. A spectrum object that several field records share is formatted
+    once and its text written to each record's file. If either side
+    fails, the helper's pending weeks are cancelled and the first error is
+    raised: this process's own, or else the scan write of the earliest
+    week that failed, with its type and file name. A helper that dies
+    raises ``OSError`` naming ``out_dir``.
     """
     weeks = sorted(weeks, key=lambda w: w.week_id)
     days = sorted(days, key=lambda d: d.date)
@@ -683,16 +709,30 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
     for a, b in zip(days, days[1:]):
         if a.date == b.date:
             raise ValueError(f"field day {b.date} appears more than once")
+    spec_rels = [_spectrum_names(day) for day in days]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for m in weeks:
-        for rep, scan in enumerate(m.soiled_scans, start=1):
-            write_spectrum_csv(scan, out_dir / f"week{m.week_id:02d}_soiled_{rep}.csv")
-        for rep, scan in enumerate(m.control_scans, start=1):
-            write_spectrum_csv(scan, out_dir / f"week{m.week_id:02d}_control_{rep}.csv")
-    texts: dict[Spectrum, str] = {}
-    for day in days:
-        _write_field_day(day, out_dir, texts)
+    # Imported here: multiprocessing costs every `import soilspec` about 16 ms.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(max_workers=1) as helper:
+        pending: deque = deque()
+        try:
+            pending.extend(helper.submit(_write_scans, m, out_dir) for m in weeks)
+            texts: dict[Spectrum, str] = {}
+            for day, names in zip(days, spec_rels):
+                while pending and pending[0].done():
+                    pending.popleft().result()  # a failed week stops the field days too
+                _write_field_day(day, out_dir, texts, names)
+            while pending:
+                pending.popleft().result()
+        except BrokenProcessPool as exc:
+            raise OSError(f"{out_dir}: the process writing the coupon scans "
+                          f"ended unexpectedly") from exc
+        finally:
+            for f in pending:
+                f.cancel()
     manifest: dict = {"cadence_days": CADENCE_DAYS}
     if weeks:
         first = weeks[0]

@@ -216,7 +216,7 @@ def resample(s: Spectrum, grid: Sequence[float] | np.ndarray) -> Spectrum:
         # Single-point lookups go through value_at; a Spectrum needs >= 2
         # samples.
         raise ValueError("grid must be 1-D with at least 2 points; use value_at")
-    if not np.all(np.diff(g) > 0):
+    if not np.all(g[1:] > g[:-1]):  # np.diff can overflow to inf and warn
         raise ValueError("grid must be strictly increasing")
     lo, hi = s.support
     if g[0] < lo or g[-1] > hi:

@@ -2,6 +2,7 @@ import copy
 import datetime as dt
 import hashlib
 import json
+import os
 import shutil
 
 import numpy as np
@@ -138,6 +139,34 @@ def test_synth_tree_bytes_are_pinned(tmp_path, capsys):
     for name, data in sorted(tree.items()):
         digest.update(name.encode() + b"\0" + data)
     assert digest.hexdigest() == "a07625c34b631f0ee2d1b265ea7f10bba5027fcac3d762b1ed0540c944de0426"
+
+
+def test_synth_scan_write_failure_names_its_file(tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 3\ndeposition_per_week: 0.02\n")
+    blocked = tmp_path / "data" / "week02_control_2.csv"
+    blocked.mkdir(parents=True)  # a directory where the helper writes a scan
+    assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "IsADirectoryError" and str(blocked) in doc["message"]
+
+
+def _helper_dies(*args):
+    os._exit(1)
+
+
+def test_synth_dead_helper_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 3\ndeposition_per_week: 0.02\n")
+    monkeypatch.setattr(pipeline, "_write_scans", _helper_dies)
+    out = tmp_path / "data"
+    assert main(["synth", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "OSError" and str(out) in doc["message"]
 
 
 def test_synth_campaign_round_trip(tmp_path, capsys):

@@ -1,6 +1,10 @@
-"""No soilspec module reaches into another module's private names."""
+"""No soilspec module reaches into another module's private names, and
+importing the package stays light."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,13 @@ def test_checker_allows_public_and_own_private_names():
         "class A:\n    def f(self):\n        return self._x\n"
     )
     assert private_cross_module_uses(source) == []
+
+
+def test_import_leaves_multiprocessing_unimported():
+    # write_campaign_dir imports its process pool when it runs, so that
+    # every `import soilspec` does not pay for multiprocessing.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    code = "import sys, soilspec; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -605,22 +605,24 @@ def _spectrum_files(out, day):
 
 def test_campaign_dir_formats_each_shared_spectrum_once(tmp_path, monkeypatch):
     weeks, days = synth_campaign(CampaignScenario(weeks=3, deposition_per_week=0.02, seed=5))
-    formats, scan_writes = [], []
-    csv_text, write_csv = pipeline.spectrum_csv_text, pipeline.write_spectrum_csv
+    formats = []
+    csv_text = pipeline.spectrum_csv_text
 
     def counted_text(s):
         formats.append(s)
         return csv_text(s)
 
-    def counted_write(s, path):
-        scan_writes.append(path)
-        write_csv(s, path)
-
     monkeypatch.setattr(pipeline, "spectrum_csv_text", counted_text)
-    monkeypatch.setattr(pipeline, "write_spectrum_csv", counted_write)
     out = write_campaign_dir(weeks, days, tmp_path / "campaign")
     assert len(formats) == 7  # the seven hourly spectra the 3 days share, not 21
-    assert len(scan_writes) == 18
+    # The scans are written by the helper process, so they are checked on disk.
+    scan_files = {out / f"week{m.week_id:02d}_{role}_{rep}.csv": scan
+                  for m in weeks
+                  for role, scans in (("soiled", m.soiled_scans), ("control", m.control_scans))
+                  for rep, scan in enumerate(scans, start=1)}
+    assert sorted(out.glob("week*_*.csv")) == sorted(scan_files) and len(scan_files) == 18
+    for path, scan in scan_files.items():
+        assert path.read_text(encoding="utf-8") == csv_text(scan), path.name
     pairs = [pair for day in days for pair in _spectrum_files(out, day)]
     assert sorted(path for _, path in pairs) == sorted((out / "spectra").iterdir())
     assert len(pairs) == 21
@@ -659,6 +661,19 @@ def test_spectrum_file_name_clash_across_an_offset_change_is_refused(tmp_path):
     with pytest.raises(ValueError, match="2017-11-05") as info:
         write_campaign_dir([], [FieldDay(date=day, records=records)], out)
     assert all(ts.isoformat() in str(info.value) for ts in stamps)
+    assert not list(out.rglob("*"))
+
+
+def test_spectrum_file_name_clash_is_refused_before_any_scan_is_written(tmp_path):
+    stamps = [dt.datetime(2017, 11, 5, 1, 30, tzinfo=dt.timezone(dt.timedelta(hours=h)))
+              for h in (-4, -5)]
+    clash = FieldDay(date=dt.date(2017, 11, 5), records=tuple(
+        FieldRecord(timestamp=ts, dni=800.0, gni=1000.0,
+                    spectral_dni=flat_spectrum(300.0, 900.0, 1.0)) for ts in stamps))
+    weeks = [measurement([0.9] * 3, week_id=w) for w in range(3)]
+    out = tmp_path / "c"
+    with pytest.raises(ValueError, match="2017-11-05"):
+        write_campaign_dir(weeks, [clear_day(DATE), clash], out)
     assert not list(out.rglob("*"))
 
 
