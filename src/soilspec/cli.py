@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__
-from .cell import CellModel, load_cell, reference_spectrum_path
+from .cell import load_cell, reference_spectrum_path
 from .errors import (
     ConfigError,
     EmptyScenario,
@@ -54,16 +54,6 @@ def _version_string() -> str:
     return f"soilspec {__version__} (reference spectrum sha256 {_reference_hash()})"
 
 
-def _parse_pair(text: str | None, cell: CellModel) -> tuple[str, str] | None:
-    if text is None:
-        return None
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2 or not set(parts) <= set(cell.junction_names):
-        raise ConfigError(f"--pair must name two of the junctions "
-                          f"{list(cell.junction_names)} of cell {cell.name!r}, got {text!r}")
-    return parts[0], parts[1]
-
-
 def _json_chunks(doc: dict) -> Iterator[str]:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, in chunks."""
     yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
@@ -74,7 +64,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     e = read_spectrum_csv(args.e_file)
     tau = read_spectrum_csv(args.tau_file)
     cell = load_cell(args.cell)
-    report = index_report(e, cell, tau, pair=_parse_pair(args.pair, cell))
+    report = index_report(e, cell, tau)
     print(report.to_json())
     return 0
 
@@ -84,14 +74,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if not data_dir:
         raise ConfigError(f"no data dir: pass --data or set {DATA_DIR_ENV}")
     cell = load_cell(args.cell)
-    pair = _parse_pair(args.pair, cell)
     weeks, days = open_campaign_dir(data_dir)  # scans are read week by week by run_campaign
     result = run_campaign(
         weeks,
         days,
         cell,
         aggregation=Aggregation(args.aggregation),
-        pair=pair,
     )
     del days  # free the field records before encoding, which sets the peak memory
     fits = campaign_fits(result)
@@ -132,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("e_file", help="direct spectral irradiance CSV")
     p.add_argument("tau_file", help="soiling transmittance CSV")
     p.add_argument("--cell", required=True, help="cell config YAML")
-    p.add_argument("--pair", default=None, help="SMR junction pair, e.g. top,mid")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("campaign", help="run the weekly campaign pipeline on a data dir")
@@ -142,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dir for campaign.json/weekly.csv/fits.json")
     p.add_argument("--aggregation", choices=[a.value for a in Aggregation],
                    default=Aggregation.DAILY_CURRENT_WEIGHTED.value)
-    p.add_argument("--pair", default=None, help="SMR junction pair, e.g. top,mid")
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("synth", help="generate a synthetic campaign data dir")

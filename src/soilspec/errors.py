@@ -68,6 +68,10 @@ class ZeroCurrent(SoilspecError):
     """A junction current needed in a ratio denominator is zero."""
 
 
+class NonFiniteIndex(SoilspecError):
+    """An index came out infinite or NaN because an integral overflowed."""
+
+
 # --- pipeline --------------------------------------------------------------
 
 class IncompleteReplicates(SoilspecError):

@@ -16,25 +16,31 @@ full band.
 * ``ast``     - average of the soiling transmittance over a waveband,
   reported per band of ``CellModel.bands``.
 
+SMR and SMratio take the cell's first two junctions, the top and middle
+subcells of a standard stack.
+
 The standalone functions and the report share each formula and its zero
-guard; a report with a zero index raises ``ZeroCurrent``, so a campaign
-rejects that week. The identities sratio == bsratio * ssratio and
-smratio == smr_soiled / smr_cleaned hold to floating-point round-off by
-construction.
+and finiteness guards; a report with a zero index raises ``ZeroCurrent``,
+and an infinite or NaN index (an integral that overflowed) raises
+``NonFiniteIndex``, so a campaign rejects that week. The identities
+sratio == bsratio * ssratio and smratio == smr_soiled / smr_cleaned hold
+to floating-point round-off by construction.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cell import CellModel, Junction, jsc_cell, jsc_junction, stack_current
+from .cell import CellModel, jsc_cell, jsc_junction, stack_current
 from .errors import (
     ControlBelowFloor,
+    NonFiniteIndex,
     ZeroCleanCurrent,
     ZeroCurrent,
     ZeroDenominator,
@@ -121,21 +127,6 @@ def ast(tau: Spectrum, band: Waveband) -> float:
     return integrate(tau, band) / band.width_nm
 
 
-# ---------------------------------------------------------------------------
-# Current bookkeeping shared by the single-spectrum and daily-weighted paths
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Currents:
-    """Cleaned/soiled junction currents and broadband integrals, summed
-    over one or more irradiance spectra."""
-
-    cleaned: dict[str, float]
-    soiled: dict[str, float]
-    broadband_cleaned: float
-    broadband_soiled: float
-
-
 def _sum_by_grid(spectra: Sequence[Spectrum]) -> list[Spectrum]:
     """One irradiance spectrum per distinct wavelength grid, in first-seen
     order, holding the sum of the values of the spectra on that grid."""
@@ -150,57 +141,32 @@ def _sum_by_grid(spectra: Sequence[Spectrum]) -> list[Spectrum]:
     ]
 
 
-def _accumulate_currents(spectra: Sequence[Spectrum], cell: CellModel,
-                         tau: Spectrum) -> _Currents:
-    require_kind(tau, Kind.TRANSMITTANCE, "soiling transmittance")
-    for e in spectra:
-        require_kind(e, Kind.IRRADIANCE, "irradiance spectrum")
-    # Every current and broadband integral is linear in E (interpolation,
-    # product and trapezoid alike), so the sum over spectra sharing a grid
-    # equals the integral of their summed values.
-    spectra = _sum_by_grid(spectra)
-    cleaned = {j.name: 0.0 for j in cell.junctions}
-    soiled = {j.name: 0.0 for j in cell.junctions}
-    b_clean = 0.0
-    b_soil = 0.0
-    for e in spectra:
-        for j in cell.junctions:
-            cleaned[j.name] += jsc_junction(e, j)
-            soiled[j.name] += jsc_junction(e, j, tau)
-        b_clean += integrate(e, cell.full_band)
-        b_soil += integrate_product(e, tau, band=cell.full_band)
-    return _Currents(cleaned, soiled, b_clean, b_soil)
-
-
-def _resolve_pair(cell: CellModel, pair: tuple[str, str] | None) -> tuple[Junction, Junction]:
-    if pair is None:
-        # The first two junctions of a standard stack are top and mid.
-        ji, jj = cell.junctions[0], cell.junctions[1]
-    else:
-        ji, jj = cell.junction(pair[0]), cell.junction(pair[1])
-    if ji.name == jj.name:
-        raise ValueError(f"SMR pair must name two distinct junctions, got {ji.name!r}")
-    return ji, jj
-
-
 # ---------------------------------------------------------------------------
 # Index operations
 # ---------------------------------------------------------------------------
 
 def _ratio(num: float, den: float, error: type[Exception], what: str) -> float:
-    """num / den, raising ``error`` when the denominator is zero."""
+    """num / den, raising ``error`` when the denominator is zero and
+    :class:`NonFiniteIndex` when the quotient is infinite or NaN."""
     if den == 0.0:
         raise error(f"{what} is zero")
-    return num / den
+    q = num / den
+    if not math.isfinite(q):
+        raise NonFiniteIndex(f"ratio to the {what} is {q} ({num} / {den})")
+    return q
 
 
-def _matching(num: Mapping[str, float], den: Mapping[str, float],
-              ji: Junction, jj: Junction) -> float:
-    """The matching-ratio form (num_i / num_j) * (den_j / den_i) of SMR and SMratio."""
-    i, j = ji.name, jj.name
+def _matching(num: Mapping[str, float], den: Mapping[str, float], cell: CellModel) -> float:
+    """The matching-ratio form (num_i / num_j) * (den_j / den_i) of SMR and
+    SMratio, i and j being the cell's first two junctions (top and mid)."""
+    i, j = cell.junction_names[:2]
     if num[j] == 0.0 or den[i] == 0.0:
         raise ZeroCurrent(f"matching-ratio denominator is zero ({j}: {num[j]}, {i}: {den[i]})")
-    return (num[i] / num[j]) * (den[j] / den[i])
+    m = (num[i] / num[j]) * (den[j] / den[i])
+    if not math.isfinite(m):
+        raise NonFiniteIndex(f"{i}/{j} matching ratio is {m} "
+                             f"({i}: {num[i]} / {den[i]}, {j}: {num[j]} / {den[j]})")
+    return m
 
 
 def sratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:
@@ -225,31 +191,27 @@ def ssratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:
     return _ratio(sratio(e, cell, tau), b, ZeroDenominator, "broadband soiling ratio")
 
 
-def smr(e: Spectrum, cell: CellModel, tau: Spectrum | None = None,
-        pair: tuple[str, str] | None = None) -> float:
-    """Spectral matching ratio of an ordered junction pair.
+def smr(e: Spectrum, cell: CellModel, tau: Spectrum | None = None) -> float:
+    """Spectral matching ratio of the cell's first two junctions (top/mid).
 
-    (J_i / J_j) * (J_j* / J_i*) with the starred currents taken under the
-    cell's reference spectrum. With ``tau`` the currents are the soiled
-    ones; without it, the cleaned ones.
+    (J_top / J_mid) * (J_mid* / J_top*) with the starred currents taken
+    under the cell's reference spectrum. With ``tau`` the currents are the
+    soiled ones; without it, the cleaned ones.
     """
-    ji, jj = _resolve_pair(cell, pair)
-    currents = {j.name: jsc_junction(e, j, tau) for j in (ji, jj)}
-    return _matching(currents, cell.reference_currents, ji, jj)
+    currents = {j.name: jsc_junction(e, j, tau) for j in cell.junctions[:2]}
+    return _matching(currents, cell.reference_currents, cell)
 
 
-def smratio(e: Spectrum, cell: CellModel, tau: Spectrum,
-            pair: tuple[str, str] | None = None) -> float:
-    """Soiling mismatch ratio of an ordered junction pair.
+def smratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:
+    """Soiling mismatch ratio of the cell's first two junctions (top/mid).
 
     Soiled-to-cleaned SMR. The reference currents cancel, so this is
-    computed as (J_soiled_i / J_soiled_j) * (J_cleaned_j / J_cleaned_i)
+    computed as (J_soiled_top / J_soiled_mid) * (J_cleaned_mid / J_cleaned_top)
     and works for cells without calibrated reference currents.
     """
-    ji, jj = _resolve_pair(cell, pair)
-    soiled = {j.name: jsc_junction(e, j, tau) for j in (ji, jj)}
-    cleaned = {j.name: jsc_junction(e, j) for j in (ji, jj)}
-    return _matching(soiled, cleaned, ji, jj)
+    soiled = {j.name: jsc_junction(e, j, tau) for j in cell.junctions[:2]}
+    cleaned = {j.name: jsc_junction(e, j) for j in cell.junctions[:2]}
+    return _matching(soiled, cleaned, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +242,8 @@ class IndexReport:
 
     def __post_init__(self) -> None:
         for fname in ("sratio", "bsratio", "ssratio", "smr_cleaned", "smr_soiled", "smratio"):
-            if getattr(self, fname) <= 0.0:
-                raise ValueError(f"{fname} must be > 0")
+            if not 0.0 < getattr(self, fname) < math.inf:
+                raise ValueError(f"{fname} must be finite and > 0")
         if abs(self.sratio - self.bsratio * self.ssratio) > _IDENTITY_RTOL * abs(self.sratio):
             raise ValueError("identity sratio = bsratio * ssratio violated")
         if abs(self.smratio - self.smr_soiled / self.smr_cleaned) > _IDENTITY_RTOL * abs(self.smratio):
@@ -320,8 +282,7 @@ class IndexReport:
 
 
 def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
-                          tau: Spectrum,
-                          pair: tuple[str, str] | None = None) -> IndexReport:
+                          tau: Spectrum) -> IndexReport:
     """Indexes from per-junction currents summed over several spectra.
 
     This is the daily-current-weighted aggregation: every current and
@@ -336,21 +297,31 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     """
     if len(spectra) == 0:
         raise ValueError("need at least one irradiance spectrum")
-    cur = _accumulate_currents(spectra, cell, tau)
-    clean = stack_current(cur.cleaned, cell)
-    soiled = stack_current(cur.soiled, cell)
-    sr = _ratio(soiled.value, clean.value, ZeroCleanCurrent, "cleaned stack current")
-    bs = _ratio(cur.broadband_soiled, cur.broadband_cleaned, ZeroDenominator,
-                "broadband irradiance integral")
+    require_kind(tau, Kind.TRANSMITTANCE, "soiling transmittance")
+    for e in spectra:
+        require_kind(e, Kind.IRRADIANCE, "irradiance spectrum")
+    cleaned = {j.name: 0.0 for j in cell.junctions}
+    soiled = {j.name: 0.0 for j in cell.junctions}
+    b_clean = 0.0
+    b_soil = 0.0
+    for e in _sum_by_grid(spectra):
+        for j in cell.junctions:
+            cleaned[j.name] += jsc_junction(e, j)
+            soiled[j.name] += jsc_junction(e, j, tau)
+        b_clean += integrate(e, cell.full_band)
+        b_soil += integrate_product(e, tau, band=cell.full_band)
+    clean_stack = stack_current(cleaned, cell)
+    soiled_stack = stack_current(soiled, cell)
+    sr = _ratio(soiled_stack.value, clean_stack.value, ZeroCleanCurrent, "cleaned stack current")
+    bs = _ratio(b_soil, b_clean, ZeroDenominator, "broadband irradiance integral")
     ss = _ratio(sr, bs, ZeroDenominator, "broadband soiling ratio")
-    ji, jj = _resolve_pair(cell, pair)
     indexes = {
         "sratio": sr,
         "bsratio": bs,
         "ssratio": ss,
-        "smr_cleaned": _matching(cur.cleaned, cell.reference_currents, ji, jj),
-        "smr_soiled": _matching(cur.soiled, cell.reference_currents, ji, jj),
-        "smratio": _matching(cur.soiled, cur.cleaned, ji, jj),
+        "smr_cleaned": _matching(cleaned, cell.reference_currents, cell),
+        "smr_soiled": _matching(soiled, cell.reference_currents, cell),
+        "smratio": _matching(soiled, cleaned, cell),
     }
     zero = [name for name, value in indexes.items() if value == 0.0]
     if zero:
@@ -358,12 +329,11 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     return IndexReport(
         **indexes,
         ast={b.name: ast(tau, b) for b in cell.bands},
-        limiting_cleaned=clean.limiting,
-        limiting_soiled=soiled.limiting,
+        limiting_cleaned=clean_stack.limiting,
+        limiting_soiled=soiled_stack.limiting,
     )
 
 
-def index_report(e: Spectrum, cell: CellModel, tau: Spectrum,
-                 pair: tuple[str, str] | None = None) -> IndexReport:
+def index_report(e: Spectrum, cell: CellModel, tau: Spectrum) -> IndexReport:
     """All indexes for a single irradiance spectrum."""
-    return index_report_weighted([e], cell, tau, pair)
+    return index_report_weighted([e], cell, tau)

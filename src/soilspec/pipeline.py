@@ -132,6 +132,10 @@ class FieldRecord:
         for fname in ("dni", "gni", "ghi", "dhi"):
             if not 0.0 <= getattr(self, fname) < math.inf:
                 raise ValueError(f"{fname} must be finite and >= 0, got {getattr(self, fname)}")
+        for fname in ("rainfall_mm", "pm10", "pm25"):
+            value = getattr(self, fname)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{fname} must be finite and >= 0 when given, got {value}")
 
 
 @dataclass(frozen=True)
@@ -369,8 +373,7 @@ def _noon_record(day: FieldDay) -> FieldRecord | None:
 def run_campaign(weeks: Iterable[WeeklyMeasurement],
                  days: Iterable[FieldDay],
                  cell: CellModel,
-                 aggregation: Aggregation = Aggregation.DAILY_CURRENT_WEIGHTED,
-                 pair: tuple[str, str] | None = None) -> CampaignResult:
+                 aggregation: Aggregation = Aggregation.DAILY_CURRENT_WEIGHTED) -> CampaignResult:
     """Run the full weekly procedure over a campaign.
 
     Per-week failures are recorded as rejections (with the error kind as
@@ -391,7 +394,7 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     day_map = {d.date: d for d in days}
     # Unlike a for loop's variable, map keeps no week while it fetches the next one.
     outcomes = sorted(
-        map(lambda m: _week_outcome(m, day_map, cell, aggregation, pair), weeks),
+        map(lambda m: _week_outcome(m, day_map, cell, aggregation), weeks),
         key=lambda w: w.week_id)
     return CampaignResult(
         weekly=tuple(outcomes),
@@ -403,7 +406,7 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
 
 
 def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cell: CellModel,
-                  aggregation: Aggregation, pair: tuple[str, str] | None) -> WeeklyOutcome:
+                  aggregation: Aggregation) -> WeeklyOutcome:
     """One week of :func:`run_campaign`; a :class:`SoilspecError` becomes its rejection."""
     scan_date = m.scan_date
     tau = None
@@ -429,7 +432,7 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
             if not spectra:
                 reason = "NoSpectralData"
             else:
-                report = index_report_weighted(spectra, cell, tau, pair)
+                report = index_report_weighted(spectra, cell, tau)
                 accepted = True
     except SoilspecError as exc:
         reason = exc.kind
@@ -684,11 +687,12 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
                        out_dir: str | Path) -> Path:
     """Write a complete campaign data directory the loader can ingest.
 
-    A negative or repeated week id, two field days of one date, or two
-    records of one day whose spectra would share a file name (see
-    :func:`write_field_day`) would write files the loader skips or reads
-    as one, so each raises ``ValueError`` naming it. Every check runs
-    before any file is written.
+    A negative or repeated week id, a week without scans or with more
+    than three of one role, two field days of one date, or two records of
+    one day whose spectra would share a file name (see
+    :func:`write_field_day`) would write files the loader skips, drops or
+    reads as one, so each raises ``ValueError`` naming it. Every check
+    runs before any file is written.
 
     One helper process writes the weekly coupon scans, a week per task,
     while this process writes the field days; the manifest is written
@@ -706,6 +710,13 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
     for a, b in zip(weeks, weeks[1:]):
         if a.week_id == b.week_id:
             raise ValueError(f"week id {b.week_id} appears more than once")
+    for m in weeks:
+        if not m.soiled_scans and not m.control_scans:
+            raise ValueError(f"week id {m.week_id} has no scans, so no file would hold it")
+        for role, scans in (("soiled", m.soiled_scans), ("control", m.control_scans)):
+            if len(scans) > 3:
+                raise ValueError(f"week id {m.week_id} has {len(scans)} {role} scans; "
+                                 f"scan files are numbered 1 to 3")
     for a, b in zip(days, days[1:]):
         if a.date == b.date:
             raise ValueError(f"field day {b.date} appears more than once")
@@ -762,10 +773,10 @@ def open_campaign_dir(data_dir: str | Path
     start + cadence * week offset) plus explicit per-week ``scan_date``
     overrides. A manifest key other than ``start_date``, ``cadence_days``
     and ``weeks``, or a ``weeks`` entry key other than ``week_id`` and
-    ``scan_date``, is a :class:`ConfigError`, and so are two scan files
-    that name one week, role and replicate (``week01_soiled_1.csv`` and
-    ``week1_soiled_1.csv``) and two field files whose records fall on one
-    date.
+    ``scan_date``, is a :class:`ConfigError`, and so are a week id that
+    ``weeks`` lists twice, two scan files that name one week, role and
+    replicate (``week01_soiled_1.csv`` and ``week1_soiled_1.csv``) and two
+    field files whose records fall on one date.
 
     The manifest, the scan file names and every field-file row are read
     and checked here. A field record's spectrum CSV is not: the record's
@@ -812,8 +823,10 @@ def open_campaign_dir(data_dir: str | Path
 
     overrides = {}
     for e in typed(manifest, "weeks", list, manifest_path, default=[]):
-        overrides[typed(e, "week_id", int, manifest_path)] = typed(
-            e, "scan_date", dt.date, manifest_path, default=None)
+        wid = typed(e, "week_id", int, manifest_path)
+        if wid in overrides:
+            raise ConfigError(f"{manifest_path}: week_id {wid} appears more than once in weeks")
+        overrides[wid] = typed(e, "scan_date", dt.date, manifest_path, default=None)
         reject_unknown_keys(e, ("week_id", "scan_date"), manifest_path, "manifest week")
 
     cadence = typed(manifest, "cadence_days", int, manifest_path, default=CADENCE_DAYS,

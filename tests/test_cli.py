@@ -1,9 +1,12 @@
+import argparse
 import copy
 import datetime as dt
 import hashlib
 import json
 import os
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from soilspec import (
     write_spectrum_csv,
 )
 from soilspec.cell import bundled_cell_config_path, reference_spectrum_path
-from soilspec.cli import main
+from soilspec.cli import build_parser, main
 
 from conftest import flat_spectrum, linear_spectrum
 
@@ -251,6 +254,7 @@ def _assert_config_error(rc, capsys, name):
     doc = json.loads(err)
     assert doc["error"] == "ConfigError"
     assert name in doc["message"]
+    return doc
 
 
 def test_campaign_manifest_week_without_id(tmp_path, capsys):
@@ -265,6 +269,24 @@ def test_campaign_manifest_week_without_id(tmp_path, capsys):
     rc = main(["campaign", "--cell", str(bundled_cell_config_path()),
                "--data", str(data), "--out", str(tmp_path / "out")])
     _assert_config_error(rc, capsys, "manifest.yaml")
+
+
+def test_campaign_manifest_week_listed_twice(tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 3\ndeposition_per_week: 0.02\nseed: 5\n")
+    data = tmp_path / "data"
+    assert main(["synth", "--scenario", str(scenario), "--out", str(data)]) == 0
+    (data / "manifest.yaml").write_text(
+        "start_date: 2017-01-02\nweeks:\n"
+        "  - {week_id: 2, scan_date: 2017-01-09}\n"
+        "  - {week_id: 2, scan_date: 2017-01-16}\n"
+    )
+    capsys.readouterr()
+    rc = main(["campaign", "--cell", str(bundled_cell_config_path()),
+               "--data", str(data), "--out", str(tmp_path / "out")])
+    doc = _assert_config_error(rc, capsys, "manifest.yaml")
+    assert "week_id 2 " in doc["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_campaign_manifest_weeks_not_a_list(tmp_path, capsys):
@@ -319,7 +341,7 @@ def test_campaign_pair_with_zero_soiled_stack_current_rejects_week(tmp_path, cap
                                                      scan.values)), scan_path)
     out = tmp_path / "out"
     rc = main(["campaign", "--cell", str(bundled_cell_config_path()),
-               "--data", str(data), "--out", str(out), "--pair", "mid,bot"])
+               "--data", str(data), "--out", str(out)])
     assert rc == 0
     capsys.readouterr()
     weeks = json.loads((out / "campaign.json").read_text())["weeks"]
@@ -539,7 +561,8 @@ def test_campaign_two_field_files_of_one_date_name_both_files(small_data, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("column, value", [(1, "nan"), (2, "nan"), (2, "inf"), (4, "nan")])
+@pytest.mark.parametrize("column, value", [(1, "nan"), (2, "nan"), (2, "inf"), (4, "nan"),
+                                           (5, "nan"), (6, "-5.0"), (7, "inf")])
 def test_campaign_non_finite_irradiance_names_file_and_line(small_data, tmp_path, capsys,
                                                             column, value):
     data = shutil.copytree(small_data, tmp_path / "data")
@@ -566,20 +589,6 @@ def test_campaign_field_day_mixing_naive_and_aware_timestamps(small_data, tmp_pa
     doc = _one_error(capsys)
     assert doc["error"] == "ValueError"
     assert f"{field.name}: " in doc["message"] and "all naive or all tz-aware" in doc["message"]
-
-
-@pytest.mark.parametrize("command", ["campaign", "compute"])
-def test_pair_names_checked_against_cell(small_data, tmp_path, capsys, command):
-    if command == "campaign":
-        rc = _campaign(small_data, tmp_path, "--pair", "top,foo")
-    else:
-        write_spectrum_csv(flat_spectrum(280, 4000, 0.9, Kind.TRANSMITTANCE), tmp_path / "tau.csv")
-        rc = main(["compute", str(reference_spectrum_path()), str(tmp_path / "tau.csv"),
-                   "--cell", str(bundled_cell_config_path()), "--pair", "top,foo"])
-    assert rc == 1
-    doc = _one_error(capsys)
-    assert doc["error"] == "ConfigError"
-    assert "'top,foo'" in doc["message"] and "['top', 'mid', 'bot']" in doc["message"]
 
 
 @pytest.fixture(scope="module")
@@ -695,3 +704,16 @@ def test_config_error_names_file_once(small_data, tmp_path, capsys, name, old, n
     assert doc["error"] == "ConfigError"
     assert doc["message"].startswith(f"{path}: ") and doc["message"].count(path.name) == 1
     assert fragment in doc["message"]
+
+
+def test_readme_command_line_block_lists_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        documented = {flag for line in lines if line.split()[:2] == ["soilspec", command]
+                      for flag in re.findall(r"--[a-z][a-z-]*", line)}
+        assert documented == flags - {"--help"}, command

@@ -28,6 +28,7 @@ from soilspec import (
 from soilspec.errors import (
     ControlBelowFloor,
     KindMismatch,
+    NonFiniteIndex,
     NoOverlap,
     ZeroCleanCurrent,
     ZeroCurrent,
@@ -207,11 +208,8 @@ def test_smratio_blue_heavy_below_one(toy2j, flat_e):
 
 
 def test_smr_pairwise(bundled_cell, reference):
-    # any ordered pair is accepted; reference normalisation holds per pair
-    for pair in (("top", "mid"), ("mid", "bot"), ("top", "bot"), ("mid", "top")):
-        assert smr(reference, bundled_cell, pair=pair) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError, match="distinct"):
-        smr(reference, bundled_cell, pair=("top", "top"))
+    # the top/mid SMR is normalised to 1 under the reference spectrum
+    assert smr(reference, bundled_cell) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_smratio_equals_smr_quotient(bundled_cell, reference):
@@ -219,12 +217,6 @@ def test_smratio_equals_smr_quotient(bundled_cell, reference):
     cancelled = smratio(reference, bundled_cell, tau)
     quotient = smr(reference, bundled_cell, tau) / smr(reference, bundled_cell)
     assert cancelled == pytest.approx(quotient, rel=1e-12)
-
-
-def test_smratio_pair_swap_inverts(toy2j, flat_e, linear_tau):
-    forward = smratio(flat_e, toy2j, linear_tau, pair=("top", "mid"))
-    backward = smratio(flat_e, toy2j, linear_tau, pair=("mid", "top"))
-    assert forward * backward == pytest.approx(1.0, rel=1e-12)
 
 
 def test_zero_clean_current(toy2j):
@@ -435,9 +427,6 @@ def test_step_tau_ssratio_above_one(toy2j, flat_e):
 # standalone index functions and the report share one formula per index
 # ---------------------------------------------------------------------------
 
-_PAIRS = (None, ("mid", "bot"), ("bot", "mid"), ("top", "bot"))
-
-
 def _offset_grid(rng):
     """A randomly stepped grid over the bundled cell's full band, starting
     a random fraction of a step below it."""
@@ -452,31 +441,26 @@ def test_standalone_indexes_equal_report_bit_for_bit(bundled_cell):
         e = synth_spectrum(float(rng.uniform(-1.0, 1.0)), _offset_grid(rng))
         model = SoilingModel(float(rng.uniform(0.02, 0.6)), float(rng.uniform(0.5, 2.0)))
         tau = synth_tau(model, _offset_grid(rng))
-        for pair in _PAIRS:
-            rep = index_report(e, bundled_cell, tau, pair=pair)
-            assert sratio(e, bundled_cell, tau) == rep.sratio
-            assert bsratio(e, bundled_cell, tau) == rep.bsratio
-            assert ssratio(e, bundled_cell, tau) == rep.ssratio
-            assert smr(e, bundled_cell, pair=pair) == rep.smr_cleaned
-            assert smr(e, bundled_cell, tau, pair=pair) == rep.smr_soiled
-            assert smratio(e, bundled_cell, tau, pair=pair) == rep.smratio
+        rep = index_report(e, bundled_cell, tau)
+        assert sratio(e, bundled_cell, tau) == rep.sratio
+        assert bsratio(e, bundled_cell, tau) == rep.bsratio
+        assert ssratio(e, bundled_cell, tau) == rep.ssratio
+        assert smr(e, bundled_cell) == rep.smr_cleaned
+        assert smr(e, bundled_cell, tau) == rep.smr_soiled
+        assert smratio(e, bundled_cell, tau) == rep.smratio
 
 
 _ZCC, _ZD, _ZC = ZeroCleanCurrent, ZeroDenominator, ZeroCurrent
-# Per case: what (sratio, bsratio, ssratio) raise, then per pair of _PAIRS
-# what (smr cleaned, smr soiled, smratio, index_report) raise; None where a
-# value is returned. The report raises ZeroCurrent for any zero index,
-# whichever junctions the pair names.
+# Per case: what (sratio, bsratio, ssratio) raise, then what (smr cleaned,
+# smr soiled, smratio, index_report) raise; None where a value is returned.
+# The report raises ZeroCurrent for any zero index.
 _ERRORS = {
-    "dark": ((_ZCC, _ZD, _ZD), [(_ZC, _ZC, _ZC, _ZCC)] * 4),
-    "tau0_top": ((None,) * 3, [(None, None, None, _ZC)] * 4),
-    "tau0_mid": ((None,) * 3, [(None, _ZC, _ZC, _ZC), (None, None, None, _ZC),
-                               (None, _ZC, _ZC, _ZC), (None, None, None, _ZC)]),
-    "tau0_bot": ((None,) * 3, [(None, None, None, None), (None, _ZC, _ZC, _ZC),
-                               (None, None, None, _ZC), (None, _ZC, _ZC, _ZC)]),
-    "tau0_all": ((None, None, _ZD), [(None, _ZC, _ZC, _ZD)] * 4),
-    "zero_top_sr": ((_ZCC, None, _ZCC), [(_ZC, _ZC, _ZC, _ZCC), (None, None, None, _ZCC),
-                                         (None, None, None, _ZCC), (_ZC, _ZC, _ZC, _ZCC)]),
+    "dark": ((_ZCC, _ZD, _ZD), (_ZC, _ZC, _ZC, _ZCC)),
+    "tau0_top": ((None,) * 3, (None, None, None, _ZC)),
+    "tau0_mid": ((None,) * 3, (None, _ZC, _ZC, _ZC)),
+    "tau0_bot": ((None,) * 3, (None, None, None, None)),
+    "tau0_all": ((None, None, _ZD), (None, _ZC, _ZC, _ZD)),
+    "zero_top_sr": ((_ZCC, None, _ZCC), (_ZC, _ZC, _ZC, _ZCC)),
 }
 
 
@@ -512,16 +496,38 @@ def _raised(call):
 @pytest.mark.parametrize("name", sorted(_ERRORS))
 def test_standalone_indexes_and_report_error_parity(name, bundled_cell, reference):
     e, tau, cell = _error_case(name, bundled_cell, reference)
-    plain, by_pair = _ERRORS[name]
+    plain, matching = _ERRORS[name]
     assert (
         _raised(lambda: sratio(e, cell, tau)),
         _raised(lambda: bsratio(e, cell, tau)),
         _raised(lambda: ssratio(e, cell, tau)),
     ) == plain
-    for pair, expected in zip(_PAIRS, by_pair):
-        assert (
-            _raised(lambda: smr(e, cell, pair=pair)),
-            _raised(lambda: smr(e, cell, tau, pair=pair)),
-            _raised(lambda: smratio(e, cell, tau, pair=pair)),
-            _raised(lambda: index_report(e, cell, tau, pair=pair)),
-        ) == expected, pair
+    assert (
+        _raised(lambda: smr(e, cell)),
+        _raised(lambda: smr(e, cell, tau)),
+        _raised(lambda: smratio(e, cell, tau)),
+        _raised(lambda: index_report(e, cell, tau)),
+    ) == matching
+
+
+def test_overflowing_irradiance_is_a_non_finite_index(bundled_cell, reference):
+    # Finite spectra whose integrals overflow: at 1e306 the broadband
+    # integrals do (bsratio = inf / inf), at 1e307 the junction currents too.
+    tau = bundled_tau()
+    with np.errstate(over="ignore"):
+        e = reference.with_values(reference.values * 1e306)
+        for f in (bsratio, ssratio, index_report):
+            with pytest.raises(NonFiniteIndex):
+                f(e, bundled_cell, tau)
+        e = reference.with_values(reference.values * 1e307)
+        for f in (sratio, bsratio, ssratio, smr, smratio, index_report):
+            with pytest.raises(NonFiniteIndex):
+                f(e, bundled_cell, tau)
+        with pytest.raises(NonFiniteIndex):
+            smr(e, bundled_cell)
+    with pytest.raises(ValueError, match="finite"):
+        IndexReport(
+            sratio=float("nan"), bsratio=float("nan"), ssratio=float("nan"),
+            smr_cleaned=1.0, smr_soiled=1.0, smratio=1.0,
+            ast={"full": 0.9}, limiting_cleaned="a", limiting_soiled="a",
+        )

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import gc
 import json
@@ -225,14 +226,31 @@ def _zero_top_week_campaign():
     return weeks, days
 
 
-@pytest.mark.parametrize("pair", [None, ("mid", "bot"), ("bot", "mid")])
-def test_zero_soiled_stack_current_rejects_week_for_any_pair(bundled_cell, pair):
+def test_zero_soiled_stack_current_rejects_week(bundled_cell):
     weeks, days = _zero_top_week_campaign()
-    result = run_campaign(weeks, days, bundled_cell, pair=pair)
+    result = run_campaign(weeks, days, bundled_cell)
     assert [(w.accepted, w.rejection_reason) for w in result.weekly] == [
         (True, None), (False, "ZeroCurrent"), (True, None)]
     # the rejected week keeps its tau-side values
     assert result.weekly[1].ast_by_band["top"] == 0.0
+
+
+@pytest.mark.parametrize("aggregation", list(Aggregation), ids=lambda a: a.value)
+def test_overflowing_field_spectra_reject_the_week(bundled_cell, aggregation):
+    weeks, days = synth_campaign(
+        CampaignScenario(weeks=3, deposition_per_week=0.02, noise_sigma=0.0))
+    # week 2's field day: finite spectra whose broadband integrals overflow
+    day = select_spectra(weeks[1].scan_date, days)
+    loud = FieldDay(day.date, tuple(
+        dataclasses.replace(r, spectral_dni=r.spectral_dni.with_values(
+            r.spectral_dni.values * 1e306)) if r.spectral_dni is not None else r
+        for r in day.records))
+    days = [loud if d is day else d for d in days]
+    with np.errstate(over="ignore"):
+        result = run_campaign(weeks, days, bundled_cell, aggregation)
+    assert [(w.accepted, w.rejection_reason) for w in result.weekly] == [
+        (True, None), (False, "NonFiniteIndex"), (True, None)]
+    json.dumps(result.to_json_dict(), allow_nan=False)
 
 
 def test_run_campaign_report_matches_direct(toy2j):
@@ -555,7 +573,7 @@ def six_weeks(tmp_path_factory):
     return write_campaign_dir(weeks, days, tmp_path_factory.mktemp("six") / "campaign")
 
 
-@pytest.mark.parametrize("aggregation", list(Aggregation))
+@pytest.mark.parametrize("aggregation", list(Aggregation), ids=lambda a: a.value)
 def test_streamed_campaign_holds_one_week_of_scans(six_weeks, bundled_cell, monkeypatch,
                                                    aggregation):
     expected = run_campaign(*load_campaign_dir(six_weeks), bundled_cell, aggregation).to_json()
@@ -681,7 +699,12 @@ def test_spectrum_file_name_clash_is_refused_before_any_scan_is_written(tmp_path
     ([measurement([0.9] * 3, week_id=-1)], [], "week id -1"),
     ([measurement([0.9] * 3, week_id=1), measurement([0.8] * 3, week_id=1)], [], "week id 1 "),
     ([measurement([0.9] * 3)], [clear_day(DATE), clear_day(DATE, (2.0,))], "2017-01-02"),
-], ids=["negative-week-id", "duplicate-week-id", "duplicate-field-day"])
+    ([measurement([0.9] * 3, week_id=1), measurement([0.9] * 4, week_id=2)], [],
+     "week id 2 has 4 soiled scans"),
+    ([measurement([0.9] * 3, week_id=1), measurement([], week_id=3)], [],
+     "week id 3 has no scans"),
+], ids=["negative-week-id", "duplicate-week-id", "duplicate-field-day", "four-scans-of-a-role",
+        "week-without-scans"])
 def test_campaign_dir_refuses_what_the_loader_would_drop(tmp_path, weeks, days, fragment):
     out = tmp_path / "c"
     with pytest.raises(ValueError, match=fragment):
