@@ -573,7 +573,7 @@ def six_weeks(tmp_path_factory):
     return write_campaign_dir(weeks, days, tmp_path_factory.mktemp("six") / "campaign")
 
 
-@pytest.mark.parametrize("aggregation", list(Aggregation), ids=lambda a: a.value)
+@pytest.mark.parametrize("aggregation", list(Aggregation))
 def test_streamed_campaign_holds_one_week_of_scans(six_weeks, bundled_cell, monkeypatch,
                                                    aggregation):
     expected = run_campaign(*load_campaign_dir(six_weeks), bundled_cell, aggregation).to_json()
