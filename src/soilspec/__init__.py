@@ -64,7 +64,6 @@ from .pipeline import (  # noqa: F401
     campaign_fits,
     is_cloudy,
     load_campaign_dir,
-    open_campaign_dir,
     run_campaign,
     select_spectra,
     soiling_rate_fit,

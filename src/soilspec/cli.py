@@ -31,7 +31,7 @@ from .metrics import index_report
 from .pipeline import (
     Aggregation,
     campaign_fits,
-    open_campaign_dir,
+    load_campaign_dir,
     run_campaign,
     write_campaign_dir,
 )
@@ -74,14 +74,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if not data_dir:
         raise ConfigError(f"no data dir: pass --data or set {DATA_DIR_ENV}")
     cell = load_cell(args.cell)
-    weeks, days = open_campaign_dir(data_dir)  # scans are read week by week by run_campaign
+    weeks, days = load_campaign_dir(data_dir)  # spectra are read week by week by run_campaign
     result = run_campaign(
         weeks,
         days,
         cell,
         aggregation=Aggregation(args.aggregation),
     )
-    del days  # free the field records before encoding, which sets the peak memory
+    del weeks, days  # free the inputs before encoding, which sets the peak memory
     fits = campaign_fits(result)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

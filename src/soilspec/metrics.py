@@ -21,8 +21,9 @@ subcells of a standard stack.
 
 The standalone functions and the report share each formula and its zero
 and finiteness guards; a report with a zero index raises ``ZeroCurrent``,
-and an infinite or NaN index (an integral that overflowed) raises
-``NonFiniteIndex``, so a campaign rejects that week. The identities
+and an infinite or NaN index (an integral that overflowed) or a day's
+summed irradiance that overflowed raises ``NonFiniteIndex``, so a
+campaign rejects that week. The identities
 sratio == bsratio * ssratio and smratio == smr_soiled / smr_cleaned hold
 to floating-point round-off by construction.
 """
@@ -129,16 +130,22 @@ def ast(tau: Spectrum, band: Waveband) -> float:
 
 def _sum_by_grid(spectra: Sequence[Spectrum]) -> list[Spectrum]:
     """One irradiance spectrum per distinct wavelength grid, in first-seen
-    order, holding the sum of the values of the spectra on that grid."""
+    order, holding the sum of the values of the spectra on that grid; a sum
+    that overflows raises :class:`NonFiniteIndex`."""
     groups: dict[bytes, list[Spectrum]] = {}
     for e in spectra:
         groups.setdefault(e.wavelengths_nm.tobytes(), []).append(e)
-    return [
-        group[0] if len(group) == 1
-        else Spectrum(group[0].wavelengths_nm, np.sum([e.values for e in group], axis=0),
-                      Kind.IRRADIANCE, group[0].units)
-        for group in groups.values()
-    ]
+    summed = []
+    for group in groups.values():
+        if len(group) == 1:
+            summed.append(group[0])
+            continue
+        total = np.sum([e.values for e in group], axis=0)
+        if not np.isfinite(total).all():
+            raise NonFiniteIndex(f"the summed irradiance of {len(group)} spectra on one grid "
+                                 f"is not finite")
+        summed.append(Spectrum(group[0].wavelengths_nm, total, Kind.IRRADIANCE, group[0].units))
+    return summed
 
 
 # ---------------------------------------------------------------------------

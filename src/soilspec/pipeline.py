@@ -32,7 +32,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -77,8 +77,6 @@ __all__ = [
     "soiling_rate_fit",
     "campaign_fits",
     "read_field_csv",
-    "write_field_day",
-    "open_campaign_dir",
     "load_campaign_dir",
     "write_campaign_dir",
     "CLOUDY_THRESHOLD",
@@ -114,8 +112,8 @@ class FieldRecord:
     ``spectral_dni`` is kept as given: a :class:`Spectrum`, the path of a
     spectrum CSV (as :func:`read_field_csv` gives it), or ``None``. A path
     is read only where a spectrum is used, by :func:`run_campaign` and when
-    the record is written (:func:`write_field_day`), so ``==`` and ``repr``
-    read no file.
+    the record is written (:func:`write_campaign_dir`), so ``==`` and
+    ``repr`` read no file.
     """
 
     timestamp: dt.datetime
@@ -165,12 +163,17 @@ class FieldDay:
 
 @dataclass(frozen=True)
 class WeeklyMeasurement:
-    """Dated triplicate soiled/control coupon scans for one week."""
+    """Dated triplicate soiled/control coupon scans for one week.
+
+    Each scan is kept as given, a :class:`Spectrum` or the path of its CSV
+    (as :func:`load_campaign_dir` gives it), and a path is read only where
+    the scan is used, as with :class:`FieldRecord`'s ``spectral_dni``.
+    """
 
     week_id: int
     scan_date: dt.date
-    soiled_scans: tuple[Spectrum, ...]
-    control_scans: tuple[Spectrum, ...]
+    soiled_scans: tuple[Spectrum | Path, ...]
+    control_scans: tuple[Spectrum | Path, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "soiled_scans", tuple(self.soiled_scans))
@@ -204,6 +207,9 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
     exceeds :data:`SPREAD_THRESHOLD` (in AST units) the week is rejected
     with reason ``SpreadExceeded``. Otherwise the accepted transmittance is
     the arithmetic mean of the three replicate curves.
+
+    The replicate count is checked before any scan is read; a scan held as
+    a path is read with its pair and dropped with it (see :func:`_scan`).
     """
     if not m.complete:
         raise IncompleteReplicates(
@@ -211,7 +217,7 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
             f"{len(m.soiled_scans)} soiled / {len(m.control_scans)} control"
         )
     taus = [
-        soiling_transmittance(s, c)
+        soiling_transmittance(_scan(s), _scan(c))
         for s, c in zip(m.soiled_scans, m.control_scans)
     ]
     asts = tuple(ast(t, cell.full_band) for t in taus)
@@ -224,6 +230,21 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
     )
     tau = Spectrum(grid, mean_vals, Kind.TRANSMITTANCE)
     return WeekValidation(True, tau, None, asts, spread)
+
+
+def _scan(held: Spectrum | Path) -> Spectrum:
+    """A coupon scan as :func:`_spectrum` gives it, warning when one read
+    from a file does not span :data:`SCAN_COVERAGE_NM`."""
+    s = _spectrum(held)
+    lo, hi = s.support
+    if isinstance(held, Path) and (lo > SCAN_COVERAGE_NM[0] or hi < SCAN_COVERAGE_NM[1]):
+        warnings.warn(
+            f"{held.name}: scan covers [{lo}, {hi}] nm, less than "
+            f"the {SCAN_COVERAGE_NM} nm convention",
+            UserWarning,
+            stacklevel=2,
+        )
+    return s
 
 
 def is_cloudy(day: FieldDay) -> bool:
@@ -380,22 +401,19 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     the reason) and never abort the campaign. Summary statistics cover
     accepted weeks only.
 
-    ``weeks`` is walked once, in the order given, and no week is held
-    once its outcome is built, so the weeks of :func:`open_campaign_dir`
-    are read one at a time, and a scan that cannot be read raises the
-    reader's error, which names the file, and ends the run. The outcomes
-    are sorted by week id, so the result does not depend on that order.
+    ``weeks`` is walked once, in the order given; the outcomes are sorted
+    by week id, so the result does not depend on that order.
 
-    A field record's ``spectral_dni`` that is a path is read here, once
-    per use, and dropped when its week is done: the noon record of the
-    selected day in ``NOON`` mode, every spectral record of that day
-    otherwise. A file that cannot be read ends the run the same way.
+    A scan or a field record's ``spectral_dni`` that is a path is read
+    here, once per use, and dropped when its week is done: the week's
+    scans by :func:`validate_week`, then the noon record of the selected
+    day in ``NOON`` mode, every spectral record of that day otherwise. A
+    file that cannot be read raises the reader's error, which names the
+    file, and ends the run.
     """
     day_map = {d.date: d for d in days}
-    # Unlike a for loop's variable, map keeps no week while it fetches the next one.
-    outcomes = sorted(
-        map(lambda m: _week_outcome(m, day_map, cell, aggregation), weeks),
-        key=lambda w: w.week_id)
+    outcomes = sorted((_week_outcome(m, day_map, cell, aggregation) for m in weeks),
+                      key=lambda w: w.week_id)
     return CampaignResult(
         weekly=tuple(outcomes),
         summary=_summarize(outcomes),
@@ -426,9 +444,9 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
             spectra_date = day.date
             if aggregation is Aggregation.NOON:
                 rec = _noon_record(day)
-                spectra = [] if rec is None else [_spectrum(rec)]
+                spectra = [] if rec is None else [_spectrum(rec.spectral_dni)]
             else:
-                spectra = [_spectrum(r) for r in day.spectral_records]
+                spectra = [_spectrum(r.spectral_dni) for r in day.spectral_records]
             if not spectra:
                 reason = "NoSpectralData"
             else:
@@ -454,10 +472,9 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
     )
 
 
-def _spectrum(record: FieldRecord) -> Spectrum | None:
-    """A record's spectrum, read anew if it is held as a path."""
-    s = record.spectral_dni
-    return read_spectrum_csv(s) if isinstance(s, Path) else s
+def _spectrum(held: Spectrum | Path) -> Spectrum:
+    """A spectrum kept as given, read anew if it is held as a path."""
+    return read_spectrum_csv(held) if isinstance(held, Path) else held
 
 
 def _summarize(outcomes: Sequence[WeeklyOutcome]) -> dict:
@@ -603,26 +620,13 @@ def read_field_csv(path: str | Path) -> FieldDay:
 
 
 def _spectrum_name(timestamp: dt.datetime) -> str:
-    """A record's spectrum file, relative to the data dir (see :func:`write_field_day`)."""
+    """A record's spectrum file, relative to the data dir (see :func:`write_campaign_dir`)."""
     fmt = "%Y-%m-%dT%H-%M"
     if timestamp.second or timestamp.microsecond:
         fmt += "-%S"
     if timestamp.microsecond:
         fmt += "-%f"
     return f"spectra/{timestamp.strftime(fmt)}.csv"
-
-
-def write_field_day(day: FieldDay, out_dir: str | Path) -> Path:
-    """Write one field day into a data dir, its spectra under ``spectra/``.
-
-    A record's spectrum goes to ``spectra/<YYYY-MM-DD>T<HH>-<MM>.csv``,
-    named by its local timestamp, with ``-<SS>`` appended when the seconds
-    or microseconds are non-zero and ``-<ffffff>`` when the microseconds
-    are. Two tz-aware records a UTC-offset change apart can share a local
-    time, and so a name; that raises ``ValueError`` naming the day and
-    both timestamps before any file of the day is written.
-    """
-    return _write_field_day(day, Path(out_dir), {}, _spectrum_names(day))
 
 
 def _spectrum_names(day: FieldDay) -> list[str]:
@@ -643,17 +647,17 @@ def _spectrum_names(day: FieldDay) -> list[str]:
 
 def _write_field_day(day: FieldDay, out_dir: Path, texts: dict[Spectrum, str],
                      spec_rels: list[str]) -> Path:
-    """:func:`write_field_day` with the names of :func:`_spectrum_names`,
-    taking each spectrum's CSV text from ``texts`` and adding the ones it
-    formats, so a spectrum object that several records share is formatted
-    once per ``texts``."""
+    """Write one field day and its spectra with the names of
+    :func:`_spectrum_names`, taking each spectrum's CSV text from
+    ``texts`` and adding the ones it formats, so a spectrum object that
+    several records share is formatted once per ``texts``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if day.spectral_records:
         (out_dir / "spectra").mkdir(exist_ok=True)
     rows = [FIELD_HEADER]
     for r, spec_rel in zip(day.records, spec_rels):
         if spec_rel:
-            s = _spectrum(r)
+            s = _spectrum(r.spectral_dni)
             text = texts.get(s)
             if text is None:
                 text = texts[s] = spectrum_csv_text(s)
@@ -679,7 +683,8 @@ def _write_scans(m: WeeklyMeasurement, out_dir: Path) -> None:
     its helper process."""
     for role, scans in (("soiled", m.soiled_scans), ("control", m.control_scans)):
         for rep, scan in enumerate(scans, start=1):
-            write_spectrum_csv(scan, out_dir / f"week{m.week_id:02d}_{role}_{rep}.csv")
+            write_spectrum_csv(_spectrum(scan),
+                               out_dir / f"week{m.week_id:02d}_{role}_{rep}.csv")
 
 
 def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
@@ -687,10 +692,16 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
                        out_dir: str | Path) -> Path:
     """Write a complete campaign data directory the loader can ingest.
 
+    A field record's spectrum goes to ``spectra/<YYYY-MM-DD>T<HH>-<MM>.csv``,
+    named by its local timestamp, with ``-<SS>`` appended when the seconds
+    or microseconds are non-zero and ``-<ffffff>`` when the microseconds
+    are. A scan or spectrum held as a path is read here.
+
     A negative or repeated week id, a week without scans or with more
     than three of one role, two field days of one date, or two records of
-    one day whose spectra would share a file name (see
-    :func:`write_field_day`) would write files the loader skips, drops or
+    one day whose spectra would share a file name (two tz-aware records a
+    UTC-offset change apart can share a local time; the error names the
+    day and both timestamps) would write files the loader skips, drops or
     reads as one, so each raises ``ValueError`` naming it. Every check
     runs before any file is written.
 
@@ -763,9 +774,8 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
     return out_dir
 
 
-def open_campaign_dir(data_dir: str | Path
-                      ) -> tuple[Iterator[WeeklyMeasurement], list[FieldDay]]:
-    """Open a campaign data directory: index its scans, read its field days.
+def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], list[FieldDay]]:
+    """Load a campaign data directory: its weeks in week-id order, its field days.
 
     Weekly scans follow the ``week<NN>_<soiled|control>_<1|2|3>.csv``
     convention; ``manifest.yaml`` may carry ``start_date`` and
@@ -774,20 +784,16 @@ def open_campaign_dir(data_dir: str | Path
     overrides. A manifest key other than ``start_date``, ``cadence_days``
     and ``weeks``, or a ``weeks`` entry key other than ``week_id`` and
     ``scan_date``, is a :class:`ConfigError`, and so are a week id that
-    ``weeks`` lists twice, two scan files that name one week, role and
-    replicate (``week01_soiled_1.csv`` and ``week1_soiled_1.csv``) and two
-    field files whose records fall on one date.
+    ``weeks`` lists twice or that has no scan files, two scan files that
+    name one week, role and replicate (``week01_soiled_1.csv`` and
+    ``week1_soiled_1.csv``) and two field files whose records fall on one
+    date.
 
     The manifest, the scan file names and every field-file row are read
-    and checked here. A field record's spectrum CSV is not: the record's
-    ``spectral_dni`` is its path, and :func:`run_campaign` reads it only
-    for the day a week selects (see :class:`FieldRecord`). Nor are the
-    scans: the returned iterator reads a week's six scans when iteration
-    reaches that week, in week-id order, so a bad scan raises only then.
-    Scans that do not span :data:`SCAN_COVERAGE_NM` draw a warning as they
-    are read; weeks whose scans cannot cover the analysis cell's full band
-    are later rejected by the campaign run. The iterator can be walked
-    once.
+    and checked here; no spectrum CSV is. Scans and field spectra are held
+    as paths, which :func:`run_campaign` reads where a week uses them (see
+    :func:`validate_week`); weeks whose scans cannot cover the analysis
+    cell's full band are rejected there.
     """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
@@ -826,6 +832,8 @@ def open_campaign_dir(data_dir: str | Path
         wid = typed(e, "week_id", int, manifest_path)
         if wid in overrides:
             raise ConfigError(f"{manifest_path}: week_id {wid} appears more than once in weeks")
+        if wid not in scans:
+            raise ConfigError(f"{manifest_path}: week_id {wid} in weeks has no scan files")
         overrides[wid] = typed(e, "scan_date", dt.date, manifest_path, default=None)
         reject_unknown_keys(e, ("week_id", "scan_date"), manifest_path, "manifest week")
 
@@ -840,40 +848,14 @@ def open_campaign_dir(data_dir: str | Path
         )
     first_wid = min(scans)
 
-    weeks = (
+    weeks = [
         WeeklyMeasurement(
             week_id=wid,
             scan_date=overrides.get(wid) or start_date + dt.timedelta(
                 days=cadence * (wid - first_wid)),
-            soiled_scans=_read_scans(scans[wid]["soiled"]),
-            control_scans=_read_scans(scans[wid]["control"]),
+            soiled_scans=[p for _, p in sorted(scans[wid]["soiled"].items())],
+            control_scans=[p for _, p in sorted(scans[wid]["control"].items())],
         )
         for wid in sorted(scans)
-    )
+    ]
     return weeks, days
-
-
-def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], list[FieldDay]]:
-    """:func:`open_campaign_dir` with every week's scans read, in week-id order.
-
-    Holds all scans at once; :func:`run_campaign` over the iterator of
-    :func:`open_campaign_dir` holds one week's.
-    """
-    weeks, days = open_campaign_dir(data_dir)
-    return list(weeks), days
-
-
-def _read_scans(paths: Mapping[int, Path]) -> tuple[Spectrum, ...]:
-    out = []
-    for rep in sorted(paths):
-        s = read_spectrum_csv(paths[rep])
-        lo, hi = s.support
-        if lo > SCAN_COVERAGE_NM[0] or hi < SCAN_COVERAGE_NM[1]:
-            warnings.warn(
-                f"{paths[rep].name}: scan covers [{lo}, {hi}] nm, less than "
-                f"the {SCAN_COVERAGE_NM} nm convention",
-                UserWarning,
-                stacklevel=2,
-            )
-        out.append(s)
-    return tuple(out)

@@ -289,6 +289,17 @@ def test_campaign_manifest_week_listed_twice(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_campaign_manifest_week_without_scans(small_data, tmp_path, capsys):
+    data = shutil.copytree(small_data, tmp_path / "data")
+    (data / "manifest.yaml").write_text("weeks:\n  - {week_id: 9, scan_date: 2017-03-01}\n")
+    rc = _campaign(data, tmp_path)
+    assert rc == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ConfigError"
+    assert "manifest.yaml" in doc["message"] and "week_id 9 " in doc["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_campaign_manifest_weeks_not_a_list(tmp_path, capsys):
     scenario = tmp_path / "s.yaml"
     scenario.write_text("weeks: 2\ndeposition_per_week: 0.02\nseed: 5\n")
@@ -654,6 +665,27 @@ def test_campaign_bad_spectrum_of_a_used_record_names_its_file(three_weeks, tmp_
     assert _campaign(data, tmp_path, "--aggregation", mode) == 1
     message = _one_error(capsys)["message"]
     assert f"{spectrum.name}: " in message and "strictly increasing" in message
+
+
+def _weekly_rows(out):
+    return {row.split(",", 1)[0]: row
+            for row in (out / "weekly.csv").read_text().splitlines()[1:]}
+
+
+def test_campaign_incomplete_week_is_rejected_before_its_scans_are_read(three_weeks, tmp_path,
+                                                                        capsys):
+    assert _campaign(three_weeks, tmp_path / "clean") == 0
+    data = shutil.copytree(three_weeks, tmp_path / "data")
+    (data / "week02_soiled_3.csv").unlink()
+    _duplicate_first_row(data / "week02_soiled_1.csv")
+    assert _campaign(data, tmp_path / "damaged") == 0
+    capsys.readouterr()
+    clean = _weekly_rows(tmp_path / "clean" / "out")
+    damaged = _weekly_rows(tmp_path / "damaged" / "out")
+    week2 = json.loads((tmp_path / "damaged" / "out" / "campaign.json").read_text())["weeks"][1]
+    assert week2["week_id"] == 2 and week2["rejection_reason"] == "IncompleteReplicates"
+    assert damaged.keys() == clean.keys() == {"1", "2", "3"}
+    assert damaged["1"] == clean["1"] and damaged["3"] == clean["3"]
 
 
 # The bundled cell's own reference currents, which it accepts when pinned.

@@ -19,7 +19,6 @@ from soilspec import (
     index_report,
     is_cloudy,
     load_campaign_dir,
-    open_campaign_dir,
     run_campaign,
     select_spectra,
     soiling_rate_fit,
@@ -35,7 +34,7 @@ from soilspec.errors import (
     TooFewPoints,
 )
 from soilspec import pipeline
-from soilspec.pipeline import WeeklyOutcome, campaign_fits, read_field_csv, write_field_day
+from soilspec.pipeline import WeeklyOutcome, campaign_fits, read_field_csv
 from soilspec.spectral import read_spectrum_csv, write_spectrum_csv
 
 from conftest import bundled_tau, flat_spectrum, mixed_grid_day
@@ -235,15 +234,20 @@ def test_zero_soiled_stack_current_rejects_week(bundled_cell):
     assert result.weekly[1].ast_by_band["top"] == 0.0
 
 
-@pytest.mark.parametrize("aggregation", list(Aggregation), ids=lambda a: a.value)
-def test_overflowing_field_spectra_reject_the_week(bundled_cell, aggregation):
+@pytest.mark.parametrize("aggregation, scale", [
+    pytest.param(Aggregation.NOON, 1e306, id="noon"),
+    pytest.param(Aggregation.DAILY_CURRENT_WEIGHTED, 1e306, id="daily"),
+    pytest.param(Aggregation.NOON, 1e308, id="noon-1e308"),
+    pytest.param(Aggregation.DAILY_CURRENT_WEIGHTED, 1e308, id="daily-1e308"),
+])
+def test_overflowing_field_spectra_reject_the_week(bundled_cell, aggregation, scale):
     weeks, days = synth_campaign(
         CampaignScenario(weeks=3, deposition_per_week=0.02, noise_sigma=0.0))
     # week 2's field day: finite spectra whose broadband integrals overflow
     day = select_spectra(weeks[1].scan_date, days)
     loud = FieldDay(day.date, tuple(
         dataclasses.replace(r, spectral_dni=r.spectral_dni.with_values(
-            r.spectral_dni.values * 1e306)) if r.spectral_dni is not None else r
+            r.spectral_dni.values * scale)) if r.spectral_dni is not None else r
         for r in day.records))
     days = [loud if d is day else d for d in days]
     with np.errstate(over="ignore"):
@@ -479,6 +483,7 @@ def test_campaign_dir_round_trip(tmp_path, bundled_cell):
     assert [w.scan_date for w in loaded_weeks] == [w.scan_date for w in weeks]
     for orig, back in zip(weeks, loaded_weeks):
         for a, b in zip(orig.soiled_scans, back.soiled_scans):
+            b = read_spectrum_csv(b)
             np.testing.assert_array_equal(a.values, b.values)
             np.testing.assert_array_equal(a.wavelengths_nm, b.wavelengths_nm)
     assert [d.date for d in loaded_days] == [d.date for d in days]
@@ -521,21 +526,38 @@ def test_loaded_field_spectrum_is_read_on_first_access(tmp_path, bundled_cell):
 def test_loaded_field_records_hold_their_spectrum_paths(tmp_path, monkeypatch):
     weeks, days = synth_campaign(CampaignScenario(weeks=2, deposition_per_week=0.02))
     out = write_campaign_dir(weeks, days, tmp_path / "campaign")
-    _, loaded = load_campaign_dir(out)
-    _, again = load_campaign_dir(out)
+
+    def refuse(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(pipeline, "read_spectrum_csv", refuse)
+    loaded_weeks, loaded = load_campaign_dir(out)
+    again_weeks, again = load_campaign_dir(out)
+    for m in loaded_weeks:
+        for role, scans in (("soiled", m.soiled_scans), ("control", m.control_scans)):
+            assert scans == tuple(out / f"week{m.week_id:02d}_{role}_{rep}.csv"
+                                  for rep in (1, 2, 3))
+    assert loaded_weeks == again_weeks
+    assert repr(loaded_weeks) == repr(again_weeks)
     for day in loaded:
         assert len(day.spectral_records) == 7
         assert [r.spectral_dni for r in day.spectral_records] == [
             out / f"spectra/{r.timestamp.strftime('%Y-%m-%dT%H-%M')}.csv"
             for r in day.spectral_records]
     assert not hasattr(loaded[0].records[0], "__dict__")
-
-    def refuse(path):
-        raise AssertionError(f"read {path}")
-
-    monkeypatch.setattr(pipeline, "read_spectrum_csv", refuse)
     assert loaded == again
     assert repr(loaded) == repr(again)
+
+
+def test_loaded_campaign_dir_writes_back_byte_for_byte(tmp_path):
+    weeks, days = synth_campaign(CampaignScenario(weeks=3, deposition_per_week=0.02, seed=8))
+    first = write_campaign_dir(weeks, days, tmp_path / "first")
+    second = write_campaign_dir(*load_campaign_dir(first), tmp_path / "second")
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+    assert len(files) == 43  # 18 scans, 3 field files, 21 spectra, the manifest
+    for rel in files:
+        assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
 
 def test_load_campaign_dir_empty(tmp_path):
@@ -560,11 +582,12 @@ def test_load_campaign_dir_manifest_override(tmp_path):
     assert loaded_weeks[1].scan_date == dt.date(2017, 1, 11)
 
 
-def test_load_campaign_dir_warns_on_short_coverage(tmp_path):
+def test_load_campaign_dir_warns_on_short_coverage(tmp_path, toy2j):
     weeks = [measurement([0.9, 0.9, 0.9])]  # scans span [300, 900] only
     out = write_campaign_dir(weeks, [], tmp_path / "c")
+    loaded = load_campaign_dir(out)
     with pytest.warns(UserWarning, match="convention"):
-        load_campaign_dir(out)
+        run_campaign(*loaded, toy2j)
 
 
 @pytest.fixture(scope="module")
@@ -591,11 +614,11 @@ def test_streamed_campaign_holds_one_week_of_scans(six_weeks, bundled_cell, monk
         return s
 
     monkeypatch.setattr(pipeline, "read_spectrum_csv", tracked)
-    weeks, days = open_campaign_dir(six_weeks)
-    assert scans == []  # opening reads no scan
+    weeks, days = load_campaign_dir(six_weeks)
+    assert scans == []  # loading reads no scan
     result = run_campaign(weeks, days, bundled_cell, aggregation)
     assert result.to_json() == expected
-    assert len(alive_scans) == 36 and max(alive_scans) == 6
+    assert len(alive_scans) == 36 and max(alive_scans) == 2
     gc.collect()
     assert len(spectra) == (6 if aggregation is Aggregation.NOON else 42)
     assert sum(r() is not None for r in spectra) == 0 and len(days) == 6
@@ -656,7 +679,8 @@ def test_sub_minute_records_get_spectrum_files_of_their_own(tmp_path):
         FieldRecord(timestamp=dt.datetime.combine(DATE, t), dni=800.0, gni=1000.0,
                     spectral_dni=flat_spectrum(300.0, 900.0, 1.0 + i))
         for i, t in enumerate(times))
-    path = write_field_day(FieldDay(date=DATE, records=records), tmp_path)
+    write_campaign_dir([], [FieldDay(date=DATE, records=records)], tmp_path)
+    path = tmp_path / f"field_{DATE.isoformat()}.csv"
     assert sorted(p.name for p in (tmp_path / "spectra").iterdir()) == [
         "2017-01-02T11-59.csv", "2017-01-02T12-00-30-250000.csv", "2017-01-02T12-00-30.csv",
         "2017-01-02T12-00.csv", "2017-01-02T12-01-00-500000.csv",
