@@ -128,20 +128,28 @@ def test_synth_deterministic_and_seed_override(tmp_path, capsys):
 
 
 def test_synth_tree_bytes_are_pinned(tmp_path, capsys):
-    # A digest of every file name and byte of a small seeded synth tree, so
-    # that any drift of the campaign-dir format fails here.
-    scenario = tmp_path / "s.yaml"
-    scenario.write_text("weeks: 3\ndeposition_per_week: 0.02\n"
-                        "rain_weeks:\n  - {week: 2, wash_fraction: 0.5}\n")
-    assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "data"),
-                 "--seed", "7"]) == 0
-    capsys.readouterr()
-    tree = _tree_bytes(tmp_path / "data")
-    assert len(tree) == 43  # 18 scans, 3 field files, 21 spectra, the manifest
-    digest = hashlib.sha256()
-    for name, data in sorted(tree.items()):
-        digest.update(name.encode() + b"\0" + data)
-    assert digest.hexdigest() == "a07625c34b631f0ee2d1b265ea7f10bba5027fcac3d762b1ed0540c944de0426"
+    # A digest of every file name and byte of small seeded synth trees, so
+    # that any drift of the campaign-dir format fails here. The tilted tree
+    # also pins synth_spectrum's renormalisation of the reshaped spectrum.
+    pinned = {
+        "": "a07625c34b631f0ee2d1b265ea7f10bba5027fcac3d762b1ed0540c944de0426",
+        "spectrum_tilt: -0.1234567\n":
+            "cdd253df3baa2d535de54274936f6a709cce89b048bb46bef8fa43ddfc4d3a34",
+    }
+    for extra, expected in pinned.items():
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text("weeks: 3\ndeposition_per_week: 0.02\n"
+                            "rain_weeks:\n  - {week: 2, wash_fraction: 0.5}\n" + extra)
+        out = tmp_path / f"data{len(extra)}"
+        assert main(["synth", "--scenario", str(scenario), "--out", str(out),
+                     "--seed", "7"]) == 0
+        capsys.readouterr()
+        tree = _tree_bytes(out)
+        assert len(tree) == 43  # 18 scans, 3 field files, 21 spectra, the manifest
+        digest = hashlib.sha256()
+        for name, data in sorted(tree.items()):
+            digest.update(name.encode() + b"\0" + data)
+        assert digest.hexdigest() == expected, extra
 
 
 def test_synth_scan_write_failure_names_its_file(tmp_path, capsys):
