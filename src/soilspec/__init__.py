@@ -34,7 +34,6 @@ from .cell import (  # noqa: F401
     Junction,
     JscResult,
     boxcar_cell,
-    build_cell,
     eqe_to_sr,
     jsc_cell,
     jsc_junction,

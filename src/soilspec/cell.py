@@ -1,12 +1,13 @@
 """Multi-junction cell description and short-circuit current integrals.
 
 A :class:`CellModel` is an ordered stack of :class:`Junction` objects
-(waveband + spectral response), the cell's full absorption band, a
-reference spectrum, and the per-junction reference currents computed
-under it. The stack current is the minimum junction current over the
-junctions eligible to limit; by default the germanium-style bottom
-junction of a 3J stack is excluded from that minimum because its large
-current excess keeps it from limiting under realistic soiling.
+(waveband + spectral response), a reference spectrum, and the
+per-junction reference currents computed under it. The cell's full
+absorption band is the span of the junction bands. The stack current is
+the minimum junction current over the junctions eligible to limit; by
+default the germanium-style bottom junction of a 3J stack is excluded
+from that minimum because its large current excess keeps it from
+limiting under realistic soiling.
 
 Spectral responses are external data. Configs may supply EQE curves
 instead of SR; the loader converts with SR(lambda) = EQE * lambda * q/(h*c)
@@ -15,7 +16,7 @@ using exact SI values for q, h, c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -49,7 +50,6 @@ __all__ = [
     "jsc_junction",
     "jsc_cell",
     "stack_current",
-    "build_cell",
     "boxcar_cell",
     "load_cell",
     "eqe_to_sr",
@@ -135,19 +135,22 @@ def jsc_junction(e: Spectrum, junction: Junction, tau: Spectrum | None = None) -
 class CellModel:
     """An ordered multi-junction stack with reference calibration.
 
-    ``reference_currents`` are the per-junction currents under
-    ``reference_spectrum``. They are computed at construction; a mapping
-    passed in pins them, must name each junction and no other, and must
-    match the computed values to 1e-9 relative.
+    ``full_band`` is derived at construction: the band named
+    ``full_band_name`` that spans the junction bands. ``reference_currents``
+    are the per-junction currents under ``reference_spectrum``. They are
+    computed at construction; a mapping passed in pins them, must name
+    each junction and no other, and must match the computed values to 1e-9
+    relative.
     """
 
     name: str
     junctions: tuple[Junction, ...]
-    full_band: Waveband
     reference_spectrum: Spectrum
     reference_currents: Mapping[str, float] | None = None
+    full_band_name: InitVar[str] = "full"
+    full_band: Waveband = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, full_band_name: str) -> None:
         if len(self.junctions) < 2:
             raise ConfigError(f"cell {self.name!r}: need >= 2 junctions")
         names = [j.name for j in self.junctions]
@@ -157,17 +160,11 @@ class CellModel:
             raise NoEligibleJunction(
                 f"cell {self.name!r}: at least one junction must be limiting-eligible"
             )
-        span_lo = min(j.band.lambda_min_nm for j in self.junctions)
-        span_hi = max(j.band.lambda_max_nm for j in self.junctions)
-        if (
-            abs(self.full_band.lambda_min_nm - span_lo) > 1e-9
-            or abs(self.full_band.lambda_max_nm - span_hi) > 1e-9
-        ):
-            raise ConfigError(
-                f"cell {self.name!r}: full band [{self.full_band.lambda_min_nm}, "
-                f"{self.full_band.lambda_max_nm}] nm must span the junction bands "
-                f"[{span_lo}, {span_hi}] nm"
-            )
+        object.__setattr__(self, "full_band", Waveband(
+            full_band_name,
+            min(j.band.lambda_min_nm for j in self.junctions),
+            max(j.band.lambda_max_nm for j in self.junctions),
+        ))
         require_kind(self.reference_spectrum, Kind.IRRADIANCE, "reference spectrum")
         object.__setattr__(self, "junctions", tuple(self.junctions))
         computed = {j.name: jsc_junction(self.reference_spectrum, j) for j in self.junctions}
@@ -226,37 +223,10 @@ def stack_current(currents: Mapping[str, float], cell: CellModel) -> JscResult:
     flag. Currents of ineligible junctions may be absent.
     """
     eligible = [j.name for j in cell.junctions if j.limiting_eligible]
-    if not eligible:
-        raise NoEligibleJunction(f"cell {cell.name!r}: no limiting-eligible junction")
     # min() keeps the first minimal element, which is the tie-break rule.
     value, limiting = min(((currents[n], n) for n in eligible), key=lambda c: c[0])
     tie = sum(1 for n in eligible if currents[n] == value) > 1
     return JscResult(value=value, limiting=limiting, tie=tie)
-
-
-def build_cell(
-    name: str,
-    junctions: Sequence[Junction],
-    reference: Spectrum,
-    full_band: Waveband | None = None,
-    full_band_name: str = "full",
-    reference_currents: Mapping[str, float] | None = None,
-) -> CellModel:
-    """Assemble a CellModel, computing reference currents when not given."""
-    junctions = tuple(junctions)
-    if full_band is None:
-        full_band = Waveband(
-            full_band_name,
-            min(j.band.lambda_min_nm for j in junctions),
-            max(j.band.lambda_max_nm for j in junctions),
-        )
-    return CellModel(
-        name=name,
-        junctions=junctions,
-        full_band=full_band,
-        reference_spectrum=reference,
-        reference_currents=reference_currents,
-    )
 
 
 def boxcar_cell(
@@ -288,7 +258,7 @@ def boxcar_cell(
         )
         for bname, bmin, bmax in bands
     ]
-    return build_cell("boxcar", junctions, reference, full_band_name=full_band_name)
+    return CellModel("boxcar", junctions, reference, full_band_name=full_band_name)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +313,7 @@ def load_cell(config_path: str | Path) -> CellModel:
     spectrum and pin expected reference currents::
 
         name: my-cell
-        full_band: {name: MJ, min_nm: 300, max_nm: 1810}   # optional
+        full_band: {name: MJ, min_nm: 300, max_nm: 1810}   # optional, checked
         reference_spectrum: my_reference.csv                # optional
         junctions:
           - name: top
@@ -355,9 +325,11 @@ def load_cell(config_path: str | Path) -> CellModel:
             limiting_eligible: false
         reference_currents: {top: 123.4, bot: 234.5}        # optional, checked
 
-    Any other key, at the top level, in a junction or in ``full_band``,
-    is a :class:`ConfigError`, and so is a band or cell that fails
-    validation; both name the file.
+    The full band is the span of the junction bands, named ``MJ``; a
+    ``full_band`` entry must equal that span and only renames it. Any
+    other key, at the top level, in a junction or in ``full_band``, is a
+    :class:`ConfigError`, and so is a band or cell that fails validation;
+    both name the file.
     """
     config_path = Path(config_path)
     doc = read_yaml(config_path)
@@ -365,8 +337,6 @@ def load_cell(config_path: str | Path) -> CellModel:
                               "reference_currents"), config_path, "cell config")
     name = typed(doc, "name", str, config_path)
     jdocs = typed(doc, "junctions", list, config_path)
-    if len(jdocs) < 2:
-        raise ConfigError(f"{config_path}: 'junctions' must list >= 2 junctions")
 
     ref_path = typed(doc, "reference_spectrum", str, config_path, default=None)
     if ref_path is None:
@@ -398,15 +368,14 @@ def load_cell(config_path: str | Path) -> CellModel:
     stored = typed(doc, "reference_currents", dict, config_path, default=None)
     stored = stored and {jname: typed(stored, jname, float, config_path) for jname in stored}
     try:
-        return build_cell(
-            name=name,
-            junctions=[Junction(jname, Waveband(jname, *band), sr, eligible)
-                       for jname, band, sr, eligible in junctions],
-            reference=reference,
-            full_band=None if fb is None else Waveband(*fb),
-            full_band_name="MJ",
-            reference_currents=stored,
-        )
+        cell = CellModel(name, [Junction(jname, Waveband(jname, *band), sr, eligible)
+                                for jname, band, sr, eligible in junctions],
+                         reference, stored, full_band_name="MJ" if fb is None else fb[0])
+        span = cell.full_band
+        if fb is not None and Waveband(*fb) != span:
+            raise ConfigError(f"cell {name!r}: full band [{fb[1]}, {fb[2]}] nm must span the "
+                              f"junction bands [{span.lambda_min_nm}, {span.lambda_max_nm}] nm")
+        return cell
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{config_path}: {exc}") from None
 

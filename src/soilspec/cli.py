@@ -101,7 +101,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        try:
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     weeks, days = synth_campaign(scenario)
     out = write_campaign_dir(weeks, days, args.out)
     print(f"synth: wrote {len(weeks)} weeks and {len(days)} field days to {out}")

@@ -68,6 +68,10 @@ class ZeroCurrent(SoilspecError):
     """A junction current needed in a ratio denominator is zero."""
 
 
+class NegativeIndex(SoilspecError):
+    """An index came out negative because an irradiance spectrum was negative."""
+
+
 class NonFiniteIndex(SoilspecError):
     """An index came out infinite or NaN because an integral overflowed."""
 

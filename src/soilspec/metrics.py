@@ -21,9 +21,10 @@ subcells of a standard stack.
 
 The standalone functions and the report share each formula and its zero
 and finiteness guards; a report with a zero index raises ``ZeroCurrent``,
-and an infinite or NaN index (an integral that overflowed) or a day's
-summed irradiance that overflowed raises ``NonFiniteIndex``, so a
-campaign rejects that week. The identities
+one with a negative index (from a negative irradiance) raises
+``NegativeIndex``, and an infinite or NaN index (an integral that
+overflowed) or a day's summed irradiance that overflowed raises
+``NonFiniteIndex``, so a campaign rejects that week. The identities
 sratio == bsratio * ssratio and smratio == smr_soiled / smr_cleaned hold
 to floating-point round-off by construction.
 """
@@ -41,6 +42,7 @@ import numpy as np
 from .cell import CellModel, jsc_cell, jsc_junction, stack_current
 from .errors import (
     ControlBelowFloor,
+    NegativeIndex,
     NonFiniteIndex,
     ZeroCleanCurrent,
     ZeroCurrent,
@@ -330,9 +332,11 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
         "smr_soiled": _matching(soiled, cell.reference_currents, cell),
         "smratio": _matching(soiled, cleaned, cell),
     }
-    zero = [name for name, value in indexes.items() if value == 0.0]
-    if zero:
-        raise ZeroCurrent(f"a junction current is zero, so {', '.join(zero)} is zero")
+    bad = {name: value for name, value in indexes.items() if not value > 0.0}
+    if bad:
+        error = ZeroCurrent if 0.0 in bad.values() else NegativeIndex
+        raise error("indexes must be > 0, got "
+                    + ", ".join(f"{name} = {value}" for name, value in bad.items()))
     return IndexReport(
         **indexes,
         ast={b.name: ast(tau, b) for b in cell.bands},

@@ -30,7 +30,7 @@ from .cell import CellModel, reference_spectrum
 from .config import read_yaml, reject_unknown_keys, typed
 from .errors import ConfigError, EmptyScenario
 from .pipeline import FieldDay, FieldRecord, WeeklyMeasurement
-from .spectral import DIMENSIONLESS, Kind, Spectrum, resample
+from .spectral import DIMENSIONLESS, Kind, Spectrum, Waveband, integrate, resample
 
 __all__ = [
     "SoilingModel",
@@ -83,9 +83,11 @@ def synth_spectrum(tilt: float, grid=None, reference: Spectrum | None = None) ->
     if tilt == 0.0:
         return base
     w = base.wavelengths_nm
-    shaped = base.values * (TILT_REFERENCE_NM / w) ** tilt
-    scale = np.trapezoid(base.values, w) / np.trapezoid(shaped, w)
-    return Spectrum(w, shaped * scale, Kind.IRRADIANCE, base.units)
+    shaped = Spectrum(w, base.values * (TILT_REFERENCE_NM / w) ** tilt, Kind.IRRADIANCE,
+                      base.units)
+    support = Waveband("support", *base.support)
+    scale = integrate(base, support) / integrate(shaped, support)
+    return shaped.with_values(shaped.values * scale)
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,8 @@ class CampaignScenario:
             raise ValueError("deposition_per_week must be >= 0")
         if not (self.grid_min_nm < self.grid_max_nm and self.grid_step_nm > 0.0):
             raise ValueError("the grid needs grid_min_nm < grid_max_nm and grid_step_nm > 0")
+        if self.seed < 0:
+            raise ValueError(f"'seed' must be >= 0, got {self.seed}")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
         if not (0.0 < self.glass_transmittance <= 1.0):

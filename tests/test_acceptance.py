@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from soilspec import (
+    CellModel,
     Junction,
     Kind,
     Spectrum,
     Waveband,
     ast,
     boxcar_cell,
-    build_cell,
     index_report,
     integrate,
     is_cloudy,
@@ -113,7 +113,7 @@ def _random_cell(rng):
     n_ref = int(rng.integers(5, 16))
     reference = Spectrum(np.linspace(lo, hi, n_ref),
                          rng.uniform(0.2, 1.5, n_ref), Kind.IRRADIANCE)
-    return build_cell("random", junctions, reference), lo, hi
+    return CellModel("random", junctions, reference), lo, hi
 
 
 def _random_positive_spectrum(rng, lo, hi):

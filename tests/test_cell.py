@@ -8,7 +8,6 @@ from soilspec import (
     Spectrum,
     Waveband,
     boxcar_cell,
-    build_cell,
     eqe_to_sr,
     integrate,
     jsc_cell,
@@ -64,16 +63,6 @@ def test_cell_needs_eligible_junction():
         boxcar_cell([("a", 300, 700), ("b", 700, 900)], not_eligible=("a", "b"))
 
 
-def test_cell_full_band_must_span():
-    junctions = (
-        Junction("a", Waveband("a", 300, 700), flat_sr(300, 700)),
-        Junction("b", Waveband("b", 700, 900), flat_sr(700, 900)),
-    )
-    ref = flat_spectrum(300, 900, 1.0)
-    with pytest.raises(ConfigError, match="span"):
-        build_cell("c", junctions, ref, full_band=Waveband("full", 300, 800))
-
-
 def test_reference_current_mismatch_rejected():
     junctions = (
         Junction("a", Waveband("a", 300, 700), flat_sr(300, 700)),
@@ -81,14 +70,12 @@ def test_reference_current_mismatch_rejected():
     )
     ref = flat_spectrum(300, 900, 1.0)
     with pytest.raises(ConfigError, match="reference current"):
-        build_cell("c", junctions, ref,
-                   reference_currents={"a": 400.0, "b": 207.0})
+        CellModel("c", junctions, ref, reference_currents={"a": 400.0, "b": 207.0})
     # exact stored values pass
-    cell = build_cell("c", junctions, ref,
-                      reference_currents={"a": 400.0, "b": 200.0})
+    cell = CellModel("c", junctions, ref, reference_currents={"a": 400.0, "b": 200.0})
     assert cell.reference_currents == {"a": 400.0, "b": 200.0}
     with pytest.raises(ConfigError, match="missing reference current"):
-        build_cell("c", junctions, ref, reference_currents={"a": 400.0})
+        CellModel("c", junctions, ref, reference_currents={"a": 400.0})
 
 
 def test_reference_current_for_unknown_junction_rejected():
@@ -98,8 +85,8 @@ def test_reference_current_for_unknown_junction_rejected():
     )
     ref = flat_spectrum(300, 900, 1.0)
     with pytest.raises(ConfigError, match=r"unknown junctions \['c', 'z'\]"):
-        build_cell("c", junctions, ref,
-                   reference_currents={"a": 400.0, "b": 200.0, "z": 5.0, "c": 1.0})
+        CellModel("c", junctions, ref,
+                  reference_currents={"a": 400.0, "b": 200.0, "z": 5.0, "c": 1.0})
 
 
 def test_cell_model_computes_reference_currents_and_lists_bands():
@@ -107,10 +94,16 @@ def test_cell_model_computes_reference_currents_and_lists_bands():
         Junction("a", Waveband("a", 300, 700), flat_sr(300, 700)),
         Junction("b", Waveband("b", 700, 900), flat_sr(700, 900, 0.5)),
     )
-    full = Waveband("full", 300, 900)
-    cell = CellModel("c", junctions, full, flat_spectrum(300, 900, 1.0))
+    cell = CellModel("c", junctions, flat_spectrum(300, 900, 1.0))
     assert cell.reference_currents == {"a": 400.0, "b": 100.0}
-    assert cell.bands == (full, junctions[0].band, junctions[1].band)
+    assert cell.bands == (Waveband("full", 300, 900), junctions[0].band, junctions[1].band)
+
+
+def test_cell_full_band_is_the_span_of_the_junction_bands():
+    cell = boxcar_cell([("b", 700, 900), ("a", 350, 700)])
+    assert cell.full_band == Waveband("full", 350, 900)
+    renamed = boxcar_cell([("a", 350, 700), ("b", 700, 900)], full_band_name="MJ")
+    assert renamed.full_band == Waveband("MJ", 350, 900)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +212,7 @@ def test_load_bundled_3j(bundled_cell):
              for j in bundled_cell.junctions}
     assert bands == {"top": (300.0, 720.0), "mid": (720.0, 920.0),
                      "bot": (920.0, 1810.0)}
-    assert (bundled_cell.full_band.lambda_min_nm,
-            bundled_cell.full_band.lambda_max_nm) == (300.0, 1810.0)
+    assert bundled_cell.full_band == Waveband("MJ", 300.0, 1810.0)
     assert not bundled_cell.junction("bot").limiting_eligible
 
 

@@ -99,6 +99,18 @@ def test_compute_kind_mismatch_is_computation_error(toy_fixtures, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "KindMismatch"
 
 
+def test_compute_negative_index_is_computation_error(tmp_path, capsys):
+    reference = read_spectrum_csv(reference_spectrum_path())
+    negated = reference.with_values(np.where(reference.wavelengths_nm < 720.0, -1.0, 1.0)
+                                    * reference.values)
+    write_spectrum_csv(negated, tmp_path / "e.csv")
+    write_spectrum_csv(flat_spectrum(280, 4000, 0.9, Kind.TRANSMITTANCE), tmp_path / "tau.csv")
+    rc = main(["compute", str(tmp_path / "e.csv"), str(tmp_path / "tau.csv"),
+               "--cell", str(bundled_cell_config_path())])
+    assert rc == 2
+    assert _one_error(capsys)["error"] == "NegativeIndex"
+
+
 def test_version_reports_reference_hash(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -125,6 +137,9 @@ def test_synth_deterministic_and_seed_override(tmp_path, capsys):
                  "--seed", "12"]) == 0
     assert _tree_bytes(tmp_path / "a") != _tree_bytes(tmp_path / "c")
     capsys.readouterr()
+    rc = main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "d"),
+               "--seed", "-3"])
+    _assert_config_error(rc, capsys, "--seed: 'seed' must be >= 0, got -3")
 
 
 def test_synth_tree_bytes_are_pinned(tmp_path, capsys):
@@ -429,6 +444,7 @@ def _one_error(capsys):
     ("cell.yaml", "band: [300, 720]", 'band: ["300", 720]', "band"),
     ("s.yaml", "seed: 9", "rain_weeks: [{week: abc, wash_fraction: 0.5}]", "week"),
     ("s.yaml", "deposition_per_week: 0.02", "deposition_per_week: .nan", "deposition_per_week"),
+    ("s.yaml", "seed: 9", "seed: -5", "seed"),
 ])
 def test_config_value_of_wrong_type_names_file_and_key(small_data, tmp_path, capsys,
                                                          name, old, new, key):
@@ -716,6 +732,9 @@ _PINNED_CURRENTS = ", ".join(f"{j}: {c!r}" for j, c in load_bundled_3j().referen
     ("cell.yaml", "band: [300, 720]", "band: [300, 2.5]", "waveband 'top'"),
     ("cell.yaml", "max_nm: 1810}", "max_nm: 200}", "waveband 'MJ'"),
     ("cell.yaml", "max_nm: 1810}", "max_nm: 1800}", "must span the junction bands"),
+    ("cell.yaml", "  - name: mid\n    band: [720, 920]\n    eqe_file: eqe_mid_illustrative.csv\n"
+     "  - name: bot\n    band: [920, 1810]\n    eqe_file: eqe_bot_illustrative.csv\n"
+     "    limiting_eligible: false\n", "", "need >= 2 junctions"),
     ("cell.yaml", "name: lattice-matched-3j",
      "name: lattice-matched-3j\nreference_currents: {top: 1.0, mid: 1.0, bot: 1.0}",
      "reference current for 'top' is 1.0"),

@@ -3,6 +3,7 @@ import pytest
 
 import soilspec.metrics
 from soilspec import (
+    CellModel,
     IndexReport,
     Junction,
     Kind,
@@ -11,7 +12,6 @@ from soilspec import (
     ast,
     boxcar_cell,
     bsratio,
-    build_cell,
     index_report,
     index_report_weighted,
     integrate,
@@ -478,8 +478,8 @@ def _error_case(name, cell, reference):
     if name == "zero_top_sr":
         top = cell.junctions[0]
         dark_top = Junction(top.name, top.band, top.sr.with_values(top.sr.values * 0.0))
-        zero_top = build_cell("zero-top", (dark_top,) + cell.junctions[1:], reference,
-                              full_band=cell.full_band)
+        zero_top = CellModel("zero-top", (dark_top,) + cell.junctions[1:], reference,
+                             full_band_name=cell.full_band.name)
         return reference, bundled_tau(), zero_top
     band = cell.junction(name.removeprefix("tau0_")).band
     return reference, tau_zero_on(band.lambda_min_nm, band.lambda_max_nm), cell

@@ -1,7 +1,8 @@
-"""No soilspec module reaches into another module's private names, and
-importing the package stays light."""
+"""No soilspec module reaches into another module's private names, every
+exported name exists, and importing the package stays light."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -61,6 +62,12 @@ def private_cross_module_uses(source):
 def test_no_private_cross_module_helpers(module):
     source = (PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8")
     assert private_cross_module_uses(source) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module("soilspec" if module == "__init__" else f"soilspec.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 @pytest.mark.parametrize("source", [

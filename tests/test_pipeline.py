@@ -234,6 +234,20 @@ def test_zero_soiled_stack_current_rejects_week(bundled_cell):
     assert result.weekly[1].ast_by_band["top"] == 0.0
 
 
+def _week2_field_spectra_scaled(factor):
+    """A three-week campaign whose week-2 field spectra are multiplied by
+    ``factor(wavelengths_nm)``."""
+    weeks, days = synth_campaign(
+        CampaignScenario(weeks=3, deposition_per_week=0.02, noise_sigma=0.0))
+    day = select_spectra(weeks[1].scan_date, days)
+    scaled = FieldDay(day.date, tuple(
+        dataclasses.replace(r, spectral_dni=r.spectral_dni.with_values(
+            r.spectral_dni.values * factor(r.spectral_dni.wavelengths_nm)))
+        if r.spectral_dni is not None else r
+        for r in day.records))
+    return weeks, [scaled if d is day else d for d in days]
+
+
 @pytest.mark.parametrize("aggregation, scale", [
     pytest.param(Aggregation.NOON, 1e306, id="noon"),
     pytest.param(Aggregation.DAILY_CURRENT_WEIGHTED, 1e306, id="daily"),
@@ -241,20 +255,22 @@ def test_zero_soiled_stack_current_rejects_week(bundled_cell):
     pytest.param(Aggregation.DAILY_CURRENT_WEIGHTED, 1e308, id="daily-1e308"),
 ])
 def test_overflowing_field_spectra_reject_the_week(bundled_cell, aggregation, scale):
-    weeks, days = synth_campaign(
-        CampaignScenario(weeks=3, deposition_per_week=0.02, noise_sigma=0.0))
     # week 2's field day: finite spectra whose broadband integrals overflow
-    day = select_spectra(weeks[1].scan_date, days)
-    loud = FieldDay(day.date, tuple(
-        dataclasses.replace(r, spectral_dni=r.spectral_dni.with_values(
-            r.spectral_dni.values * scale)) if r.spectral_dni is not None else r
-        for r in day.records))
-    days = [loud if d is day else d for d in days]
+    weeks, days = _week2_field_spectra_scaled(lambda wl: scale)
     with np.errstate(over="ignore"):
         result = run_campaign(weeks, days, bundled_cell, aggregation)
     assert [(w.accepted, w.rejection_reason) for w in result.weekly] == [
         (True, None), (False, "NonFiniteIndex"), (True, None)]
     json.dumps(result.to_json_dict(), allow_nan=False)
+
+
+@pytest.mark.parametrize("aggregation", list(Aggregation))
+def test_negative_field_spectra_reject_the_week(bundled_cell, aggregation):
+    # week 2's field day: spectra negated below 720 nm, so its SMRs are negative
+    weeks, days = _week2_field_spectra_scaled(lambda wl: np.where(wl < 720.0, -1.0, 1.0))
+    result = run_campaign(weeks, days, bundled_cell, aggregation)
+    assert [(w.accepted, w.rejection_reason) for w in result.weekly] == [
+        (True, None), (False, "NegativeIndex"), (True, None)]
 
 
 def test_run_campaign_report_matches_direct(toy2j):

@@ -24,6 +24,7 @@ from soilspec.spectral import (
     Kind,
     Spectrum,
     Waveband,
+    integrate,
     write_spectrum_csv,
 )
 
@@ -51,9 +52,9 @@ def make_reference() -> Spectrum:
     dips = np.ones_like(wl)
     for center, sigma, depth in ABSORPTION:
         dips *= 1.0 - depth * np.exp(-0.5 * ((wl - center) / sigma) ** 2)
-    e = planck * rayleigh * aerosol * ozone * np.clip(dips, 0.0, None)
-    e *= 900.1 / np.trapezoid(e, wl)
-    return Spectrum(wl, e, Kind.IRRADIANCE)
+    e = Spectrum(wl, planck * rayleigh * aerosol * ozone * np.clip(dips, 0.0, None),
+                 Kind.IRRADIANCE)
+    return e.with_values(e.values * (900.1 / integrate(e, Waveband("support", *e.support))))
 
 
 def logistic(x, center, width):
@@ -71,7 +72,7 @@ def main() -> None:
     ref = make_reference()
     write_spectrum_csv(ref, f"{OUT}/reference_spectrum.csv")
     print(f"reference: {ref.n_samples} samples, "
-          f"{np.trapezoid(ref.values, ref.wavelengths_nm):.2f} W/m^2 total")
+          f"{integrate(ref, Waveband('support', *ref.support)):.2f} W/m^2 total")
 
     def current(eqe, band):
         return jsc_junction(ref, Junction(band.name, band, eqe_to_sr(eqe)))
