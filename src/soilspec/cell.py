@@ -1,13 +1,13 @@
 """Multi-junction cell description and short-circuit current integrals.
 
 A :class:`CellModel` is an ordered stack of :class:`Junction` objects
-(waveband + spectral response), a reference spectrum, and the
-per-junction reference currents computed under it. The cell's full
-absorption band is the span of the junction bands. The stack current is
-the minimum junction current over the junctions eligible to limit; by
-default the germanium-style bottom junction of a 3J stack is excluded
-from that minimum because its large current excess keeps it from
-limiting under realistic soiling.
+(waveband + spectral response), a reference spectrum and the name of
+its full absorption band, which is the span of the junction bands; the
+per-junction reference currents are computed under the reference
+spectrum. The stack current is the minimum junction current over the
+junctions eligible to limit; by default the germanium-style bottom
+junction of a 3J stack is excluded from that minimum because its large
+current excess keeps it from limiting under realistic soiling.
 
 Spectral responses are external data. Configs may supply EQE curves
 instead of SR; the loader converts with SR(lambda) = EQE * lambda * q/(h*c)
@@ -16,7 +16,7 @@ using exact SI values for q, h, c.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -64,8 +64,6 @@ __all__ = [
 ELEMENTARY_CHARGE_C = 1.602176634e-19
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 299792458.0
-
-_REL_TOL_REFERENCE = 1e-9
 
 
 def eqe_to_sr(eqe: Spectrum) -> Spectrum:
@@ -135,22 +133,22 @@ def jsc_junction(e: Spectrum, junction: Junction, tau: Spectrum | None = None) -
 class CellModel:
     """An ordered multi-junction stack with reference calibration.
 
-    ``full_band`` is derived at construction: the band named
-    ``full_band_name`` that spans the junction bands. ``reference_currents``
-    are the per-junction currents under ``reference_spectrum``. They are
-    computed at construction; a mapping passed in pins them, must name
-    each junction and no other, and must match the computed values to 1e-9
-    relative.
+    The cell holds only its inputs; two fields are derived from them at
+    construction. ``full_band`` is the band named ``full_band_name`` that
+    spans the junction bands, and ``reference_currents`` are the
+    per-junction currents under ``reference_spectrum``. Band names,
+    the full band's included, must be unique.
     """
 
     name: str
     junctions: tuple[Junction, ...]
     reference_spectrum: Spectrum
-    reference_currents: Mapping[str, float] | None = None
-    full_band_name: InitVar[str] = "full"
+    full_band_name: str = "full"
     full_band: Waveband = field(init=False)
+    reference_currents: dict[str, float] = field(init=False)
 
-    def __post_init__(self, full_band_name: str) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "junctions", tuple(self.junctions))
         if len(self.junctions) < 2:
             raise ConfigError(f"cell {self.name!r}: need >= 2 junctions")
         names = [j.name for j in self.junctions]
@@ -161,32 +159,17 @@ class CellModel:
                 f"cell {self.name!r}: at least one junction must be limiting-eligible"
             )
         object.__setattr__(self, "full_band", Waveband(
-            full_band_name,
+            self.full_band_name,
             min(j.band.lambda_min_nm for j in self.junctions),
             max(j.band.lambda_max_nm for j in self.junctions),
         ))
+        band_names = [b.name for b in self.bands]
+        repeated = sorted({n for n in band_names if band_names.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"cell {self.name!r}: repeated band names {repeated}")
         require_kind(self.reference_spectrum, Kind.IRRADIANCE, "reference spectrum")
-        object.__setattr__(self, "junctions", tuple(self.junctions))
-        computed = {j.name: jsc_junction(self.reference_spectrum, j) for j in self.junctions}
-        currents = computed if self.reference_currents is None else dict(self.reference_currents)
-        object.__setattr__(self, "reference_currents", currents)
-        unknown = sorted(set(currents) - set(names))
-        if unknown:
-            raise ConfigError(
-                f"cell {self.name!r}: reference currents for unknown junctions {unknown}"
-            )
-        for jname, expected in computed.items():
-            stored = currents.get(jname)
-            if stored is None:
-                raise ConfigError(
-                    f"cell {self.name!r}: missing reference current for {jname!r}"
-                )
-            scale = max(abs(expected), abs(stored))
-            if scale > 0.0 and abs(stored - expected) > _REL_TOL_REFERENCE * scale:
-                raise ConfigError(
-                    f"cell {self.name!r}: reference current for {jname!r} is "
-                    f"{stored}, recomputed {expected} (tolerance 1e-9 relative)"
-                )
+        object.__setattr__(self, "reference_currents", {
+            j.name: jsc_junction(self.reference_spectrum, j) for j in self.junctions})
 
     def junction(self, name: str) -> Junction:
         for j in self.junctions:
@@ -310,7 +293,7 @@ def load_cell(config_path: str | Path) -> CellModel:
 
     The document names the junction bands and their SR/EQE data files
     (paths relative to the config file), and may override the reference
-    spectrum and pin expected reference currents::
+    spectrum and pin the expected reference currents::
 
         name: my-cell
         full_band: {name: MJ, min_nm: 300, max_nm: 1810}   # optional, checked
@@ -326,8 +309,10 @@ def load_cell(config_path: str | Path) -> CellModel:
         reference_currents: {top: 123.4, bot: 234.5}        # optional, checked
 
     The full band is the span of the junction bands, named ``MJ``; a
-    ``full_band`` entry must equal that span and only renames it. Any
-    other key, at the top level, in a junction or in ``full_band``, is a
+    ``full_band`` entry must equal that span and only renames it. The
+    computed reference currents are used; ``reference_currents`` only
+    checks them, each junction and no other, to 1e-9 relative. Any other
+    key, at the top level, in a junction or in ``full_band``, is a
     :class:`ConfigError`, and so is a band or cell that fails validation;
     both name the file.
     """
@@ -365,22 +350,33 @@ def load_cell(config_path: str | Path) -> CellModel:
         fb = (typed(fb, "name", str, config_path),
               typed(fb, "min_nm", float, config_path),
               typed(fb, "max_nm", float, config_path))
-    stored = typed(doc, "reference_currents", dict, config_path, default=None)
-    stored = stored and {jname: typed(stored, jname, float, config_path) for jname in stored}
+    pinned = typed(doc, "reference_currents", dict, config_path, default=None)
+    pinned = pinned and {jname: typed(pinned, jname, float, config_path) for jname in pinned}
     try:
         cell = CellModel(name, [Junction(jname, Waveband(jname, *band), sr, eligible)
                                 for jname, band, sr, eligible in junctions],
-                         reference, stored, full_band_name="MJ" if fb is None else fb[0])
+                         reference, full_band_name="MJ" if fb is None else fb[0])
         span = cell.full_band
         if fb is not None and Waveband(*fb) != span:
             raise ConfigError(f"cell {name!r}: full band [{fb[1]}, {fb[2]}] nm must span the "
                               f"junction bands [{span.lambda_min_nm}, {span.lambda_max_nm}] nm")
+        if pinned is not None:
+            unknown = sorted(set(pinned) - set(cell.reference_currents))
+            if unknown:
+                raise ConfigError(
+                    f"cell {name!r}: reference currents for unknown junctions {unknown}")
+            for jname, expected in cell.reference_currents.items():
+                stored = pinned.get(jname)
+                if stored is None:
+                    raise ConfigError(f"cell {name!r}: missing reference current for {jname!r}")
+                if abs(stored - expected) > 1e-9 * max(abs(expected), abs(stored)):
+                    raise ConfigError(f"cell {name!r}: reference current for {jname!r} is "
+                                      f"{stored}, recomputed {expected} (tolerance 1e-9 relative)")
         return cell
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{config_path}: {exc}") from None
 
 
-@lru_cache(maxsize=1)
 def bundled_cell_config_path() -> Path:
     """Path of the bundled lattice-matched 3J config."""
     return Path(str(resources.files("soilspec").joinpath("data/cells/lattice_matched_3j.yaml")))

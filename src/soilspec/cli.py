@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -60,6 +61,16 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     yield "\n"
 
 
+def _out_dir(path: str) -> Path:
+    """``--out``, refused before any work with mkdir's error if it cannot be a dir."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), path)
+    return out
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     e = read_spectrum_csv(args.e_file)
     tau = read_spectrum_csv(args.tau_file)
@@ -70,6 +81,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     data_dir = args.data or os.environ.get(DATA_DIR_ENV)
     if not data_dir:
         raise ConfigError(f"no data dir: pass --data or set {DATA_DIR_ENV}")
@@ -83,7 +95,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     del weeks, days  # free the inputs before encoding, which sets the peak memory
     fits = campaign_fits(result)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = result.to_json_dict()
     doc["fits"] = fits
@@ -99,6 +110,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         try:
@@ -106,7 +118,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from None
     weeks, days = synth_campaign(scenario)
-    out = write_campaign_dir(weeks, days, args.out)
+    write_campaign_dir(weeks, days, out)
     print(f"synth: wrote {len(weeks)} weeks and {len(days)} field days to {out}")
     return 0
 

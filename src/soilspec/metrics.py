@@ -215,8 +215,7 @@ def smratio(e: Spectrum, cell: CellModel, tau: Spectrum) -> float:
     """Soiling mismatch ratio of the cell's first two junctions (top/mid).
 
     Soiled-to-cleaned SMR. The reference currents cancel, so this is
-    computed as (J_soiled_top / J_soiled_mid) * (J_cleaned_mid / J_cleaned_top)
-    and works for cells without calibrated reference currents.
+    computed as (J_soiled_top / J_soiled_mid) * (J_cleaned_mid / J_cleaned_top).
     """
     soiled = {j.name: jsc_junction(e, j, tau) for j in cell.junctions[:2]}
     cleaned = {j.name: jsc_junction(e, j) for j in cell.junctions[:2]}

@@ -294,13 +294,20 @@ class WeeklyOutcome:
 
     week_id: int
     scan_date: dt.date
-    accepted: bool
     rejection_reason: str | None
     spectra_date: dt.date | None
     tau: Spectrum | None
     report: IndexReport | None
-    ast_full: float | None
     ast_by_band: dict[str, float] | None
+
+    @property
+    def accepted(self) -> bool:
+        return self.report is not None
+
+    @property
+    def ast_full(self) -> float | None:
+        """The first AST of ``ast_by_band``, which follows ``CellModel.bands``."""
+        return None if self.ast_by_band is None else next(iter(self.ast_by_band.values()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -426,21 +433,14 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
 def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cell: CellModel,
                   aggregation: Aggregation) -> WeeklyOutcome:
     """One week of :func:`run_campaign`; a :class:`SoilspecError` becomes its rejection."""
-    scan_date = m.scan_date
-    tau = None
-    spectra_date = None
-    report = None
-    ast_full = None
-    ast_by_band = None
-    accepted = False
-    reason: str | None = None
+    tau = spectra_date = report = ast_by_band = reason = None
     try:
         v = validate_week(m, cell)
         if not v.accepted:
             reason = v.reason
         else:
             tau = v.tau
-            day = select_spectra(scan_date, day_map)
+            day = select_spectra(m.scan_date, day_map)
             spectra_date = day.date
             if aggregation is Aggregation.NOON:
                 rec = _noon_record(day)
@@ -451,25 +451,15 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
                 reason = "NoSpectralData"
             else:
                 report = index_report_weighted(spectra, cell, tau)
-                accepted = True
     except SoilspecError as exc:
         reason = exc.kind
     if tau is not None:
         # An accepted tau covers every band of the cell, so ast cannot raise.
         ast_by_band = (report.ast if report is not None
                        else {b.name: ast(tau, b) for b in cell.bands})
-        ast_full = ast_by_band[cell.full_band.name]
-    return WeeklyOutcome(
-        week_id=m.week_id,
-        scan_date=scan_date,
-        accepted=accepted,
-        rejection_reason=None if accepted else reason,
-        spectra_date=spectra_date,
-        tau=tau,
-        report=report,
-        ast_full=ast_full,
-        ast_by_band=ast_by_band,
-    )
+    return WeeklyOutcome(week_id=m.week_id, scan_date=m.scan_date, rejection_reason=reason,
+                         spectra_date=spectra_date, tau=tau, report=report,
+                         ast_by_band=ast_by_band)
 
 
 def _spectrum(held: Spectrum | Path) -> Spectrum:

@@ -20,8 +20,9 @@ Conventions
 * Integration is the trapezoidal rule on the native sample grid with the
   band endpoints inserted by interpolation. Measured spectra are
   piecewise-linear samples, so the rule is exact for the data as given.
-* Units ride along as a metadata tag and are combined on multiplication so
-  that unit mixing fails loudly at operation boundaries.
+* Units ride along as a metadata tag, combined on multiplication; only a
+  cell loading an SR or EQE file checks them. Every junction-current and
+  index operation checks the kind of its inputs (:class:`KindMismatch`).
 """
 
 from __future__ import annotations

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+import shutil
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from soilspec.cell import (
     ELEMENTARY_CHARGE_C,
     LIGHT_SPEED_M_S,
     PLANCK_J_S,
+    bundled_cell_config_path,
 )
 from soilspec.errors import (
     BandCoverage,
@@ -63,32 +68,6 @@ def test_cell_needs_eligible_junction():
         boxcar_cell([("a", 300, 700), ("b", 700, 900)], not_eligible=("a", "b"))
 
 
-def test_reference_current_mismatch_rejected():
-    junctions = (
-        Junction("a", Waveband("a", 300, 700), flat_sr(300, 700)),
-        Junction("b", Waveband("b", 700, 900), flat_sr(700, 900)),
-    )
-    ref = flat_spectrum(300, 900, 1.0)
-    with pytest.raises(ConfigError, match="reference current"):
-        CellModel("c", junctions, ref, reference_currents={"a": 400.0, "b": 207.0})
-    # exact stored values pass
-    cell = CellModel("c", junctions, ref, reference_currents={"a": 400.0, "b": 200.0})
-    assert cell.reference_currents == {"a": 400.0, "b": 200.0}
-    with pytest.raises(ConfigError, match="missing reference current"):
-        CellModel("c", junctions, ref, reference_currents={"a": 400.0})
-
-
-def test_reference_current_for_unknown_junction_rejected():
-    junctions = (
-        Junction("a", Waveband("a", 300, 700), flat_sr(300, 700)),
-        Junction("b", Waveband("b", 700, 900), flat_sr(700, 900)),
-    )
-    ref = flat_spectrum(300, 900, 1.0)
-    with pytest.raises(ConfigError, match=r"unknown junctions \['c', 'z'\]"):
-        CellModel("c", junctions, ref,
-                  reference_currents={"a": 400.0, "b": 200.0, "z": 5.0, "c": 1.0})
-
-
 def test_cell_model_computes_reference_currents_and_lists_bands():
     junctions = (
         Junction("a", Waveband("a", 300, 700), flat_sr(300, 700)),
@@ -104,6 +83,41 @@ def test_cell_full_band_is_the_span_of_the_junction_bands():
     assert cell.full_band == Waveband("full", 350, 900)
     renamed = boxcar_cell([("a", 350, 700), ("b", 700, 900)], full_band_name="MJ")
     assert renamed.full_band == Waveband("MJ", 350, 900)
+
+
+def test_cell_model_takes_only_its_inputs():
+    assert [f.name for f in dataclasses.fields(CellModel) if f.init] == [
+        "name", "junctions", "reference_spectrum", "full_band_name"]
+
+
+def test_replace_keeps_the_full_band_name_and_recomputes_derived_fields(bundled_cell):
+    assert dataclasses.replace(bundled_cell, name="x").full_band.name == "MJ"
+    cell = boxcar_cell([("a", 300, 700), ("b", 700, 900)], full_band_name="MJ")
+    renamed = dataclasses.replace(cell, name="x")
+    assert renamed.bands == cell.bands
+    assert renamed.reference_currents == cell.reference_currents == {"a": 400.0, "b": 200.0}
+    narrower = dataclasses.replace(cell, junctions=cell.junctions[:1] + (
+        Junction("b", Waveband("b", 700, 850), flat_sr(700, 850, 0.5)),))
+    assert narrower.full_band == Waveband("MJ", 300, 850)
+    assert narrower.reference_currents == {"a": 400.0, "b": 75.0}
+
+
+@pytest.mark.parametrize("bands, full_band_name, repeated", [
+    ([("full", 300, 700), ("b", 700, 900)], "full", ["full"]),
+    ([("a", 300, 700), ("b", 700, 900)], "b", ["b"]),
+])
+def test_cell_band_names_must_be_unique(bands, full_band_name, repeated):
+    with pytest.raises(ConfigError, match=re.escape(f"repeated band names {repeated}")):
+        boxcar_cell(bands, full_band_name=full_band_name)
+
+
+def test_two_junction_bands_of_one_name_rejected():
+    junctions = (
+        Junction("a", Waveband("x", 300, 700), flat_sr(300, 700)),
+        Junction("b", Waveband("x", 700, 900), flat_sr(700, 900)),
+    )
+    with pytest.raises(ConfigError, match=re.escape("repeated band names ['x']")):
+        CellModel("c", junctions, flat_spectrum(300, 900, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +246,31 @@ def test_load_toy_config(tmp_path, reference):
         assert cell.reference_currents[j.name] == pytest.approx(
             integrate(reference, j.band), rel=1e-12
         )
+
+
+def _equal(a, b):
+    """Field-by-field equality that compares spectra by their samples."""
+    if isinstance(a, Spectrum):
+        return ((a.kind, a.units) == (b.kind, b.units)
+                and np.array_equal(a.wavelengths_nm, b.wavelengths_nm)
+                and np.array_equal(a.values, b.values))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return a == b
+
+
+def test_pinning_the_computed_currents_loads_the_same_cell(tmp_path):
+    cells = shutil.copytree(bundled_cell_config_path().parent, tmp_path / "cells")
+    config = cells / bundled_cell_config_path().name
+    unpinned = load_cell(config)
+    pins = ", ".join(f"{j}: {c!r}" for j, c in unpinned.reference_currents.items())
+    config.write_text(config.read_text() + f"reference_currents: {{{pins}}}\n")
+    pinned = load_cell(config)
+    assert _equal(pinned, unpinned)
+    assert not _equal(pinned, dataclasses.replace(unpinned, full_band_name="full"))
 
 
 def test_load_config_band_coverage_error(tmp_path):

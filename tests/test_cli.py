@@ -1,6 +1,7 @@
 import argparse
 import copy
 import datetime as dt
+import errno
 import hashlib
 import json
 import os
@@ -713,7 +714,8 @@ def test_campaign_incomplete_week_is_rejected_before_its_scans_are_read(three_we
 
 
 # The bundled cell's own reference currents, which it accepts when pinned.
-_PINNED_CURRENTS = ", ".join(f"{j}: {c!r}" for j, c in load_bundled_3j().reference_currents.items())
+_CURRENTS = load_bundled_3j().reference_currents
+_PINNED_CURRENTS = ", ".join(f"{j}: {c!r}" for j, c in _CURRENTS.items())
 
 
 @pytest.mark.parametrize("name, old, new, fragment", [
@@ -741,6 +743,11 @@ _PINNED_CURRENTS = ", ".join(f"{j}: {c!r}" for j, c in load_bundled_3j().referen
     ("cell.yaml", "name: lattice-matched-3j",
      f"name: lattice-matched-3j\nreference_currents: {{{_PINNED_CURRENTS}, extra: 5.0}}",
      "reference currents for unknown junctions ['extra']"),
+    ("cell.yaml", "name: lattice-matched-3j",
+     f"name: lattice-matched-3j\nreference_currents: "
+     f"{{top: {_CURRENTS['top']!r}, mid: {_CURRENTS['mid']!r}}}",
+     "missing reference current for 'bot'"),
+    ("cell.yaml", "  - name: mid\n", "  - name: MJ\n", "repeated band names ['MJ']"),
 ])
 def test_config_error_names_file_once(small_data, tmp_path, capsys, name, old, new, fragment):
     cells = shutil.copytree(bundled_cell_config_path().parent, tmp_path / "cells")
@@ -763,6 +770,30 @@ def test_config_error_names_file_once(small_data, tmp_path, capsys, name, old, n
     assert doc["error"] == "ConfigError"
     assert doc["message"].startswith(f"{path}: ") and doc["message"].count(path.name) == 1
     assert fragment in doc["message"]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called although --out cannot be a directory")
+
+
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("command", ["campaign", "synth"])
+def test_out_that_cannot_be_a_dir_fails_before_any_work(small_data, tmp_path, capsys,
+                                                        monkeypatch, command, under):
+    for name in ("load_cell", "load_campaign_dir", "run_campaign",
+                 "load_scenario", "synth_campaign"):
+        monkeypatch.setattr(f"soilspec.cli.{name}", _must_not_run)
+    (tmp_path / "taken").write_text("keep me\n")
+    out = tmp_path / "taken" / "out" if under else tmp_path / "taken"
+    args = (["campaign", "--cell", str(bundled_cell_config_path()), "--data", str(small_data)]
+            if command == "campaign" else
+            ["synth", "--scenario", str(small_data.parent / "s.yaml")])
+    assert main([*args, "--out", str(out)]) == 1
+    doc = _one_error(capsys)
+    code = errno.ENOTDIR if under else errno.EEXIST
+    assert doc == {"error": "NotADirectoryError" if under else "FileExistsError",
+                   "message": f"[Errno {code}] {os.strerror(code)}: {str(out)!r}"}
+    assert (tmp_path / "taken").read_text() == "keep me\n"
 
 
 def test_readme_command_line_block_lists_every_flag():

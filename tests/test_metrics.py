@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import soilspec.metrics
 from soilspec import (
-    CellModel,
     IndexReport,
     Junction,
     Kind,
@@ -478,8 +479,8 @@ def _error_case(name, cell, reference):
     if name == "zero_top_sr":
         top = cell.junctions[0]
         dark_top = Junction(top.name, top.band, top.sr.with_values(top.sr.values * 0.0))
-        zero_top = CellModel("zero-top", (dark_top,) + cell.junctions[1:], reference,
-                             full_band_name=cell.full_band.name)
+        zero_top = dataclasses.replace(cell, name="zero-top",
+                                       junctions=(dark_top,) + cell.junctions[1:])
         return reference, bundled_tau(), zero_top
     band = cell.junction(name.removeprefix("tau0_")).band
     return reference, tau_zero_on(band.lambda_min_nm, band.lambda_max_nm), cell

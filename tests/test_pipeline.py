@@ -14,6 +14,7 @@ from soilspec import (
     CampaignScenario,
     FieldDay,
     FieldRecord,
+    IndexReport,
     Kind,
     WeeklyMeasurement,
     index_report,
@@ -430,15 +431,22 @@ def test_flat_campaign_is_spectrally_neutral(toy2j):
 # soiling rate and fits
 # ---------------------------------------------------------------------------
 
+def _report_with_ast(v):
+    return IndexReport(sratio=1.0, bsratio=1.0, ssratio=1.0, smr_cleaned=1.0,
+                       smr_soiled=1.0, smratio=1.0, ast={"MJ": v},
+                       limiting_cleaned="top", limiting_soiled="top")
+
+
 def _result_from_ast_series(values, start_week=1):
+    reports = [_report_with_ast(v) for v in values]
     outcomes = tuple(
         WeeklyOutcome(
             week_id=start_week + i,
             scan_date=DATE + dt.timedelta(days=7 * i),
-            accepted=True, rejection_reason=None, spectra_date=None,
-            tau=None, report=None, ast_full=v, ast_by_band=None,
+            rejection_reason=None, spectra_date=None,
+            tau=None, report=r, ast_by_band=r.ast,
         )
-        for i, v in enumerate(values)
+        for i, r in enumerate(reports)
     )
     return CampaignResult(weekly=outcomes, summary={}, ast_band_names=("MJ",),
                           aggregation="daily", cell_name="x")
