@@ -30,7 +30,7 @@ import math
 import re
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -109,6 +109,10 @@ class Aggregation(enum.Enum):
 class FieldRecord:
     """One 5-minute meteorological record; spectral DNI optional.
 
+    A record is one row of a :class:`FieldDay` as an object: the day's
+    ``records`` and ``spectral_records`` build them on access. A record
+    does not check itself; the day it is given to checks its values.
+
     ``spectral_dni`` is kept as given: a :class:`Spectrum`, the path of a
     spectrum CSV (as :func:`read_field_csv` gives it), or ``None``. A path
     is read only where a spectrum is used, by :func:`run_campaign` and when
@@ -126,39 +130,147 @@ class FieldRecord:
     pm25: float | None = None
     spectral_dni: Spectrum | Path | None = None
 
-    def __post_init__(self) -> None:
-        for fname in ("dni", "gni", "ghi", "dhi"):
-            if not 0.0 <= getattr(self, fname) < math.inf:
-                raise ValueError(f"{fname} must be finite and >= 0, got {getattr(self, fname)}")
-        for fname in ("rainfall_mm", "pm10", "pm25"):
-            value = getattr(self, fname)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise ValueError(f"{fname} must be finite and >= 0 when given, got {value}")
+
+# The value columns of a field day; the last three are optional, NaN where empty.
+_COLUMNS = ("dni", "gni", "ghi", "dhi", "rainfall_mm", "pm10", "pm25")
+_OPTIONAL = _COLUMNS[4:]
 
 
-@dataclass(frozen=True)
+class _RowFault(ValueError):
+    """A field-day row, counted from 0, that breaks ``rule``."""
+
+    def __init__(self, date: dt.date, row: int, rule: str) -> None:
+        super().__init__(f"field day {date}, record {row}: {rule}")
+        self.row, self.rule = row, rule
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class FieldDay:
-    """All records of one calendar day, in time order."""
+    """All records of one calendar day, in time order, held as columns.
+
+    ``timestamps`` is a tuple of ``datetime``; each value column is a
+    read-only float64 array, with NaN for an empty ``rainfall_mm``,
+    ``pm10`` or ``pm25`` cell; ``spectra`` holds each row's spectral DNI
+    as :class:`FieldRecord` does, or ``None``. ``FieldDay(date, records)``
+    takes the rows as records and :meth:`from_columns` as columns; both
+    check every row once. Each value must be finite and >= 0 (an optional
+    one when given); the timestamps must be all naive or all tz-aware,
+    each on ``date`` and each after the one before. The first row that
+    breaks a rule raises ``ValueError`` naming the row and the rule.
+    """
 
     date: dt.date
-    records: tuple[FieldRecord, ...]
-    # The records that carry a spectrum; the campaign asks for them once a week.
-    spectral_records: tuple[FieldRecord, ...] = field(init=False, repr=False, compare=False)
+    timestamps: tuple[dt.datetime, ...]
+    dni: np.ndarray
+    gni: np.ndarray
+    ghi: np.ndarray
+    dhi: np.ndarray
+    rainfall_mm: np.ndarray
+    pm10: np.ndarray
+    pm25: np.ndarray
+    spectra: tuple[Spectrum | Path | None, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "spectral_records",
-                           tuple(r for r in self.records if r.spectral_dni is not None))
-        ts = [r.timestamp for r in self.records]
-        if len({t.utcoffset() is None for t in ts}) > 1:
-            raise ValueError(f"field day {self.date}: timestamps must be all naive or all tz-aware")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError(f"field day {self.date}: timestamps must be strictly increasing")
-        for r in self.records:
-            if r.timestamp.date() != self.date:
-                raise ValueError(
-                    f"record at {r.timestamp} does not belong to day {self.date}"
-                )
+    def __init__(self, date: dt.date, records: Iterable[FieldRecord] = ()) -> None:
+        records = tuple(records)
+        columns = {name: [getattr(r, name) for r in records] for name in _COLUMNS}
+        for name in _OPTIONAL:  # NaN marks an empty cell, so a NaN given is refused
+            if any(v != v for v in columns[name] if v is not None):
+                raise ValueError(f"{name} must be finite and >= 0 when given, got nan")
+            columns[name] = [math.nan if v is None else v for v in columns[name]]
+        self._hold(date, [r.timestamp for r in records], [r.spectral_dni for r in records],
+                   columns)
+
+    @classmethod
+    def from_columns(cls, date: dt.date, timestamps: Sequence[dt.datetime],
+                     spectra: Sequence[Spectrum | Path | None], *,
+                     dni, gni, ghi, dhi, rainfall_mm, pm10, pm25) -> FieldDay:
+        """A day from its columns, one value per timestamp in each; NaN
+        marks an empty cell of an optional column."""
+        day = cls.__new__(cls)
+        day._hold(date, timestamps, spectra, {
+            "dni": dni, "gni": gni, "ghi": ghi, "dhi": dhi,
+            "rainfall_mm": rainfall_mm, "pm10": pm10, "pm25": pm25})
+        return day
+
+    def _hold(self, date, timestamps, spectra, columns) -> None:
+        timestamps, spectra = tuple(timestamps), tuple(spectra)
+        n = len(timestamps)
+        setattr_ = object.__setattr__
+        for name in _COLUMNS:
+            values = np.array(columns[name], dtype=float)
+            if values.shape != (n,):
+                raise ValueError(f"field day {date}: {name} holds {values.shape} values "
+                                 f"for {n} timestamps")
+            values.flags.writeable = False
+            setattr_(self, name, values)
+        if len(spectra) != n:
+            raise ValueError(f"field day {date}: {len(spectra)} spectra for {n} timestamps")
+        setattr_(self, "date", date)
+        setattr_(self, "timestamps", timestamps)
+        setattr_(self, "spectra", spectra)
+        fault = self._first_fault()
+        if fault is not None:
+            raise _RowFault(date, *fault)
+
+    def _first_fault(self) -> tuple[int, str] | None:
+        """The first row that breaks a rule, with the rule; a row's values
+        are checked before its timestamp."""
+        faults = []
+        for name in _COLUMNS:
+            values = getattr(self, name)
+            ok = (values >= 0.0) & (values < math.inf)
+            if name in _OPTIONAL:
+                ok |= np.isnan(values)
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                row = int(bad[0])
+                faults.append((row, f"{name} must be finite and >= 0, got {values[row]}"))
+        ts = self.timestamps
+        aware = bool(ts) and ts[0].utcoffset() is not None
+        for row, t in enumerate(ts):
+            if (t.utcoffset() is not None) is not aware:
+                rule = "timestamps must be all naive or all tz-aware"
+            elif t.date() != self.date:
+                rule = f"record at {t} does not belong to day {self.date}"
+            elif row and t <= ts[row - 1]:
+                rule = (f"record at {t} is not after the one before it, at {ts[row - 1]}; "
+                        "timestamps must be strictly increasing")
+            else:
+                continue
+            faults.append((row, rule))
+            break
+        return min(faults, key=lambda f: f[0], default=None)
+
+    @property
+    def records(self) -> tuple[FieldRecord, ...]:
+        """The rows as :class:`FieldRecord` objects, built on each access."""
+        return self._records(range(len(self.timestamps)))
+
+    @property
+    def spectral_records(self) -> tuple[FieldRecord, ...]:
+        """The records that carry a spectrum, built on each access."""
+        return self._records(i for i, s in enumerate(self.spectra) if s is not None)
+
+    def _records(self, rows: Iterable[int]) -> tuple[FieldRecord, ...]:
+        columns = [getattr(self, name).tolist() for name in _COLUMNS]
+        return tuple(
+            FieldRecord(self.timestamps[i], *(None if c[i] != c[i] else c[i] for c in columns),
+                        spectral_dni=self.spectra[i])
+            for i in rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FieldDay):
+            return NotImplemented
+        return (self.date == other.date and self.timestamps == other.timestamps
+                and self.spectra == other.spectra
+                and all(np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+                        for name in _COLUMNS))
+
+    def __hash__(self) -> int:
+        return hash((self.date, self.timestamps))
+
+    def __repr__(self) -> str:
+        return f"FieldDay(date={self.date!r}, records={self.records!r})"
 
 
 @dataclass(frozen=True)
@@ -253,12 +365,14 @@ def is_cloudy(day: FieldDay) -> bool:
     Sums run over records with positive GNI; a day without any raises
     :class:`NoIrradianceRecords`.
     """
-    recs = [r for r in day.records if r.gni > 0.0]
-    if not recs:
+    lit = day.gni > 0.0
+    if not lit.any():
         raise NoIrradianceRecords(f"day {day.date}: no records with GNI > 0")
-    total_dni = sum(r.dni for r in recs)
-    total_gni = sum(r.gni for r in recs)
-    return total_dni / total_gni < CLOUDY_THRESHOLD
+    # Summed left to right, row by row: np.sum adds pairwise, which can
+    # round a day onto the other side of the threshold.
+    total_dni = np.cumsum(day.dni[lit])[-1]
+    total_gni = np.cumsum(day.gni[lit])[-1]
+    return bool(total_dni / total_gni < CLOUDY_THRESHOLD)
 
 
 def select_spectra(scan_date: dt.date,
@@ -384,18 +498,19 @@ class CampaignResult:
         return "\n".join(lines) + "\n"
 
 
-def _noon_record(day: FieldDay) -> FieldRecord | None:
-    """Spectral record nearest 12:00 local clock time (earlier wins ties).
+def _noon_spectrum(day: FieldDay) -> Spectrum | Path | None:
+    """The spectrum of the spectral record nearest 12:00 local clock time
+    (earlier wins ties).
 
     Noon is taken in each record's own ``tzinfo``, so naive and tz-aware
     timestamps both work.
     """
-    recs = day.spectral_records
-    if not recs:
+    rows = [(t, s) for t, s in zip(day.timestamps, day.spectra) if s is not None]
+    if not rows:
         return None
     noon = dt.time(12, 0)
-    return min(recs, key=lambda r: abs(
-        r.timestamp - dt.datetime.combine(day.date, noon, r.timestamp.tzinfo)))
+    return min(rows, key=lambda row: abs(
+        row[0] - dt.datetime.combine(day.date, noon, row[0].tzinfo)))[1]
 
 
 def run_campaign(weeks: Iterable[WeeklyMeasurement],
@@ -417,8 +532,14 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     day in ``NOON`` mode, every spectral record of that day otherwise. A
     file that cannot be read raises the reader's error, which names the
     file, and ends the run.
+
+    Two field days of one date raise ``ValueError`` naming the date.
     """
-    day_map = {d.date: d for d in days}
+    day_map = {}
+    for d in days:
+        if d.date in day_map:
+            raise ValueError(f"field day {d.date} appears more than once")
+        day_map[d.date] = d
     outcomes = sorted((_week_outcome(m, day_map, cell, aggregation) for m in weeks),
                       key=lambda w: w.week_id)
     return CampaignResult(
@@ -443,10 +564,10 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
             day = select_spectra(m.scan_date, day_map)
             spectra_date = day.date
             if aggregation is Aggregation.NOON:
-                rec = _noon_record(day)
-                spectra = [] if rec is None else [_spectrum(rec.spectral_dni)]
+                held = _noon_spectrum(day)
+                spectra = [] if held is None else [_spectrum(held)]
             else:
-                spectra = [_spectrum(r.spectral_dni) for r in day.spectral_records]
+                spectra = [_spectrum(s) for s in day.spectra if s is not None]
             if not spectra:
                 reason = "NoSpectralData"
             else:
@@ -563,50 +684,57 @@ FIELD_HEADER = ("timestamp_iso8601,dni_wm2,gni_wm2,ghi_wm2,dhi_wm2,"
 _SCAN_RE = re.compile(r"^week(\d+)_(soiled|control)_([123])\.csv$")
 
 
-def _opt_float(text: str) -> float | None:
-    return None if text == "" else float(text)
-
-
 def read_field_csv(path: str | Path) -> FieldDay:
     """Read one day of field records.
 
     The ``spectrum_file`` column, when present, is a path relative to the
     CSV's own directory. The spectrum is not read here: the record's
-    ``spectral_dni`` is that path, ``path.parent / spectrum_file``.
+    ``spectral_dni`` is that path, ``path.parent / spectrum_file``. The
+    day's date is that of the first row. The first row that does not
+    parse, or else the first that breaks a rule of :class:`FieldDay`,
+    raises ``ValueError`` naming the file and the row's line.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != FIELD_HEADER:
         raise ValueError(f"{path}: expected header {FIELD_HEADER!r}")
-    records = []
-    try:
-        for lineno, raw in enumerate(lines[1:], start=2):
-            if not raw.strip():
-                continue
-            parts = raw.split(",")
-            if len(parts) != 9:
-                raise ValueError(f"expected 9 columns, got {len(parts)}: {raw!r}")
-            records.append(
-                FieldRecord(
-                    timestamp=dt.datetime.fromisoformat(parts[0]),
-                    dni=float(parts[1]),
-                    gni=float(parts[2]),
-                    ghi=float(parts[3]),
-                    dhi=float(parts[4]),
-                    rainfall_mm=_opt_float(parts[5]),
-                    pm10=_opt_float(parts[6]),
-                    pm25=_opt_float(parts[7]),
-                    spectral_dni=path.parent / parts[8] if parts[8] else None,
-                )
-            )
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not records:
+    rows = [(lineno, raw.split(",")) for lineno, raw in enumerate(lines[1:], start=2)
+            if raw.strip()]
+    if not rows:
         raise ValueError(f"{path}: no records")
     try:
-        return FieldDay(date=records[0].timestamp.date(), records=tuple(records))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        timestamps, columns, spectra = _field_columns([parts for _, parts in rows], path.parent)
+    except ValueError:
+        for lineno, parts in rows:  # parsed again one by one, to name the first bad line
+            try:
+                _field_columns([parts], path.parent)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        raise
+    try:
+        return FieldDay.from_columns(timestamps[0].date(), timestamps, spectra, **columns)
+    except _RowFault as exc:
+        raise ValueError(f"{path}:{rows[exc.row][0]}: {exc.rule}") from None
+
+
+def _field_columns(rows: list[list[str]], folder: Path
+                   ) -> tuple[list[dt.datetime], dict[str, np.ndarray], list[Path | None]]:
+    """The timestamps, value columns and spectrum paths of split field-file
+    rows, parsed a column at a time; a cell that does not parse raises
+    ``ValueError``. Values are parsed with ``float``, and an empty cell of
+    an optional column is NaN, so one that spells NaN is refused."""
+    for parts in rows:
+        if len(parts) != 9:
+            raise ValueError(f"expected 9 columns, got {len(parts)}: {','.join(parts)!r}")
+    cells = list(zip(*rows))
+    timestamps = list(map(dt.datetime.fromisoformat, cells[0]))
+    columns = {name: np.array(list(map(float, texts)))
+               for name, texts in zip(_COLUMNS[:4], cells[1:5])}
+    for name, texts in zip(_OPTIONAL, cells[5:8]):
+        values = columns[name] = np.array([float(t) if t else math.nan for t in texts])
+        if np.count_nonzero(np.isnan(values)) != texts.count(""):
+            raise ValueError(f"{name} must be finite and >= 0 when given, got nan")
+    return timestamps, columns, [folder / name if name else None for name in cells[8]]
 
 
 def _spectrum_name(timestamp: dt.datetime) -> str:
@@ -622,16 +750,16 @@ def _spectrum_name(timestamp: dt.datetime) -> str:
 def _spectrum_names(day: FieldDay) -> list[str]:
     """Each record's spectrum file name (``""`` without a spectrum); a name
     two records would share raises ``ValueError``."""
-    names = [_spectrum_name(r.timestamp) if r.spectral_dni is not None else ""
-             for r in day.records]
+    names = [_spectrum_name(t) if s is not None else ""
+             for t, s in zip(day.timestamps, day.spectra)]
     taken: dict[str, dt.datetime] = {}
-    for r, rel in zip(day.records, names):
+    for t, rel in zip(day.timestamps, names):
         if not rel:
             continue
         if rel in taken:
             raise ValueError(f"field day {day.date}: records at {taken[rel].isoformat()} and "
-                             f"{r.timestamp.isoformat()} would both write {rel}")
-        taken[rel] = r.timestamp
+                             f"{t.isoformat()} would both write {rel}")
+        taken[rel] = t
     return names
 
 
@@ -642,29 +770,22 @@ def _write_field_day(day: FieldDay, out_dir: Path, texts: dict[Spectrum, str],
     ``texts`` and adding the ones it formats, so a spectrum object that
     several records share is formatted once per ``texts``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    if day.spectral_records:
+    if any(spec_rels):
         (out_dir / "spectra").mkdir(exist_ok=True)
-    rows = [FIELD_HEADER]
-    for r, spec_rel in zip(day.records, spec_rels):
+    for held, spec_rel in zip(day.spectra, spec_rels):
         if spec_rel:
-            s = _spectrum(r.spectral_dni)
+            s = _spectrum(held)
             text = texts.get(s)
             if text is None:
                 text = texts[s] = spectrum_csv_text(s)
             write_text_atomic(out_dir / spec_rel, text)
-        rows.append(",".join([
-            r.timestamp.isoformat(),
-            repr(float(r.dni)),
-            repr(float(r.gni)),
-            repr(float(r.ghi)),
-            repr(float(r.dhi)),
-            "" if r.rainfall_mm is None else repr(float(r.rainfall_mm)),
-            "" if r.pm10 is None else repr(float(r.pm10)),
-            "" if r.pm25 is None else repr(float(r.pm25)),
-            spec_rel,
-        ]))
+    # A value is written with repr, which round-trips exactly; an empty cell is NaN.
+    cells = zip(map(dt.datetime.isoformat, day.timestamps),
+                *(["" if v != v else repr(v) for v in getattr(day, name).tolist()]
+                  for name in _COLUMNS),
+                spec_rels)
     path = out_dir / f"field_{day.date.isoformat()}.csv"
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    write_text_atomic(path, "\n".join([FIELD_HEADER, *map(",".join, cells)]) + "\n")
     return path
 
 

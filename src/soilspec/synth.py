@@ -29,7 +29,7 @@ import numpy as np
 from .cell import CellModel, reference_spectrum
 from .config import read_yaml, reject_unknown_keys, typed
 from .errors import ConfigError, EmptyScenario
-from .pipeline import FieldDay, FieldRecord, WeeklyMeasurement
+from .pipeline import FieldDay, WeeklyMeasurement
 from .spectral import DIMENSIONLESS, Kind, Spectrum, Waveband, integrate, resample
 
 __all__ = [
@@ -150,51 +150,43 @@ def _day_shape(minutes_since_8: np.ndarray, day_minutes: float) -> np.ndarray:
     return np.sin(np.pi * minutes_since_8 / day_minutes)
 
 
-# One record of a field day: minutes after 08:00, dni, gni, ghi, dhi and the spectrum or None.
-_ProfileEntry = tuple[float, float, float, float, float, Spectrum | None]
+@dataclass(frozen=True)
+class _DayProfile:
+    """The day-invariant columns of a field day, 08:00-16:00 at a 5-minute cadence."""
+
+    offsets: tuple[dt.timedelta, ...]
+    noon: np.ndarray  # True on the 12:00 row, which takes the day's rainfall
+    irradiance: dict[str, np.ndarray]  # dni, gni, ghi and dhi
+    spectra: tuple[Spectrum | None, ...]
 
 
-def _day_profile(base_e: Spectrum, scenario: CampaignScenario) -> list[_ProfileEntry]:
-    """The day-invariant values of each record of a field day.
+def _day_profile(base_e: Spectrum, scenario: CampaignScenario) -> _DayProfile:
+    """The columns every field day shares.
 
     Every field day has the same profile, so it is built once per campaign
     and all days share its irradiance values and frozen hourly spectra.
     """
-    minutes = np.arange(0, 8 * 60 + 1, 5, dtype=float)  # 08:00-16:00, 5-min cadence
+    minutes = np.arange(0, 8 * 60 + 1, 5, dtype=float)
     shape = _day_shape(minutes, 8 * 60)
     spectra_minutes = {(h - 8) * 60 for h in range(9, 16)}  # hourly spectra 09:00-15:00
-    profile = []
-    for m, s in zip(minutes, shape):
-        s = float(s)
-        dni = scenario.dni_peak_wm2 * s
-        gni = dni / scenario.dni_to_gni
-        spec = base_e.with_values(base_e.values * s) if m in spectra_minutes and s > 0.0 else None
-        profile.append((float(m), dni, gni, 0.75 * gni, gni - dni, spec))
-    return profile
+    dni = scenario.dni_peak_wm2 * shape
+    gni = dni / scenario.dni_to_gni
+    return _DayProfile(
+        offsets=tuple(dt.timedelta(minutes=m) for m in minutes.tolist()),
+        noon=minutes == 4 * 60,
+        irradiance={"dni": dni, "gni": gni, "ghi": 0.75 * gni, "dhi": gni - dni},
+        spectra=tuple(base_e.with_values(base_e.values * s) if m in spectra_minutes and s > 0.0
+                      else None for m, s in zip(minutes.tolist(), shape.tolist())),
+    )
 
 
-def _field_day(date: dt.date, profile: list[_ProfileEntry],
-               rainfall_mm: float, k: float) -> FieldDay:
-    pm10 = 20.0 + 200.0 * k
-    pm25 = 0.5 * pm10
+def _field_day(date: dt.date, profile: _DayProfile, rainfall_mm: float, k: float) -> FieldDay:
+    pm10 = np.full(len(profile.offsets), 20.0 + 200.0 * k)
     start = dt.datetime.combine(date, dt.time(8, 0))
-    records = []
-    for m, dni, gni, ghi, dhi, spec in profile:
-        ts = start + dt.timedelta(minutes=m)
-        records.append(
-            FieldRecord(
-                timestamp=ts,
-                dni=dni,
-                gni=gni,
-                ghi=ghi,
-                dhi=dhi,
-                rainfall_mm=rainfall_mm if ts.time() == dt.time(12, 0) else 0.0,
-                pm10=pm10,
-                pm25=pm25,
-                spectral_dni=spec,
-            )
-        )
-    return FieldDay(date=date, records=tuple(records))
+    return FieldDay.from_columns(
+        date, [start + offset for offset in profile.offsets], profile.spectra,
+        rainfall_mm=np.where(profile.noon, rainfall_mm, 0.0), pm10=pm10, pm25=0.5 * pm10,
+        **profile.irradiance)
 
 
 def synth_campaign(scenario: CampaignScenario,

@@ -624,7 +624,28 @@ def test_campaign_field_day_mixing_naive_and_aware_timestamps(small_data, tmp_pa
     assert _campaign(data, tmp_path) == 1
     doc = _one_error(capsys)
     assert doc["error"] == "ValueError"
-    assert f"{field.name}: " in doc["message"] and "all naive or all tz-aware" in doc["message"]
+    assert f"{field.name}:11: " in doc["message"] and "all naive or all tz-aware" in doc["message"]
+
+
+@pytest.mark.parametrize("stamp, rule", [
+    (lambda before: "2099-01-01T08:20:00", "does not belong to day 2017-01-02"),
+    (lambda before: before, "strictly increasing"),
+    (lambda before: before.replace(":15:", ":12:"), "strictly increasing"),
+], ids=["off-the-day", "repeated", "decreasing"])
+def test_campaign_field_row_fault_names_its_line(small_data, tmp_path, capsys, stamp, rule):
+    data = shutil.copytree(small_data, tmp_path / "data")
+    field = data / "field_2017-01-02.csv"
+    lines = field.read_text().splitlines()
+    before = lines[4].split(",")[0]  # line 5, 08:15
+    assert before == "2017-01-02T08:15:00"
+    parts = lines[5].split(",")
+    parts[0] = stamp(before)
+    lines[5] = ",".join(parts)
+    field.write_text("\n".join(lines) + "\n")
+    assert _campaign(data, tmp_path) == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ValueError"
+    assert f"{field.name}:6: " in doc["message"] and rule in doc["message"]
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,21 @@
 import dataclasses
 import datetime as dt
+import functools
 import gc
 import json
+import math
+import operator
 import random
+import re
+import struct
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soilspec import (
     Aggregation,
@@ -35,7 +44,7 @@ from soilspec.errors import (
     TooFewPoints,
 )
 from soilspec import pipeline
-from soilspec.pipeline import WeeklyOutcome, campaign_fits, read_field_csv
+from soilspec.pipeline import CLOUDY_THRESHOLD, WeeklyOutcome, campaign_fits, read_field_csv
 from soilspec.spectral import read_spectrum_csv, write_spectrum_csv
 
 from conftest import bundled_tau, flat_spectrum, mixed_grid_day
@@ -120,6 +129,66 @@ def test_incomplete_replicates(toy2j):
 
 
 # ---------------------------------------------------------------------------
+# field days
+# ---------------------------------------------------------------------------
+
+COLUMNS = ("dni", "gni", "ghi", "dhi", "rainfall_mm", "pm10", "pm25")
+
+
+def test_field_day_holds_its_rows_as_columns():
+    day = clear_day(DATE, (1.0, 2.0, 3.0))
+    assert day.timestamps == tuple(r.timestamp for r in day.records)
+    assert day.spectra == tuple(r.spectral_dni for r in day.records)
+    for name in COLUMNS:
+        values = getattr(day, name)
+        assert values.dtype == np.float64 and not values.flags.writeable
+    np.testing.assert_array_equal(day.dni, [800.0] * 3)
+    assert np.isnan(day.pm10).all() and all(r.pm10 is None for r in day.records)
+    assert day.spectral_records == day.records
+    same = FieldDay.from_columns(DATE, day.timestamps, day.spectra,
+                                 **{name: getattr(day, name) for name in COLUMNS})
+    assert same == day and FieldDay(DATE, day.records) == day
+    assert repr(same) == repr(day) and hash(same) == hash(day)
+    assert repr(day).startswith("FieldDay(date=datetime.date(2017, 1, 2), records=(FieldRecord(")
+    assert day != FieldDay(DATE, day.records[:2])
+    assert day != FieldDay(DATE, [dataclasses.replace(day.records[0], pm25=1.0),
+                                  *day.records[1:]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        day.dni = day.gni
+    with pytest.raises(ValueError):
+        day.dni[0] = 0.0
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("dni", -1.0, "dni must be finite and >= 0, got -1.0"),
+    ("gni", math.inf, "gni must be finite and >= 0, got inf"),
+    ("ghi", math.nan, "ghi must be finite and >= 0, got nan"),
+    ("dhi", -1e-300, "dhi must be finite and >= 0, got -1e-300"),
+    ("rainfall_mm", math.nan, "rainfall_mm must be finite and >= 0 when given, got nan"),
+    ("pm10", -5.0, "pm10 must be finite and >= 0, got -5.0"),
+    ("pm25", math.inf, "pm25 must be finite and >= 0, got inf"),
+])
+def test_field_day_refuses_a_value_its_record_does_not_check(name, value, message):
+    records = list(clear_day(DATE, (1.0, 2.0, 3.0)).records)
+    records[1] = dataclasses.replace(records[1], **{name: value})  # a bare record takes it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FieldDay(DATE, records)
+
+
+@pytest.mark.parametrize("stamp, rule", [
+    (dt.datetime(2017, 1, 2, 13, tzinfo=dt.timezone.utc), "all naive or all tz-aware"),
+    (dt.datetime(2017, 1, 3, 13), "does not belong to day 2017-01-02"),
+    (dt.datetime(2017, 1, 2, 12), "strictly increasing"),
+    (dt.datetime(2017, 1, 2, 11), "strictly increasing"),
+], ids=["aware-among-naive", "off-the-day", "repeated", "decreasing"])
+def test_field_day_names_the_first_record_that_breaks_a_timestamp_rule(stamp, rule):
+    records = list(clear_day(DATE, (1.0, 2.0, 3.0)).records)  # 12:00, 13:00, 14:00
+    records[1] = dataclasses.replace(records[1], timestamp=stamp)
+    with pytest.raises(ValueError, match=f"field day 2017-01-02, record 1: .*{rule}"):
+        FieldDay(DATE, records)
+
+
+# ---------------------------------------------------------------------------
 # cloudy-day rule and spectra selection
 # ---------------------------------------------------------------------------
 
@@ -142,6 +211,25 @@ def test_is_cloudy_no_records():
     day = FieldDay(date=DATE, records=(FieldRecord(timestamp=ts, dni=0.0, gni=0.0),))
     with pytest.raises(NoIrradianceRecords):
         is_cloudy(day)
+
+
+def test_is_cloudy_sums_left_to_right(tmp_path):
+    # 4 plus fifteen half-ulps of 4 stays 4 summed left to right, while
+    # pairwise sums gather the half-ulps first and come out above 4, so
+    # DNI/GNI is 0.75 (clear) one way and just below it (cloudy) the other.
+    ts = dt.datetime.combine(DATE, dt.time(8, 0))
+    gni = [4.0] + [2.0**-51] * 15
+    dni = [3.0] + [0.0] * 15
+    records = [FieldRecord(timestamp=ts + dt.timedelta(minutes=5 * i), dni=d, gni=g)
+               for i, (d, g) in enumerate(zip(dni, gni))]
+    left_to_right = functools.reduce(operator.add, dni) / functools.reduce(operator.add, gni)
+    assert left_to_right == CLOUDY_THRESHOLD
+    assert np.sum(dni) / np.sum(gni) < CLOUDY_THRESHOLD
+    day = FieldDay(date=DATE, records=records)
+    write_campaign_dir([], [day], tmp_path)
+    read = read_field_csv(tmp_path / f"field_{DATE.isoformat()}.csv")
+    assert read == day
+    assert is_cloudy(day) is False and is_cloudy(read) is False
 
 
 def test_select_scan_day_when_clear():
@@ -272,6 +360,12 @@ def test_negative_field_spectra_reject_the_week(bundled_cell, aggregation):
     result = run_campaign(weeks, days, bundled_cell, aggregation)
     assert [(w.accepted, w.rejection_reason) for w in result.weekly] == [
         (True, None), (False, "NegativeIndex"), (True, None)]
+
+
+def test_run_campaign_refuses_two_field_days_of_one_date(bundled_cell):
+    weeks, days = synth_campaign(CampaignScenario(weeks=2, deposition_per_week=0.02))
+    with pytest.raises(ValueError, match=f"field day {days[0].date} appears more than once"):
+        run_campaign(weeks[:2], days + [days[0]], bundled_cell, Aggregation.NOON)
 
 
 def test_run_campaign_report_matches_direct(toy2j):
@@ -582,6 +676,63 @@ def test_loaded_campaign_dir_writes_back_byte_for_byte(tmp_path):
     assert len(files) == 43  # 18 scans, 3 field files, 21 spectra, the manifest
     for rel in files:
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+
+_CELL_VALUE = st.floats(min_value=0.0, max_value=1.7976931348623157e308,
+                        allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _field_days(draw):
+    """A field day of finite values >= 0, some optional cells empty, with
+    sub-minute timestamps, naive or at one UTC offset, a few with a spectrum."""
+    tz = draw(st.none() | st.integers(-14 * 60, 14 * 60).map(
+        lambda m: dt.timezone(dt.timedelta(minutes=m))))
+    micros = draw(st.lists(st.integers(0, 86_400_000_000 - 1), min_size=1, max_size=8,
+                           unique=True))
+    start = dt.datetime.combine(DATE, dt.time(), tz)
+    spectrum = flat_spectrum(300.0, 900.0, 1.0)
+    records = [
+        FieldRecord(timestamp=start + dt.timedelta(microseconds=us),
+                    dni=draw(_CELL_VALUE), gni=draw(_CELL_VALUE),
+                    ghi=draw(_CELL_VALUE), dhi=draw(_CELL_VALUE),
+                    rainfall_mm=draw(st.none() | _CELL_VALUE),
+                    pm10=draw(st.none() | _CELL_VALUE), pm25=draw(st.none() | _CELL_VALUE),
+                    spectral_dni=spectrum if draw(st.booleans()) else None)
+        for us in sorted(micros)
+    ]
+    return FieldDay(DATE, records)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(day=_field_days())
+def test_field_file_round_trip_is_exact(day):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        write_campaign_dir([], [day], first)
+        name = f"field_{DATE.isoformat()}.csv"
+        back = read_field_csv(first / name)
+        rows = [line.split(",") for line in (first / name).read_text().splitlines()[1:]]
+        assert len(rows) == len(day.timestamps)
+        assert back.timestamps == day.timestamps
+        assert [t.isoformat() for t in back.timestamps] == [row[0] for row in rows]
+        for j, column in enumerate(COLUMNS, start=1):
+            for value, original, row in zip(getattr(back, column).tolist(),
+                                            getattr(day, column).tolist(), rows):
+                if row[j] == "":
+                    assert math.isnan(value) and math.isnan(original)
+                else:
+                    assert _bits(value) == _bits(float(row[j])) == _bits(original)
+        assert [s is None for s in back.spectra] == [s is None for s in day.spectra]
+        write_campaign_dir([], [back], second)
+        files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+        for rel in files:
+            assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
 
 def test_load_campaign_dir_empty(tmp_path):
