@@ -698,16 +698,15 @@ def read_field_csv(path: str | Path) -> FieldDay:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != FIELD_HEADER:
         raise ValueError(f"{path}: expected header {FIELD_HEADER!r}")
-    rows = [(lineno, raw.split(",")) for lineno, raw in enumerate(lines[1:], start=2)
-            if raw.strip()]
+    rows = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
     if not rows:
         raise ValueError(f"{path}: no records")
     try:
-        timestamps, columns, spectra = _field_columns([parts for _, parts in rows], path.parent)
+        timestamps, columns, spectra = _field_columns([raw for _, raw in rows], path.parent)
     except ValueError:
-        for lineno, parts in rows:  # parsed again one by one, to name the first bad line
+        for lineno, raw in rows:  # parsed again one by one, to name the first bad line
             try:
-                _field_columns([parts], path.parent)
+                _field_columns([raw], path.parent)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
         raise
@@ -717,24 +716,25 @@ def read_field_csv(path: str | Path) -> FieldDay:
         raise ValueError(f"{path}:{rows[exc.row][0]}: {exc.rule}") from None
 
 
-def _field_columns(rows: list[list[str]], folder: Path
+def _field_columns(rows: list[str], folder: Path
                    ) -> tuple[list[dt.datetime], dict[str, np.ndarray], list[Path | None]]:
-    """The timestamps, value columns and spectrum paths of split field-file
-    rows, parsed a column at a time; a cell that does not parse raises
+    """The timestamps, value columns and spectrum paths of field-file rows,
+    parsed a column at a time; a cell that does not parse raises
     ``ValueError``. Values are parsed with ``float``, and an empty cell of
     an optional column is NaN, so one that spells NaN is refused."""
-    for parts in rows:
-        if len(parts) != 9:
-            raise ValueError(f"expected 9 columns, got {len(parts)}: {','.join(parts)!r}")
-    cells = list(zip(*rows))
-    timestamps = list(map(dt.datetime.fromisoformat, cells[0]))
-    columns = {name: np.array(list(map(float, texts)))
-               for name, texts in zip(_COLUMNS[:4], cells[1:5])}
-    for name, texts in zip(_OPTIONAL, cells[5:8]):
+    for raw in rows:
+        if raw.count(",") != 8:
+            raise ValueError(f"expected 9 columns, got {raw.count(',') + 1}: {raw!r}")
+    cells = ",".join(rows).split(",")  # row after row, so column j is cells[j::9]
+    timestamps = list(map(dt.datetime.fromisoformat, cells[0::9]))
+    columns = {name: np.array(list(map(float, cells[j::9])))
+               for j, name in enumerate(_COLUMNS[:4], start=1)}
+    for j, name in enumerate(_OPTIONAL, start=5):
+        texts = cells[j::9]
         values = columns[name] = np.array([float(t) if t else math.nan for t in texts])
         if np.count_nonzero(np.isnan(values)) != texts.count(""):
             raise ValueError(f"{name} must be finite and >= 0 when given, got nan")
-    return timestamps, columns, [folder / name if name else None for name in cells[8]]
+    return timestamps, columns, [folder / name if name else None for name in cells[8::9]]
 
 
 def _spectrum_name(timestamp: dt.datetime) -> str:
