@@ -57,7 +57,7 @@ from .spectral import (
     integrate,
     integrate_product,
     require_kind,
-    union_grid,
+    sample_on_union,
 )
 
 __all__ = [
@@ -95,9 +95,7 @@ def soiling_transmittance(soiled: Spectrum, control: Spectrum) -> Spectrum:
     """
     require_kind(soiled, Kind.TRANSMITTANCE, "soiled scan")
     require_kind(control, Kind.TRANSMITTANCE, "control scan")
-    grid = union_grid([soiled, control])
-    s = np.interp(grid, soiled.wavelengths_nm, soiled.values)
-    c = np.interp(grid, control.wavelengths_nm, control.values)
+    grid, (s, c) = sample_on_union([soiled, control])
     if c.min() < CONTROL_FLOOR:
         raise ControlBelowFloor(
             f"control transmittance {c.min():.4g} below floor {CONTROL_FLOOR} "

@@ -54,8 +54,8 @@ from .spectral import (
     Kind,
     Spectrum,
     read_spectrum_csv,
+    sample_on_union,
     spectrum_csv_text,
-    union_grid,
     write_spectrum_csv,
     write_text_atomic,
 )
@@ -336,11 +336,8 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
     spread = max(asts) - min(asts)
     if spread > SPREAD_THRESHOLD:
         return WeekValidation(False, None, "SpreadExceeded", asts, spread)
-    grid = union_grid(taus)
-    mean_vals = np.mean(
-        [np.interp(grid, t.wavelengths_nm, t.values) for t in taus], axis=0
-    )
-    tau = Spectrum(grid, mean_vals, Kind.TRANSMITTANCE)
+    grid, sampled = sample_on_union(taus)
+    tau = Spectrum(grid, np.mean(sampled, axis=0), Kind.TRANSMITTANCE)
     return WeekValidation(True, tau, None, asts, spread)
 
 

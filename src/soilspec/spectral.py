@@ -54,6 +54,7 @@ __all__ = [
     "integrate_product",
     "pointwise_product",
     "union_grid",
+    "sample_on_union",
     "read_spectrum_csv",
     "spectrum_csv_text",
     "write_spectrum_csv",
@@ -130,7 +131,7 @@ class Spectrum:
     Parameters
     ----------
     wavelengths_nm : array_like
-        Sample wavelengths in nm, strictly increasing, length >= 2.
+        Sample wavelengths in nm, finite, strictly increasing, length >= 2.
     values : array_like
         Sample values, same length, all finite. Transmittance values must
         lie in [0, 1 + TRANSMITTANCE_EPS]; out-of-range values must be
@@ -153,6 +154,8 @@ class Spectrum:
             raise ValueError("wavelengths and values must be 1-D and equal length")
         if w.size < 2:
             raise ValueError("a spectrum needs at least 2 samples")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("wavelengths must be finite")
         if not np.all(w[1:] > w[:-1]):  # np.diff can overflow to inf and warn
             raise ValueError("wavelengths must be strictly increasing")
         if not np.all(np.isfinite(v)):
@@ -265,26 +268,38 @@ def integrate(s: Spectrum, band: Waveband) -> float:
 def union_grid(spectra: Iterable[Spectrum]) -> np.ndarray:
     """Union of sample grids restricted to the common overlap."""
     spectra = list(spectra)
-    lo = max(s.support[0] for s in spectra)
-    hi = min(s.support[1] for s in spectra)
+    if not spectra:
+        raise ValueError("need at least one spectrum")
+    lo = max([s.wavelengths_nm[0] for s in spectra])
+    hi = min([s.wavelengths_nm[-1] for s in spectra])
     if lo >= hi:
         raise NoOverlap(
             "spectra supports do not overlap: "
             + ", ".join(f"[{s.support[0]}, {s.support[1]}]" for s in spectra)
         )
     pts = np.concatenate([s.wavelengths_nm for s in spectra])
-    pts = np.unique(pts[(pts >= lo) & (pts <= hi)])
+    pts = pts[(pts >= lo) & (pts <= hi)]
+    pts.sort()  # np.unique's sort and dedupe, without its wrapper's overhead
     # lo/hi are sample points of the spectra that bound the overlap, so the
     # union always retains the overlap endpoints.
-    return pts
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+
+
+def sample_on_union(spectra: Sequence[Spectrum]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The :func:`union_grid` of the spectra and each one's values on it:
+    its own read-only ``values`` for a spectrum already on that grid, which
+    ``np.interp`` would reproduce bit for bit."""
+    grid = union_grid(spectra)
+    ends = (grid[0], grid[-1])
+    return grid, [s.values if s.n_samples == grid.size and s.support == ends
+                  else np.interp(grid, s.wavelengths_nm, s.values) for s in spectra]
 
 
 def _product(spectra: Sequence[Spectrum]) -> tuple[np.ndarray, np.ndarray]:
     """Union grid of the factors and their product sampled on it."""
-    grid = union_grid(spectra)
-    vals = np.interp(grid, spectra[0].wavelengths_nm, spectra[0].values)
-    for s in spectra[1:]:
-        vals = vals * np.interp(grid, s.wavelengths_nm, s.values)
+    grid, (vals, *rest) = sample_on_union(spectra)
+    for v in rest:
+        vals = vals * v
     return grid, vals
 
 

@@ -1,3 +1,6 @@
+import hashlib
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from soilspec import (
     Spectrum,
     boxcar_cell,
     load_bundled_3j,
+    load_scenario,
     reference_spectrum,
+    synth_campaign,
     synth_spectrum,
     synth_tau,
 )
@@ -53,6 +58,15 @@ def mixed_grid_day():
     return spectra
 
 
+def spectra_sha256(spectra):
+    """sha256 over each spectrum's wavelength bytes, then its value bytes."""
+    digest = hashlib.sha256()
+    for s in spectra:
+        digest.update(s.wavelengths_nm.tobytes())
+        digest.update(s.values.tobytes())
+    return digest.hexdigest()
+
+
 def bundled_tau():
     """A blue-heavy soiling transmittance over the bundled cell's full band."""
     return synth_tau(SoilingModel(k=0.3, alpha=1.0), np.linspace(300, 1810, 303))
@@ -83,3 +97,10 @@ def bundled_cell():
 @pytest.fixture(scope="session")
 def reference():
     return reference_spectrum()
+
+
+@pytest.fixture(scope="session")
+def demo_weeks(bundled_cell):
+    """The first three weekly measurements of the bundled demo scenario."""
+    scenario = load_scenario(str(resources.files("soilspec").joinpath("data/demo_scenario.yaml")))
+    return synth_campaign(scenario, bundled_cell)[0][:3]

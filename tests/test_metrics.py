@@ -44,6 +44,7 @@ from conftest import (
     linear_spectrum,
     midpoint_riemann,
     mixed_grid_day,
+    spectra_sha256,
     sampled_eval,
 )
 
@@ -111,6 +112,19 @@ def test_tau_requires_overlap():
     b = flat_spectrum(500, 600, 0.9, Kind.TRANSMITTANCE)
     with pytest.raises(NoOverlap):
         soiling_transmittance(a, b)
+
+
+def test_tau_frozen_values(demo_weeks):
+    # The demo scans share one grid, so both factors are on the union grid;
+    # the offset pair puts neither on it.
+    taus = [soiling_transmittance(s, c)
+            for m in demo_weeks for s, c in zip(m.soiled_scans, m.control_scans)]
+    assert spectra_sha256(taus) == (
+        "80ace7e70421a7b46a67c4c5cb7e7c60ea8eafaf688643e2d3fbaba3e5373871")
+    soiled = synth_tau(SoilingModel(k=0.3, alpha=1.2), np.arange(298.0, 1814.0, 4.0))
+    control = synth_tau(SoilingModel(k=0.02, alpha=0.5), np.arange(297.5, 1815.0, 5.0))
+    assert spectra_sha256([soiling_transmittance(soiled, control)]) == (
+        "271e7be0b0914789df64affa943b14a85e9147adee0bbccbd4fcc8a3baf1e3b3")
 
 
 # ---------------------------------------------------------------------------

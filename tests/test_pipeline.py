@@ -25,6 +25,7 @@ from soilspec import (
     FieldRecord,
     IndexReport,
     Kind,
+    SoilingModel,
     WeeklyMeasurement,
     index_report,
     is_cloudy,
@@ -33,6 +34,7 @@ from soilspec import (
     select_spectra,
     soiling_rate_fit,
     synth_campaign,
+    synth_tau,
     validate_week,
     write_campaign_dir,
 )
@@ -47,7 +49,7 @@ from soilspec import pipeline
 from soilspec.pipeline import CLOUDY_THRESHOLD, WeeklyOutcome, campaign_fits, read_field_csv
 from soilspec.spectral import read_spectrum_csv, write_spectrum_csv
 
-from conftest import bundled_tau, flat_spectrum, mixed_grid_day
+from conftest import bundled_tau, flat_spectrum, mixed_grid_day, spectra_sha256
 
 DATE = dt.date(2017, 1, 2)
 
@@ -126,6 +128,23 @@ def test_incomplete_replicates(toy2j):
     assert not broken.complete
     with pytest.raises(IncompleteReplicates):
         validate_week(broken, toy2j)
+
+
+def test_accepted_tau_frozen_values(demo_weeks, bundled_cell):
+    # The demo weeks' replicate curves share one grid; the offset week's
+    # scans each have their own, so no replicate is on the union grid.
+    taus = [validate_week(m, bundled_cell).tau for m in demo_weeks]
+    assert spectra_sha256(taus) == (
+        "0d57ce65290a2dc5c654af2fc2611ba8612cce9112aa7e984052ff4250806b4a")
+    offset = WeeklyMeasurement(
+        week_id=1, scan_date=DATE,
+        soiled_scans=tuple(synth_tau(SoilingModel(k=0.3, alpha=1.2),
+                                     np.arange(297.0 + i, 1830.0, 4.0 + i)) for i in range(3)),
+        control_scans=tuple(synth_tau(SoilingModel(k=0.01, alpha=1.0),
+                                      np.arange(296.5 + i, 1830.0, 5.0 + i)) for i in range(3)),
+    )
+    assert spectra_sha256([validate_week(offset, bundled_cell).tau]) == (
+        "090e31ad12fed1de02c1f6901f057a9f9bb640f0a767625cdf39341e615c7b1a")
 
 
 # ---------------------------------------------------------------------------

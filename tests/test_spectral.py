@@ -24,6 +24,8 @@ from soilspec.spectral import (
     IRRADIANCE_UNITS,
     SR_UNITS,
     read_spectrum_csv,
+    sample_on_union,
+    union_grid,
     write_spectrum_csv,
     write_text_atomic,
 )
@@ -43,6 +45,13 @@ def test_wavelengths_must_increase():
 def test_needs_two_samples():
     with pytest.raises(ValueError, match="2 samples"):
         Spectrum(np.array([300.0]), np.array([1.0]), Kind.IRRADIANCE)
+
+
+@pytest.mark.parametrize("w", [[300.0, 400.0, np.inf], [-np.inf, 300.0, 400.0],
+                               [300.0, np.nan, 400.0]])
+def test_wavelengths_must_be_finite(w):
+    with pytest.raises(ValueError, match="wavelengths must be finite"):
+        Spectrum(np.array(w), np.ones(3), Kind.IRRADIANCE)
 
 
 def test_values_must_be_finite():
@@ -261,6 +270,74 @@ def test_product_units_and_kind():
 
 
 # ---------------------------------------------------------------------------
+# union grid and sampling on it
+# ---------------------------------------------------------------------------
+
+def test_union_grid_needs_a_spectrum():
+    with pytest.raises(ValueError, match="need at least one spectrum"):
+        union_grid([])
+    with pytest.raises(ValueError, match="need at least one spectrum"):
+        sample_on_union([])
+
+
+# Points on a 2.5 nm lattice recur across grids, some one ulp off it; free
+# floats do not recur.
+_LATTICE = st.integers(0, 40).map(lambda k: 300.0 + 2.5 * k)
+_POINT = _LATTICE | _LATTICE.map(lambda x: float(np.nextafter(x, 0.0))) | st.floats(300.0, 400.0)
+
+
+def _spectrum_on(draw, w):
+    v = draw(st.lists(st.floats(-1e6, 1e6), min_size=w.size, max_size=w.size))
+    return Spectrum(w, np.asarray(v), Kind.IRRADIANCE)
+
+
+@st.composite
+def _spectra_on_shared_points(draw):
+    """1-4 spectra whose grids are drawn from one pool of points, so they
+    share points, touch and overlap by one interval; optionally one more
+    on the union of their grids."""
+    pool = draw(st.lists(_POINT, min_size=2, max_size=20, unique=True))
+    grids = [np.sort(draw(st.lists(st.sampled_from(pool), min_size=2, unique=True)))
+             for _ in range(draw(st.integers(1, 4)))]
+    spectra = [_spectrum_on(draw, w) for w in grids]
+    lo, hi = max(w[0] for w in grids), min(w[-1] for w in grids)
+    if lo < hi and draw(st.booleans()):
+        pts = np.concatenate(grids)
+        spectra.insert(draw(st.integers(0, len(spectra))),
+                       _spectrum_on(draw, np.unique(pts[(pts >= lo) & (pts <= hi)])))
+    return spectra
+
+
+def _on(*grids):
+    return [Spectrum(np.array(w), np.ones(len(w)), Kind.IRRADIANCE) for w in grids]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra=_spectra_on_shared_points())
+@example(spectra=_on([300.0, 310.0], [310.0, 320.0]))                 # touching supports
+@example(spectra=_on([300.0, 310.0], [305.0, 320.0]))                 # one-interval overlap
+@example(spectra=_on([300.0, 305.0, 310.0], [300.0, 310.0], [300.0, 305.0, 310.0]))
+def test_sample_on_union_equals_unique_and_interp(spectra):
+    ws = [s.wavelengths_nm for s in spectra]
+    lo, hi = max(w[0] for w in ws), min(w[-1] for w in ws)
+    if lo >= hi:
+        for f in (union_grid, sample_on_union):
+            with pytest.raises(NoOverlap):
+                f(spectra)
+        return
+    pts = np.concatenate(ws)
+    expected = np.unique(pts[(pts >= lo) & (pts <= hi)])
+    grid, sampled = sample_on_union(spectra)
+    assert grid.tobytes() == expected.tobytes()
+    assert union_grid(spectra).tobytes() == expected.tobytes()
+    assert len(sampled) == len(spectra)
+    for s, v in zip(spectra, sampled):
+        assert v.tobytes() == np.interp(grid, s.wavelengths_nm, s.values).tobytes()
+        if s.wavelengths_nm.tobytes() == grid.tobytes():
+            assert v is s.values  # passed through, read-only
+
+
+# ---------------------------------------------------------------------------
 # integrate_product
 # ---------------------------------------------------------------------------
 
@@ -379,6 +456,17 @@ def test_csv_rejects_unsorted_rows(tmp_path):
         "wavelength_nm,value\n400.0,1.0\n300.0,1.0\n"
     )
     with pytest.raises(ValueError, match="strictly increasing"):
+        read_spectrum_csv(path)
+
+
+def test_csv_rejects_infinite_wavelength_naming_the_file(tmp_path):
+    # a support reaching inf would cover every band
+    path = tmp_path / "scan.csv"
+    path.write_text(
+        f"# kind=Transmittance units={DIMENSIONLESS}\n"
+        "wavelength_nm,value\n300.0,0.9\ninf,0.9\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}: wavelengths must be finite")):
         read_spectrum_csv(path)
 
 
