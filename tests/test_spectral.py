@@ -334,7 +334,7 @@ def test_sample_on_union_equals_unique_and_interp(spectra):
     for s, v in zip(spectra, sampled):
         assert v.tobytes() == np.interp(grid, s.wavelengths_nm, s.values).tobytes()
         if s.wavelengths_nm.tobytes() == grid.tobytes():
-            assert v is s.values  # passed through, read-only
+            assert v is s.values  # passed through, not interpolated again
 
 
 # ---------------------------------------------------------------------------
