@@ -131,10 +131,19 @@ def ast(tau: Spectrum, band: Waveband) -> float:
 def _sum_by_grid(spectra: Sequence[Spectrum]) -> list[Spectrum]:
     """One irradiance spectrum per distinct wavelength grid, in first-seen
     order, holding the sum of the values of the spectra on that grid; a sum
-    that overflows raises :class:`NonFiniteIndex`."""
+    that overflows raises :class:`NonFiniteIndex`.
+
+    Grids are grouped by content, so equal grids held by different arrays
+    share a group. A grid's bytes are read only when the grid array differs
+    from the previous spectrum's, as it does not along spectra built by
+    :meth:`Spectrum.with_values` from one another."""
     groups: dict[bytes, list[Spectrum]] = {}
+    grid = key = None
     for e in spectra:
-        groups.setdefault(e.wavelengths_nm.tobytes(), []).append(e)
+        if e.wavelengths_nm is not grid:
+            grid = e.wavelengths_nm
+            key = grid.tobytes()
+        groups.setdefault(key, []).append(e)
     summed = []
     for group in groups.values():
         if len(group) == 1:
@@ -144,7 +153,7 @@ def _sum_by_grid(spectra: Sequence[Spectrum]) -> list[Spectrum]:
         if not np.isfinite(total).all():
             raise NonFiniteIndex(f"the summed irradiance of {len(group)} spectra on one grid "
                                  f"is not finite")
-        summed.append(Spectrum(group[0].wavelengths_nm, total, Kind.IRRADIANCE, group[0].units))
+        summed.append(group[0].with_values(total))
     return summed
 
 
@@ -299,7 +308,10 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     Each current and integral is linear in the irradiance, so spectra
     that share a wavelength grid are summed first and evaluated once:
     there is one evaluation per distinct grid, and the results equal the
-    per-spectrum sums up to floating-point round-off.
+    per-spectrum sums up to floating-point round-off. Grids are told apart
+    by their samples, not by the array holding them, and evaluated in the
+    order each is first seen; so the report is the same, bit for bit,
+    whether equal grids share one array or each spectrum has its own copy.
     """
     if len(spectra) == 0:
         raise ValueError("need at least one irradiance spectrum")

@@ -907,8 +907,9 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
     if not data_dir.is_dir():
         raise FileNotFoundError(f"campaign data dir not found: {data_dir}")
 
+    # Entries of one directory sort by name as Paths do, without Path.__lt__.
     days, day_files = [], {}
-    for p in sorted(data_dir.glob("field_*.csv")):
+    for p in sorted(data_dir.glob("field_*.csv"), key=lambda p: p.name):
         day = read_field_csv(p)
         if day.date in day_files:
             raise ConfigError(f"{data_dir}: {day_files[day.date].name} and {p.name} both "
@@ -922,7 +923,7 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
                         "manifest")
 
     scans: dict[int, dict[str, dict[int, Path]]] = {}
-    for p in sorted(data_dir.iterdir()):
+    for p in sorted(data_dir.iterdir(), key=lambda p: p.name):
         m = _SCAN_RE.match(p.name)
         if m is None:
             continue

@@ -148,6 +148,8 @@ class Spectrum:
     units: str = field(default="")
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, Kind):
+            raise TypeError(f"spectrum kind must be a Kind member, got {self.kind!r}")
         w = np.asarray(self.wavelengths_nm, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if w.ndim != 1 or v.ndim != 1 or w.size != v.size:
@@ -158,23 +160,30 @@ class Spectrum:
             raise ValueError("wavelengths must be finite")
         if not np.all(w[1:] > w[:-1]):  # np.diff can overflow to inf and warn
             raise ValueError("wavelengths must be strictly increasing")
+        w = w.copy()
+        w.flags.writeable = False
+        self._hold(w, v, self.kind, self.units)
+
+    def _hold(self, w: np.ndarray, v: np.ndarray, kind: Kind, units: str) -> None:
+        """Check the values ``v``, one per sample of the checked read-only
+        grid ``w``, and hold ``w`` as given with a read-only copy of ``v``.
+        The fields are set in declaration order, as ``__init__`` sets them,
+        so that every spectrum has one attribute layout."""
         if not np.all(np.isfinite(v)):
             raise ValueError("spectrum values must be finite")
-        if self.kind is Kind.TRANSMITTANCE:
+        if kind is Kind.TRANSMITTANCE:
             if v.min() < 0.0 or v.max() > 1.0 + TRANSMITTANCE_EPS:
                 raise ValueError(
                     "transmittance values outside [0, "
                     f"{1.0 + TRANSMITTANCE_EPS}]: range "
                     f"[{v.min():.6g}, {v.max():.6g}]; clamp explicitly if intended"
                 )
-        w = w.copy()
         v = v.copy()
-        w.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "wavelengths_nm", w)
         object.__setattr__(self, "values", v)
-        if not self.units:
-            object.__setattr__(self, "units", _DEFAULT_UNITS[self.kind])
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "units", units or _DEFAULT_UNITS[kind])
 
     # -- basic queries -------------------------------------------------
 
@@ -202,11 +211,18 @@ class Spectrum:
 
     def clamped(self, lo: float = 0.0, hi: float = 1.0) -> "Spectrum":
         """Return a copy with values clipped to [lo, hi] (explicit request)."""
-        return Spectrum(self.wavelengths_nm, np.clip(self.values, lo, hi),
-                        self.kind, self.units)
+        return self.with_values(np.clip(self.values, lo, hi))
 
     def with_values(self, values: np.ndarray) -> "Spectrum":
-        return Spectrum(self.wavelengths_nm, values, self.kind, self.units)
+        """A spectrum of this kind and units with new ``values`` on this
+        spectrum's grid: the same read-only ``wavelengths_nm`` object, checked
+        when this spectrum was built; the values are checked and copied."""
+        v = np.asarray(values, dtype=float)
+        if v.ndim != 1 or v.size != self.wavelengths_nm.size:
+            raise ValueError("wavelengths and values must be 1-D and equal length")
+        s = Spectrum.__new__(Spectrum)
+        s._hold(self.wavelengths_nm, v, self.kind, self.units)
+        return s
 
 
 def resample(s: Spectrum, grid: Sequence[float] | np.ndarray) -> Spectrum:

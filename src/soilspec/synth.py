@@ -83,8 +83,7 @@ def synth_spectrum(tilt: float, grid=None, reference: Spectrum | None = None) ->
     if tilt == 0.0:
         return base
     w = base.wavelengths_nm
-    shaped = Spectrum(w, base.values * (TILT_REFERENCE_NM / w) ** tilt, Kind.IRRADIANCE,
-                      base.units)
+    shaped = base.with_values(base.values * (TILT_REFERENCE_NM / w) ** tilt)
     support = Waveband("support", *base.support)
     scale = integrate(base, support) / integrate(shaped, support)
     return shaped.with_values(shaped.values * scale)

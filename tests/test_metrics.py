@@ -380,6 +380,35 @@ def test_weighted_report_mixed_grids_matches_per_spectrum_sums(bundled_cell, mon
     assert (report.limiting_cleaned, report.limiting_soiled) == limiting
 
 
+def test_weighted_report_groups_grids_by_content(bundled_cell, monkeypatch):
+    # grid A, grid B, a distinct array equal to A, then A again
+    grid_a = np.arange(297.5, 1815.0, 5.0)
+    a0 = synth_spectrum(0.2, grid_a)
+    b = synth_spectrum(-0.1, np.arange(296.0, 1816.0, 4.0))
+    a_copy = Spectrum(grid_a.copy(), 0.7 * a0.values, Kind.IRRADIANCE)
+    a1 = a0.with_values(0.3 * a0.values)
+    day = [a0, b, a_copy, a1]
+    assert a1.wavelengths_nm is a0.wavelengths_nm
+    assert a_copy.wavelengths_nm is not a0.wavelengths_nm
+    tau = bundled_tau()
+    calls = []
+    monkeypatch.setattr(
+        soilspec.metrics, "jsc_junction",
+        lambda *args: calls.append(args) or jsc_junction(*args),
+    )
+    report = index_report_weighted(day, bundled_cell, tau).to_dict()
+    # one evaluation per distinct grid: A (all three spectra), then B
+    assert len(calls) == 2 * 2 * len(bundled_cell.junctions)
+    firsts = calls[::2 * len(bundled_cell.junctions)]
+    assert [e.wavelengths_nm.tobytes() for e, _ in firsts] == [
+        grid_a.tobytes(), b.wavelengths_nm.tobytes()]
+    monkeypatch.undo()
+    own_grids = [Spectrum(e.wavelengths_nm.copy(), e.values, e.kind, e.units) for e in day]
+    assert index_report_weighted(own_grids, bundled_cell, tau).to_dict() == report
+    summed_a = a0.with_values(np.sum([a0.values, a_copy.values, a1.values], axis=0))
+    assert index_report_weighted([summed_a, b], bundled_cell, tau).to_dict() == report
+
+
 def test_weighted_report_checks_kind_of_every_spectrum(toy2j, flat_e, linear_tau):
     # a wrong-kind curve on the same grid must not be summed into the day
     stray = flat_spectrum(300, 900, 1.0, Kind.TRANSMITTANCE)

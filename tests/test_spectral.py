@@ -80,6 +80,78 @@ def test_values_are_immutable():
         s.values[0] = 2.0
 
 
+def test_with_values_and_clamped_share_the_grid():
+    s = Spectrum(np.array([300.0, 350.0, 400.0]), np.array([0.2, 1.01, 0.9]),
+                 Kind.TRANSMITTANCE, "custom")
+    new = np.array([0.1, 0.2, 0.3])
+    t = s.with_values(new)
+    c = t.clamped(0.15, 0.25)
+    for derived in (t, c, c.with_values(np.zeros(3))):
+        assert derived.wavelengths_nm is s.wavelengths_nm
+        assert (derived.kind, derived.units) == (Kind.TRANSMITTANCE, "custom")
+        assert not derived.values.flags.writeable
+    new[0] = 0.9  # the values are still copied
+    assert t.values.tolist() == [0.1, 0.2, 0.3]
+    assert c.values.tolist() == [0.15, 0.2, 0.25]
+
+
+@pytest.mark.parametrize("derive, match", [
+    (lambda s: s.with_values(np.ones(2)), "equal length"),
+    (lambda s: s.with_values(np.ones(4)), "equal length"),
+    (lambda s: s.with_values(np.ones((1, 3))), "equal length"),
+    (lambda s: s.with_values(np.array([0.5, np.nan, 0.5])), "finite"),
+    (lambda s: s.with_values(np.array([0.5, np.inf, 0.5])), "finite"),
+    (lambda s: s.with_values(np.array([0.5, 1.05, 0.5])), "clamp"),
+    (lambda s: s.with_values(np.array([0.5, -0.01, 0.5])), "clamp"),
+    (lambda s: s.clamped(1.5, 2.0), "clamp"),
+    (lambda s: s.clamped(-1.0, -0.5), "clamp"),
+])
+def test_derived_spectra_still_check_values(derive, match):
+    s = Spectrum(np.array([300.0, 350.0, 400.0]), np.array([0.2, 0.6, 0.9]),
+                 Kind.TRANSMITTANCE)
+    with pytest.raises(ValueError, match=match):
+        derive(s)
+
+
+def _writable():
+    return np.array([300.0, 400.0]), np.array([1.0, 2.0])
+
+
+def _read_only_view():
+    w, v = np.array([300.0, 400.0]), np.array([1.0, 2.0])
+    wv, vv = w[:], v[:]
+    wv.flags.writeable = vv.flags.writeable = False
+    return (w, v), (wv, vv)
+
+
+def _read_only_owning():
+    w, v = np.array([300.0, 400.0]), np.array([1.0, 2.0])
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
+
+
+@pytest.mark.parametrize("kind", ["writable", "read-only view", "read-only owning"])
+def test_constructor_copies_caller_arrays(kind):
+    if kind == "writable":
+        buffers = passed = _writable()
+    elif kind == "read-only view":
+        buffers, passed = _read_only_view()
+    else:
+        buffers = passed = _read_only_owning()
+    s = Spectrum(*passed, Kind.IRRADIANCE)
+    for buf in buffers:
+        buf.flags.writeable = True
+        buf *= 2.0
+    assert s.wavelengths_nm.tolist() == [300.0, 400.0]
+    assert s.values.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("units", ["", IRRADIANCE_UNITS])
+def test_kind_must_be_a_kind_member(units):
+    with pytest.raises(TypeError, match="'Irradiance'"):
+        Spectrum(np.array([300.0, 400.0]), np.array([1.0, 1.0]), "Irradiance", units)
+
+
 def test_waveband_validation():
     with pytest.raises(ValueError):
         Waveband("bad", 500.0, 400.0)
