@@ -255,19 +255,23 @@ def _band_trapezoid(w: np.ndarray, v: np.ndarray, band: Waveband) -> float:
     the band leaves [w[0], w[-1]].
     """
     lo, hi = band.lambda_min_nm, band.lambda_max_nm
-    if lo < w[0] or hi > w[-1]:
+    w0, wn = w[0], w[-1]
+    if lo < w0 or hi > wn:
         raise BandOutOfSupport(
             f"band {band.name!r} [{lo}, {hi}] nm not covered by support "
-            f"[{float(w[0])}, {float(w[-1])}] nm"
+            f"[{float(w0)}, {float(wn)}] nm"
         )
-    i0 = int(w.searchsorted(lo, side="right"))
-    i1 = int(w.searchsorted(hi, side="left"))
-    # w[i0-1] <= lo < w[i0] and w[i1-1] < hi <= w[i1]: the slice holds the
-    # interior samples plus one on each side, which the limits replace.
-    x = w[i0 - 1:i1 + 1].copy()
-    y = v[i0 - 1:i1 + 1].copy()
-    x[0], x[-1] = lo, hi
-    y[0], y[-1] = np.interp((lo, hi), w, v)
+    if lo == w0 and hi == wn:  # np.interp would return the end samples
+        x, y = w, v
+    else:
+        i0 = int(w.searchsorted(lo, side="right"))
+        i1 = int(w.searchsorted(hi, side="left"))
+        # w[i0-1] <= lo < w[i0] and w[i1-1] < hi <= w[i1]: the slice holds the
+        # interior samples plus one on each side, which the limits replace.
+        # np.interp finds the same interval, so the same bits, in the slice.
+        x, y = w[i0 - 1:i1 + 1].copy(), v[i0 - 1:i1 + 1].copy()
+        y[0], y[-1] = np.interp((lo, hi), x, y)
+        x[0], x[-1] = lo, hi
     return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum())
 
 
@@ -294,11 +298,15 @@ def union_grid(spectra: Iterable[Spectrum]) -> np.ndarray:
             + ", ".join(f"[{s.support[0]}, {s.support[1]}]" for s in spectra)
         )
     pts = np.concatenate([s.wavelengths_nm for s in spectra])
-    pts = pts[(pts >= lo) & (pts <= hi)]
-    pts.sort()  # np.unique's sort and dedupe, without its wrapper's overhead
-    # lo/hi are sample points of the spectra that bound the overlap, so the
-    # union always retains the overlap endpoints.
-    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+    pts.sort()
+    # Cut [lo, hi] (both sample points, so kept) and keep the first of each
+    # run of equal points. That is np.unique's bytes as long as equal points
+    # share their bytes: no grid mixes 0.0 with -0.0.
+    pts = pts[pts.searchsorted(lo, side="left"):pts.searchsorted(hi, side="right")]
+    keep = np.empty(pts.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(pts[1:], pts[:-1], out=keep[1:])
+    return pts[keep]
 
 
 def sample_on_union(spectra: Sequence[Spectrum]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -306,9 +314,10 @@ def sample_on_union(spectra: Sequence[Spectrum]) -> tuple[np.ndarray, list[np.nd
     its own read-only ``values`` for a spectrum already on that grid, which
     ``np.interp`` would reproduce bit for bit."""
     grid = union_grid(spectra)
-    ends = (grid[0], grid[-1])
-    return grid, [s.values if s.n_samples == grid.size and s.support == ends
-                  else np.interp(grid, s.wavelengths_nm, s.values) for s in spectra]
+    lo, hi, n = grid[0], grid[-1], grid.size
+    # n points from lo to hi, all of them union points, are the union.
+    return grid, [s.values if (w := s.wavelengths_nm).size == n and w[0] == lo and w[-1] == hi
+                  else np.interp(grid, w, s.values) for s in spectra]
 
 
 def _product(spectra: Sequence[Spectrum]) -> tuple[np.ndarray, np.ndarray]:

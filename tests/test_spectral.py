@@ -389,6 +389,11 @@ def _on(*grids):
 @example(spectra=_on([300.0, 310.0], [310.0, 320.0]))                 # touching supports
 @example(spectra=_on([300.0, 310.0], [305.0, 320.0]))                 # one-interval overlap
 @example(spectra=_on([300.0, 305.0, 310.0], [300.0, 310.0], [300.0, 305.0, 310.0]))
+# points one ulp below lo and one ulp above hi fall outside the cut
+@example(spectra=_on([300.0, 310.0, 320.0],
+                     [np.nextafter(300.0, 0.0), 305.0, np.nextafter(320.0, np.inf)]))
+# each overlap end is a sample point of two grids
+@example(spectra=_on([300.0, 310.0, 320.0], [300.0, 315.0, 330.0], [290.0, 305.0, 320.0]))
 def test_sample_on_union_equals_unique_and_interp(spectra):
     ws = [s.wavelengths_nm for s in spectra]
     lo, hi = max(w[0] for w in ws), min(w[-1] for w in ws)
@@ -402,6 +407,8 @@ def test_sample_on_union_equals_unique_and_interp(spectra):
     grid, sampled = sample_on_union(spectra)
     assert grid.tobytes() == expected.tobytes()
     assert union_grid(spectra).tobytes() == expected.tobytes()
+    # union_grid takes any iterable, a one-shot generator included
+    assert union_grid(s for s in spectra).tobytes() == expected.tobytes()
     assert len(sampled) == len(spectra)
     for s, v in zip(spectra, sampled):
         assert v.tobytes() == np.interp(grid, s.wavelengths_nm, s.values).tobytes()
@@ -450,6 +457,73 @@ def test_integrate_product_equals_integrated_product(e, tau, sr, f0, f1):
     assume(a < b)
     band = Waveband("b", a, b)
     assert integrate_product(*fs, band=band) == integrate(pointwise_product(*fs), band)
+
+
+def _reference_trapezoid(w, v, band):
+    """The band trapezoid in its plain form: copy the bracketing slice, set
+    its ends to the band limits and to np.interp over the whole grid."""
+    lo, hi = band.lambda_min_nm, band.lambda_max_nm
+    i0 = int(w.searchsorted(lo, side="right"))
+    i1 = int(w.searchsorted(hi, side="left"))
+    x = w[i0 - 1:i1 + 1].copy()
+    y = v[i0 - 1:i1 + 1].copy()
+    x[0], x[-1] = lo, hi
+    y[0], y[-1] = np.interp((lo, hi), w, v)
+    return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum())
+
+
+def _reference_product(spectra):
+    """np.unique of the grid points in the overlap, and the factors
+    interpolated there and multiplied in argument order."""
+    ws = [s.wavelengths_nm for s in spectra]
+    lo, hi = max(w[0] for w in ws), min(w[-1] for w in ws)
+    pts = np.concatenate(ws)
+    grid = np.unique(pts[(pts >= lo) & (pts <= hi)])
+    vals = np.interp(grid, ws[0], spectra[0].values)
+    for s in spectra[1:]:
+        vals = vals * np.interp(grid, s.wavelengths_nm, s.values)
+    return grid, vals
+
+
+def _ulp_near(x):
+    return st.sampled_from([x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, np.inf))])
+
+
+@st.composite
+def _factors_and_band(draw):
+    """1-3 factors and a band in their overlap, whose limits are union
+    points, their neighbouring doubles or free points."""
+    fs = draw(st.lists(_factor(Kind.IRRADIANCE, 2.0), min_size=1, max_size=3))
+    grid = _reference_product(fs)[0]
+    lo, hi = float(grid[0]), float(grid[-1])
+    limit = st.sampled_from(grid.tolist()).flatmap(_ulp_near) | st.floats(lo, hi)
+    a, b = sorted(min(max(draw(limit), lo), hi) for _ in range(2))
+    assume(a < b)
+    return fs, Waveband("b", a, b)
+
+
+_E = Spectrum(np.array([300.0, 310.0, 325.0, 340.0]),
+              np.array([0.7, 1.3, 1.1, 0.9]), Kind.IRRADIANCE)
+_TAU = Spectrum(np.array([300.0, 305.0, 325.0, 340.0]),
+                np.array([0.91, 0.87, 0.93, 0.89]), Kind.TRANSMITTANCE)
+_UP, _DOWN = float(np.nextafter(300.0, np.inf)), float(np.nextafter(340.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_factors_and_band())
+@example(case=([_E, _TAU], Waveband("b", 300.0, 340.0)))  # exactly the support
+@example(case=([_E, _TAU], Waveband("b", _UP, _DOWN)))    # one ulp inside each end
+@example(case=([_E, _TAU], Waveband("b", 311.0, 317.5)))  # inside one interval
+@example(case=([_E, _TAU], Waveband("b", 305.0, 325.0)))  # limits on interior samples
+def test_band_trapezoid_equals_reference_formula(case):
+    # integrate_product is checked against an independent product and
+    # trapezoid here, not against pointwise_product, which shares its kernel.
+    fs, band = case
+    for f in fs:
+        assert integrate(f, band).hex() == _reference_trapezoid(
+            f.wavelengths_nm, f.values, band).hex()
+    assert integrate_product(*fs, band=band).hex() == _reference_trapezoid(
+        *_reference_product(fs), band).hex()
 
 
 def _grid_factors():

@@ -1,8 +1,10 @@
-"""The repository's tools reproduce what the package ships, and the benchmark's
-traced names exist."""
+"""The repository's tools reproduce what the package ships, the benchmark's
+traced names exist, and the committed benchmark records agree with the
+comparison that produced them."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import soilspec
@@ -40,3 +42,28 @@ def test_benchmark_traced_names_exist():
     assert spans.TARGETS
     for module, name in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module), name)), f"{module}.{name}"
+
+
+def test_committed_benchmark_records_reproduce_their_verdicts(tmp_path):
+    # Each BENCH_*.json keeps both result sets and the verdict of every
+    # end-to-end row; compare.py's load and verdict must give that verdict.
+    compare = _load("perfbench_compare", ROOT / "perfbench" / "compare.py")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        sets = {}
+        for side in ("parent", "change"):
+            jsonl = tmp_path / f"{path.stem}-{side}.jsonl"
+            jsonl.write_text("".join(json.dumps(r) + "\n" for r in doc["result_sets"][side]),
+                             encoding="utf-8")
+            sets[side] = compare.load(str(jsonl))
+        assert doc["verdicts"], path.name
+        for row in doc["verdicts"]:
+            m = metrics[row["metric"]]
+            key, name = (0, row["workload"]), row["metric"]
+            got = compare.verdict(sets["parent"][key][name], sets["change"][key][name],
+                                  m["bound"], m["better"] == "lower")
+            assert got == row["verdict"], f"{path.name}: {row['workload']} {name}"
