@@ -31,6 +31,7 @@ from .errors import (
     KindMismatch,
     MissingReferenceSpectrum,
     NoEligibleJunction,
+    SoilspecError,
 )
 from .spectral import (
     DIMENSIONLESS,
@@ -277,15 +278,19 @@ def _load_sr(entry: Mapping, config_path: Path, jname: str) -> Spectrum:
         )
     path = config_path.parent / (sr_file or eqe_file)
     if not path.is_file():
-        raise ConfigError(f"junction {jname!r}: response file not found: {path}")
+        raise ConfigError(f"{config_path}: junction {jname!r}: response file not found: {path}")
     curve = read_spectrum_csv(path)
     if sr_file is not None:
         if curve.units == DIMENSIONLESS:
             raise ConfigError(
-                f"junction {jname!r}: {path} is dimensionless; load it via eqe_file"
+                f"{config_path}: junction {jname!r}: {path} is dimensionless; "
+                "load it via eqe_file"
             )
         return curve
-    return eqe_to_sr(curve)
+    try:
+        return eqe_to_sr(curve)
+    except KindMismatch as exc:
+        raise KindMismatch(f"{config_path}: junction {jname!r}: {exc}") from None
 
 
 def load_cell(config_path: str | Path) -> CellModel:
@@ -313,8 +318,11 @@ def load_cell(config_path: str | Path) -> CellModel:
     computed reference currents are used; ``reference_currents`` only
     checks them, each junction and no other, to 1e-9 relative. Any other
     key, at the top level, in a junction or in ``full_band``, is a
-    :class:`ConfigError`, and so is a band or cell that fails validation;
-    both name the file.
+    :class:`ConfigError`, and so is a band or cell that fails a value
+    check. A cell that fails a spectral check keeps that check's error
+    (:class:`BandCoverage`, :class:`NoEligibleJunction`,
+    :class:`KindMismatch`, :class:`BandOutOfSupport`, ...). Every one of
+    these errors starts with the config file's path.
     """
     config_path = Path(config_path)
     doc = read_yaml(config_path)
@@ -373,8 +381,9 @@ def load_cell(config_path: str | Path) -> CellModel:
                     raise ConfigError(f"cell {name!r}: reference current for {jname!r} is "
                                       f"{stored}, recomputed {expected} (tolerance 1e-9 relative)")
         return cell
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{config_path}: {exc}") from None
+    except (ValueError, SoilspecError) as exc:
+        error = ConfigError if isinstance(exc, ValueError) else type(exc)
+        raise error(f"{config_path}: {exc}") from None
 
 
 def bundled_cell_config_path() -> Path:

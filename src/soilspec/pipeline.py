@@ -47,6 +47,7 @@ from .errors import (
     NoWeeksFound,
     SoilspecError,
     TooFewPoints,
+    ZeroDenominator,
     ZeroVariance,
 )
 from .metrics import IndexReport, ast, index_report_weighted, soiling_transmittance
@@ -378,12 +379,17 @@ def select_spectra(scan_date: dt.date,
 
     The scan day itself if it is clear; otherwise the nearest clear day
     within +/-1 day, preferring the previous day on a tie (the coupon
-    state matches the day before the scan better than the day after).
+    state matches the day before the scan better than the day after). A
+    neighbour outside the calendar (before 0001-01-01, after 9999-12-31)
+    is no candidate.
     """
     if not isinstance(days, Mapping):
         days = {d.date: d for d in days}
     for offset in (0, -1, +1):
-        day = days.get(scan_date + dt.timedelta(days=offset))
+        try:
+            day = days.get(scan_date + dt.timedelta(days=offset))
+        except OverflowError:
+            continue
         if day is None:
             continue
         try:
@@ -648,7 +654,9 @@ def campaign_fits(result: CampaignResult) -> dict:
     Mirrors the campaign regression analyses: sratio, bsratio, ssratio
     and smratio against ast_full, plus the first junction band's AST
     ratio against each other junction band. Fits that cannot be computed
-    carry an ``error`` kind instead of coefficients.
+    carry an ``error`` kind instead of coefficients; an AST ratio whose
+    denominator band has an AST of 0 in an accepted week is
+    ``ZeroDenominator``.
     """
     accepted = result.accepted
     full = result.ast_band_names[0]
@@ -667,8 +675,11 @@ def campaign_fits(result: CampaignResult) -> dict:
     if len(bands) >= 2:
         first = bands[0]
         for other in bands[1:]:
-            y = [w.ast_by_band[first] / w.ast_by_band[other] for w in accepted]
-            _fit(f"ast_{first}_over_{other}_vs_ast_{full}", y)
+            key = f"ast_{first}_over_{other}_vs_ast_{full}"
+            if any(w.ast_by_band[other] == 0.0 for w in accepted):
+                fits[key] = {"error": ZeroDenominator.__name__}
+            else:
+                _fit(key, [w.ast_by_band[first] / w.ast_by_band[other] for w in accepted])
     return fits
 
 
@@ -689,10 +700,14 @@ def read_field_csv(path: str | Path) -> FieldDay:
     ``spectral_dni`` is that path, ``path.parent / spectrum_file``. The
     day's date is that of the first row. The first row that does not
     parse, or else the first that breaks a rule of :class:`FieldDay`,
-    raises ``ValueError`` naming the file and the row's line.
+    raises ``ValueError`` naming the file and the row's line; a file that
+    is not UTF-8 raises ``ValueError`` naming the file.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not lines or lines[0] != FIELD_HEADER:
         raise ValueError(f"{path}: expected header {FIELD_HEADER!r}")
     rows = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
@@ -894,8 +909,9 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
     ``scan_date``, is a :class:`ConfigError`, and so are a week id that
     ``weeks`` lists twice or that has no scan files, two scan files that
     name one week, role and replicate (``week01_soiled_1.csv`` and
-    ``week1_soiled_1.csv``) and two field files whose records fall on one
-    date.
+    ``week1_soiled_1.csv``), two field files whose records fall on one
+    date and a week whose scan date, start + cadence * week offset, is
+    past 9999-12-31.
 
     The manifest, the scan file names and every field-file row are read
     and checked here; no spectrum CSV is. Scans and field spectra are held
@@ -956,6 +972,14 @@ def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], li
             "with start_date or include field_*.csv files"
         )
     first_wid = min(scans)
+
+    # The last week dated from the start lands latest; past date.max it has no date.
+    last = max((wid for wid in scans if overrides.get(wid) is None), default=first_wid)
+    offset = cadence * (last - first_wid)
+    if offset > (dt.date.max - start_date).days:
+        scan = next(p for replicates in scans[last].values() for p in replicates.values())
+        raise ConfigError(f"{scan}: week {last} scan date, start_date {start_date} + "
+                          f"{last - first_wid} * cadence_days {cadence} days, is past {dt.date.max}")
 
     weeks = [
         WeeklyMeasurement(

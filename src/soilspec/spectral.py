@@ -383,77 +383,64 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
 
     The first line must be the sidecar metadata line
     ``# kind=<Irradiance|Transmittance|SpectralResponse> units=<...>``;
-    additional ``#`` comment lines after it are skipped. A data row that
-    is not two comma-separated numbers raises ``ValueError`` naming
-    ``path:line``.
+    additional ``#`` comment lines after it are skipped. A file that is
+    not UTF-8, or a data row that is not two comma-separated numbers,
+    raises ``ValueError`` naming the file (and ``path:line`` for a row).
 
-    The body is parsed with one :func:`numpy.loadtxt` call. When that
-    does not give an ``(n, 2)`` array, the rows are parsed one by one
-    with ``float``, which accepts what ``float`` accepts (blank lines,
-    ``1_000``) and names the first bad row; both parsers give
-    bit-identical values.
+    The file is read once. The body is parsed with one
+    :func:`numpy.loadtxt` call. When that does not give an ``(n, 2)``
+    array, the rows are walked one by one with ``float``, which accepts
+    what ``float`` accepts (blank lines, ``1_000``) and numbers the first
+    bad row as it reaches it; both parsers give bit-identical values.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        m = _META_RE.match(first)
-        if m is None:
-            raise ValueError(
-                f"{path}: first line must be '# kind=<...> units=<...>', got {first!r}"
-            )
-        kind_name, units = m.group(1), m.group(2)
-        try:
-            kind = Kind(kind_name)
-        except ValueError:
-            raise ValueError(f"{path}: unknown spectrum kind {kind_name!r}") from None
-        n_head = 2  # metadata line, comment lines, header line
-        line = fh.readline().rstrip("\n")
-        while line.startswith("#"):
-            n_head += 1
-            line = fh.readline().rstrip("\n")
-        if line != _HEADER:
-            raise ValueError(f"{path}: expected header {_HEADER!r}, got {line!r}")
-        body = fh.tell()
-        data = None
-        # An empty body makes loadtxt warn; one with a blank first row
-        # takes the row loop.
-        if fh.readline().strip():
-            fh.seek(body)
-            with contextlib.suppress(ValueError):
-                data = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
-        if data is not None and data.shape[1] == 2 and len(data):
-            wl, vals = data[:, 0], data[:, 1]
-        else:
-            fh.seek(body)
-            wl, vals = _read_rows(fh, path, n_head)
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    m = _META_RE.match(lines[0])
+    if m is None:
+        raise ValueError(
+            f"{path}: first line must be '# kind=<...> units=<...>', got {lines[0]!r}"
+        )
+    kind_name, units = m.group(1), m.group(2)
+    try:
+        kind = Kind(kind_name)
+    except ValueError:
+        raise ValueError(f"{path}: unknown spectrum kind {kind_name!r}") from None
+    lines.append("")  # a file that ends early has an empty header line
+    head = 1
+    while lines[head].startswith("#"):
+        head += 1
+    if lines[head] != _HEADER:
+        raise ValueError(f"{path}: expected header {_HEADER!r}, got {lines[head]!r}")
+    body = lines[head + 1:]
+    data = None
+    # A body without rows makes loadtxt warn, so one whose first line is
+    # blank takes the row walk.
+    if body[0].strip():
+        with contextlib.suppress(ValueError):
+            data = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+    if data is not None and data.shape[1] == 2 and len(data):
+        wl, vals = data[:, 0], data[:, 1]
+    else:
+        wl, vals = [], []
+        for lineno, raw in enumerate(body, start=head + 2):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                a, b = raw.split(",")
+                wl.append(float(a))
+                vals.append(float(b))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'wavelength_nm,value' numbers, got {raw!r}"
+                ) from None
     try:
         return Spectrum(np.asarray(wl), np.asarray(vals), kind, units)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_rows(fh, path: Path, n_head: int) -> tuple[list[float], list[float]]:
-    """Parse the body rows of an open spectrum CSV one by one with ``float``."""
-    wl: list[float] = []
-    vals: list[float] = []
-    try:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            a, b = raw.split(",")
-            wl.append(float(a))
-            vals.append(float(b))
-    except ValueError:
-        # Rows are not counted in the loop; the first data line equal to
-        # the bad row is it.
-        fh.seek(0)
-        lineno = next(n for n, text in enumerate(fh, 1)
-                      if n > n_head and text.strip() == raw)
-        raise ValueError(
-            f"{path}:{lineno}: expected 'wavelength_nm,value' numbers, got {raw!r}"
-        ) from None
-    return wl, vals
 
 
 def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:

@@ -136,6 +136,9 @@ class CampaignScenario:
             raise ValueError("noise_sigma must be >= 0")
         if not (0.0 < self.glass_transmittance <= 1.0):
             raise ValueError("glass_transmittance must be in (0, 1]")
+        if 7 * (self.weeks - 1) > (dt.date.max - self.start_date).days:
+            raise ValueError(f"week {self.weeks} would be scanned past {dt.date.max} "
+                             f"(start_date {self.start_date})")
         object.__setattr__(self, "rain_weeks", tuple(self.rain_weeks))
 
     @property

@@ -510,10 +510,11 @@ def _mutation(draw, doc):
 
 
 def _assert_clean_exit(rc, capsys):
+    """Exit 0, or 1 or 2 with one JSON error object, which is returned."""
     assert rc in (0, 1, 2)
-    if rc:
-        _one_error(capsys)
+    doc = _one_error(capsys) if rc else None
     capsys.readouterr()
+    return doc
 
 
 _BUNDLED_CELL = yaml.safe_load(bundled_cell_config_path().read_text())
@@ -734,6 +735,72 @@ def test_campaign_incomplete_week_is_rejected_before_its_scans_are_read(three_we
     assert damaged["1"] == clean["1"] and damaged["3"] == clean["3"]
 
 
+def test_campaign_zero_junction_band_ast_is_a_fit_error(three_weeks, tmp_path, capsys):
+    assert _campaign(three_weeks, tmp_path / "clean") == 0
+    data = shutil.copytree(three_weeks, tmp_path / "data")
+    for path in data.glob("week*_soiled_*.csv"):  # opaque inside the bot band, 920-1810 nm
+        s = read_spectrum_csv(path)
+        write_spectrum_csv(s.with_values(s.values * (s.wavelengths_nm <= 915.0)), path)
+    assert _campaign(data, tmp_path / "damaged") == 0
+    capsys.readouterr()
+    fits = json.loads((tmp_path / "damaged" / "out" / "fits.json").read_text())
+    clean = json.loads((tmp_path / "clean" / "out" / "fits.json").read_text())
+    assert fits["ast_top_over_bot_vs_ast_MJ"] == {"error": "ZeroDenominator"}
+    assert fits.keys() == clean.keys()
+    assert all("slope" in fit for key, fit in fits.items() if key != "ast_top_over_bot_vs_ast_MJ")
+
+
+def _replace_in(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+
+
+def _append_byte_ff(path):
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+
+
+# Each case damages a copy of small_data or its scenario, then runs the command; a
+# failed run names the file, and a run that exits 0 lists week 2 with the fragment.
+@pytest.mark.parametrize("command, damage, rc, kind, fragment", [
+    ("campaign", lambda data, scenario: shutil.copy(data / "week02_soiled_1.csv",
+                                                    data / "week99999999_soiled_1.csv"),
+     1, "ConfigError", "week99999999_soiled_1.csv: week 99999999 scan date"),
+    ("campaign", lambda data, scenario: _replace_in(data / "manifest.yaml", "cadence_days: 7",
+                                                    "cadence_days: 1000000000"),
+     1, "ConfigError", "1 * cadence_days 1000000000 days"),
+    ("campaign", lambda data, scenario: _replace_in(
+        data / "manifest.yaml", "cadence_days: 7",
+        "cadence_days: 7\nweeks: [{week_id: 2, scan_date: 9999-12-31}]"),
+     0, None, "2,9999-12-31,false,NoClearDay"),
+    ("synth", lambda data, scenario: _replace_in(scenario, "weeks: 2",
+                                                 "weeks: 3\nstart_date: 9999-12-20"),
+     1, "ConfigError", "s.yaml: week 3 would be scanned past 9999-12-31"),
+    ("campaign", lambda data, scenario: _append_byte_ff(data / "week01_soiled_1.csv"),
+     1, "ValueError", "week01_soiled_1.csv: 'utf-8' codec can't decode byte 0xff"),
+    ("campaign", lambda data, scenario: _append_byte_ff(data / "field_2017-01-02.csv"),
+     1, "ValueError", "field_2017-01-02.csv: 'utf-8' codec can't decode byte 0xff"),
+], ids=["scan-week-past-calendar", "cadence-past-calendar", "scan-date-on-last-day",
+        "scenario-past-calendar", "scan-not-utf8", "field-file-not-utf8"])
+def test_damaged_campaign_dir_or_scenario_exits_cleanly(small_data, tmp_path, capsys,
+                                                        command, damage, rc, kind, fragment):
+    data = shutil.copytree(small_data, tmp_path / "data")
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 2\ndeposition_per_week: 0.02\nseed: 9\n")
+    damage(data, scenario)
+    if command == "synth":
+        code = main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    else:
+        code = _campaign(data, tmp_path)
+    doc = _assert_clean_exit(code, capsys)
+    assert code == rc
+    if rc:
+        assert doc["error"] == kind and fragment in doc["message"]
+    else:
+        assert fragment in _weekly_rows(tmp_path / "out")["2"]
+
+
 # The bundled cell's own reference currents, which it accepts when pinned.
 _CURRENTS = load_bundled_3j().reference_currents
 _PINNED_CURRENTS = ", ".join(f"{j}: {c!r}" for j, c in _CURRENTS.items())
@@ -769,6 +836,10 @@ _PINNED_CURRENTS = ", ".join(f"{j}: {c!r}" for j, c in _CURRENTS.items())
      f"{{top: {_CURRENTS['top']!r}, mid: {_CURRENTS['mid']!r}}}",
      "missing reference current for 'bot'"),
     ("cell.yaml", "  - name: mid\n", "  - name: MJ\n", "repeated band names ['MJ']"),
+    ("cell.yaml", "eqe_file: eqe_top_illustrative.csv", "eqe_file: nope.csv",
+     "response file not found"),
+    ("cell.yaml", "eqe_file: eqe_top_illustrative.csv", "sr_file: eqe_top_illustrative.csv",
+     "is dimensionless; load it via eqe_file"),
 ])
 def test_config_error_names_file_once(small_data, tmp_path, capsys, name, old, new, fragment):
     cells = shutil.copytree(bundled_cell_config_path().parent, tmp_path / "cells")
@@ -791,6 +862,33 @@ def test_config_error_names_file_once(small_data, tmp_path, capsys, name, old, n
     assert doc["error"] == "ConfigError"
     assert doc["message"].startswith(f"{path}: ") and doc["message"].count(path.name) == 1
     assert fragment in doc["message"]
+
+
+@pytest.mark.parametrize("old, new, kind", [
+    ("band: [300, 720]", "band: [290, 720]", "BandCoverage"),
+    ("illustrative.csv\n  - name", "illustrative.csv\n    limiting_eligible: false\n  - name",
+     "NoEligibleJunction"),
+    ("eqe_file: eqe_top_illustrative.csv", "sr_file: irradiance.csv", "KindMismatch"),
+    ("eqe_file: eqe_top_illustrative.csv", "eqe_file: irradiance.csv", "KindMismatch"),
+    ("name: lattice-matched-3j", "name: lattice-matched-3j\nreference_spectrum: short.csv",
+     "BandOutOfSupport"),
+], ids=["band-coverage", "no-eligible-junction", "irradiance-sr-file", "irradiance-eqe-file",
+        "short-reference"])
+def test_cell_config_fault_keeps_its_kind_and_names_the_file(tmp_path, capsys, old, new, kind):
+    cells = shutil.copytree(bundled_cell_config_path().parent, tmp_path / "cells")
+    shutil.copy(reference_spectrum_path(), cells / "irradiance.csv")
+    write_spectrum_csv(flat_spectrum(300, 1000, 1.0), cells / "short.csv")
+    write_spectrum_csv(flat_spectrum(280, 4000, 0.9, Kind.TRANSMITTANCE), tmp_path / "tau.csv")
+    config = cells / bundled_cell_config_path().name
+    text = config.read_text()
+    assert old in text
+    config.write_text(text.replace(old, new))
+    rc = main(["compute", str(reference_spectrum_path()), str(tmp_path / "tau.csv"),
+               "--cell", str(config)])
+    assert rc == 2
+    doc = _one_error(capsys)
+    assert doc["error"] == kind
+    assert doc["message"].startswith(f"{config}: ") and doc["message"].count(config.name) == 1
 
 
 def _must_not_run(*args, **kwargs):

@@ -616,15 +616,22 @@ def test_csv_rejects_infinite_wavelength_naming_the_file(tmp_path):
         read_spectrum_csv(path)
 
 
-@pytest.mark.parametrize("row", ["400.0,1.0,7.0", "400.0", "400.0,abc"])
-def test_csv_bad_row_names_path_and_line(tmp_path, row):
+_BAD_ROW_CSV = (f"# kind=Irradiance units={IRRADIANCE_UNITS}\n"
+                "# comment\n"
+                "wavelength_nm,value\n300.0,1.0\n\n{row}\n500.0,1.0\n")
+
+
+@pytest.mark.parametrize("text, row, lineno", [
+    *(pytest.param(_BAD_ROW_CSV, row, 6, id=row)
+      for row in ["400.0,1.0,7.0", "400.0", "400.0,abc"]),
+    pytest.param(_BAD_ROW_CSV.replace("\n", "\r\n"), "400.0,abc", 6, id="crlf"),
+    pytest.param(_BAD_ROW_CSV.replace("wavelength_nm", "# comment 2\nwavelength_nm")
+                 .replace("300.0,1.0\n\n", ""), "400.0,abc", 5, id="first-row-after-comments"),
+])
+def test_csv_bad_row_names_path_and_line(tmp_path, text, row, lineno):
     path = tmp_path / "bad.csv"
-    path.write_text(
-        f"# kind=Irradiance units={IRRADIANCE_UNITS}\n"
-        "# comment\n"
-        "wavelength_nm,value\n300.0,1.0\n\n" + row + "\n500.0,1.0\n"
-    )
-    pattern = re.escape(f"{path}:6: ") + ".*" + re.escape(repr(row))
+    path.write_bytes(text.format(row=row).encode("utf-8"))
+    pattern = re.escape(f"{path}:{lineno}: ") + ".*" + re.escape(repr(row))
     with pytest.raises(ValueError, match=pattern):
         read_spectrum_csv(path)
 
