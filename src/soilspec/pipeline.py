@@ -28,6 +28,7 @@ import enum
 import json
 import math
 import re
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -536,6 +537,20 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     file that cannot be read raises the reader's error, which names the
     file, and ends the run.
 
+    Given two or more weeks whose scans are all held as paths (as
+    :func:`load_campaign_dir` gives them) on a platform that can ``fork``,
+    the run takes two processes. The weeks are split in the order given:
+    this process runs the first half (the larger one, for an odd count),
+    and one helper forked from it runs the rest, with the field days it
+    inherits, and sends its outcomes back once. Each process holds at most
+    two scans at a time. ``sys.stdout`` and ``sys.stderr`` are flushed
+    before the fork, so that text they buffer is not printed twice. The
+    helper's warnings are emitted here after this process's own, in their
+    order and under this process's filters, and an error ends the run as
+    it would in one process: this process's own first, else the helper's,
+    with its type and message. A helper that dies raises ``OSError``.
+    Other weeks run in this process alone.
+
     Two field days of one date raise ``ValueError`` naming the date.
     """
     day_map = {}
@@ -543,7 +558,7 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
         if d.date in day_map:
             raise ValueError(f"field day {d.date} appears more than once")
         day_map[d.date] = d
-    outcomes = sorted((_week_outcome(m, day_map, cell, aggregation) for m in weeks),
+    outcomes = sorted(_week_outcomes(list(weeks), day_map, cell, aggregation),
                       key=lambda w: w.week_id)
     return CampaignResult(
         weekly=tuple(outcomes),
@@ -552,6 +567,73 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
         aggregation=aggregation.value,
         cell_name=cell.name,
     )
+
+
+def _week_outcomes(weeks: list[WeeklyMeasurement], day_map: Mapping[dt.date, FieldDay],
+                   cell: CellModel, aggregation: Aggregation) -> list[WeeklyOutcome]:
+    """The outcomes of ``weeks`` in their order, in one or two processes
+    as :func:`run_campaign` says."""
+    def run(part: list[WeeklyMeasurement]) -> list[WeeklyOutcome]:
+        return [_week_outcome(m, day_map, cell, aggregation) for m in part]
+
+    if len(weeks) < 2 or not all(isinstance(s, Path) for m in weeks
+                                 for s in m.soiled_scans + m.control_scans):
+        return run(weeks)
+    # Imported here: multiprocessing costs every `import soilspec` about 16 ms.
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return run(weeks)
+    half = (len(weeks) + 1) // 2
+    ctx = multiprocessing.get_context("fork")  # the helper inherits the inputs, unpickled
+    receiver, sender = ctx.Pipe(duplex=False)
+    helper = ctx.Process(target=_run_helper, args=(sender, run, weeks[half:]), daemon=True)
+    helper.start()  # which flushes sys.stdout and sys.stderr before it forks
+    sender.close()
+    try:
+        outcomes = run(weeks[:half])
+        try:
+            theirs, caught, error = receiver.recv()
+        except EOFError:
+            helper.join()
+            raise OSError(f"the helper process running {len(weeks) - half} of the "
+                          f"{len(weeks)} weeks, from week {weeks[half].week_id} on, ended "
+                          f"unexpectedly with exit code {helper.exitcode}") from None
+    except BaseException:
+        helper.terminate()
+        raise
+    finally:
+        receiver.close()
+        helper.join()
+    _warn_again(caught)
+    if error is not None:
+        raise error
+    return outcomes + theirs
+
+
+def _run_helper(sender, run, weeks: list[WeeklyMeasurement]) -> None:
+    """The helper process of :func:`_week_outcomes`: sends ``run(weeks)``,
+    or the error that ended it, with every warning raised meanwhile."""
+    theirs = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the caller's filters apply when it warns again
+        try:
+            theirs = run(weeks)
+        except Exception as exc:
+            error = exc
+    sender.send((theirs, [(w.message, w.category, w.filename, w.lineno) for w in caught], error))
+    sender.close()
+
+
+def _warn_again(caught: Sequence[tuple[Warning, type, str, int]]) -> None:
+    """Emit warnings caught in another process as if raised here at their
+    location: the module of that file keeps its once-per-location record."""
+    modules = {getattr(mod, "__file__", None): mod for mod in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        where = vars(modules[filename]) if filename in modules else {}
+        warnings.warn_explicit(message, category, filename, lineno, module=where.get("__name__"),
+                               registry=where.setdefault("__warningregistry__", {}),
+                               module_globals=where or None)
 
 
 def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cell: CellModel,
@@ -882,9 +964,8 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
     if weeks:
         first = weeks[0]
         manifest["start_date"] = first.scan_date.isoformat()
-        regular = all(
-            m.scan_date == first.scan_date
-            + dt.timedelta(days=CADENCE_DAYS * (m.week_id - first.week_id))
+        regular = all(  # in days, so no date past the calendar is formed
+            (m.scan_date - first.scan_date).days == CADENCE_DAYS * (m.week_id - first.week_id)
             for m in weeks
         )
         if not regular:

@@ -185,6 +185,10 @@ class Spectrum:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "units", units or _DEFAULT_UNITS[kind])
 
+    def __reduce__(self):
+        # Rebuilt through __init__, which checks the arrays and makes them read-only again.
+        return Spectrum, (self.wavelengths_nm, self.values, self.kind, self.units)
+
     # -- basic queries -------------------------------------------------
 
     @property

@@ -4,9 +4,12 @@ import datetime as dt
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -658,24 +661,44 @@ def three_weeks(tmp_path_factory):
     return root / "data"
 
 
+def _logged_reads(monkeypatch, log):
+    """Make every process log each spectrum read to ``log``, a line ``<pid> <path>`` per read;
+    returns a function giving this process's reads, then the other process's, in their order."""
+    read = pipeline.read_spectrum_csv
+
+    def logged(path):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {path}\n")
+        return read(path)
+
+    monkeypatch.setattr(pipeline, "read_spectrum_csv", logged)
+
+    def reads():
+        lines = [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
+        ours = [Path(path) for pid, path in lines if pid == str(os.getpid())]
+        pids = {pid for pid, _ in lines} - {str(os.getpid())}
+        assert len(pids) == 1  # one helper process read the rest
+        return ours, [Path(path) for pid, path in lines if pid != str(os.getpid())]
+
+    return reads
+
+
 @pytest.mark.parametrize("mode, n_spectra", [("noon", 3), ("daily", 21)])
 def test_campaign_reads_only_the_spectra_it_uses(three_weeks, tmp_path, capsys, monkeypatch,
                                                 mode, n_spectra):
-    calls = []
-    read = pipeline.read_spectrum_csv
-
-    def counted(path):
-        calls.append(path)
-        return read(path)
-
-    monkeypatch.setattr(pipeline, "read_spectrum_csv", counted)
+    reads = _logged_reads(monkeypatch, tmp_path / "reads.log")
     assert _campaign(three_weeks, tmp_path, "--aggregation", mode) == 0
     capsys.readouterr()
+    ours, helpers = reads()
+    # This process runs weeks 1 and 2 and the helper week 3, so in that order
+    # the reads are those of a run in one process.
+    per_week = 6 + n_spectra // 3
+    assert len(ours) == 2 * per_week and len(helpers) == per_week
+    calls = ours + helpers
     scans = [p for p in calls if p.parent == three_weeks]
     assert len(scans) == 18
     assert len(calls) == 18 + n_spectra
     # Week by week: its six scans, then the spectra of its field day.
-    per_week = 6 + n_spectra // 3
     days = sorted(three_weeks.glob("field_*.csv"))
     for week in range(1, 4):
         block = calls[per_week * (week - 1):per_week * week]
@@ -712,6 +735,74 @@ def test_campaign_bad_spectrum_of_a_used_record_names_its_file(three_weeks, tmp_
     assert _campaign(data, tmp_path, "--aggregation", mode) == 1
     message = _one_error(capsys)["message"]
     assert f"{spectrum.name}: " in message and "strictly increasing" in message
+
+
+# With three weeks held as paths, the campaign process runs weeks 1 and 2 and
+# its helper process week 3.
+
+@pytest.mark.parametrize("damaged", [["week03_soiled_2.csv"],
+                                     ["week01_control_3.csv", "week03_soiled_2.csv"]],
+                         ids=["helper-week", "both-halves"])
+def test_campaign_bad_scan_of_a_helper_week_ends_the_run_as_in_one_process(
+        three_weeks, tmp_path, capsys, damaged):
+    data = shutil.copytree(three_weeks, tmp_path / "data")
+    for name in damaged:
+        _duplicate_first_row(data / name)
+    with pytest.raises(ValueError) as first:  # the first bad scan of the run ends it
+        read_spectrum_csv(data / damaged[0])
+    assert _campaign(data, tmp_path) == 1
+    assert _one_error(capsys) == {"error": "ValueError", "message": str(first.value)}
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, hour", [("noon", "12"), ("daily", "09")])
+def test_campaign_missing_spectrum_of_a_helper_week_ends_the_run(three_weeks, tmp_path, capsys,
+                                                                 mode, hour):
+    data = shutil.copytree(three_weeks, tmp_path / "data")
+    spectrum = sorted(data.glob(f"spectra/*T{hour}-00.csv"))[-1]  # on week 3's field day
+    spectrum.unlink()
+    with pytest.raises(FileNotFoundError) as missing:
+        read_spectrum_csv(spectrum)
+    assert _campaign(data, tmp_path, "--aggregation", mode) == 1
+    assert _one_error(capsys) == {"error": "FileNotFound", "message": str(missing.value)}
+    assert multiprocessing.active_children() == []
+
+
+def test_campaign_helper_that_dies_is_an_error_not_a_traceback(three_weeks, tmp_path, capsys,
+                                                               monkeypatch):
+    week_outcome = pipeline._week_outcome
+    campaign_pid = os.getpid()
+
+    def dies_on_week_3(m, *args):
+        if m.week_id == 3 and os.getpid() != campaign_pid:
+            os._exit(3)
+        return week_outcome(m, *args)
+
+    monkeypatch.setattr(pipeline, "_week_outcome", dies_on_week_3)
+    assert _campaign(three_weeks, tmp_path) == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "OSError"
+    assert doc["message"] == ("the helper process running 1 of the 3 weeks, from week 3 on, "
+                              "ended unexpectedly with exit code 3")
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_campaign_prints_text_buffered_before_the_fork_once(three_weeks, tmp_path):
+    # Piped, stdout is block-buffered, so text still in its buffer when the
+    # campaign process forks its helper would be written by both processes.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(pipeline.__file__).parents[1])
+    code = "import sys; from soilspec.cli import main; print('before'); sys.exit(main(sys.argv[1:]))"
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", code, "campaign", "--cell",
+                           str(bundled_cell_config_path()), "--data", str(three_weeks),
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["before",
+                                        f"campaign: 3/3 weeks accepted; results in {out}"]
 
 
 def _weekly_rows(out):

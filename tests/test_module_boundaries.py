@@ -93,8 +93,8 @@ def test_checker_allows_public_and_own_private_names():
 
 
 def test_import_leaves_multiprocessing_unimported():
-    # write_campaign_dir imports its process pool when it runs, so that
-    # every `import soilspec` does not pay for multiprocessing.
+    # write_campaign_dir and run_campaign import multiprocessing when they
+    # run, so that every `import soilspec` does not pay for it.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     code = "import sys, soilspec; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

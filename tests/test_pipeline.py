@@ -4,16 +4,20 @@ import functools
 import gc
 import json
 import math
+import multiprocessing
 import operator
+import os
 import random
 import re
 import struct
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +53,7 @@ from soilspec import pipeline
 from soilspec.pipeline import CLOUDY_THRESHOLD, WeeklyOutcome, campaign_fits, read_field_csv
 from soilspec.spectral import read_spectrum_csv, write_spectrum_csv
 
-from conftest import bundled_tau, flat_spectrum, mixed_grid_day, spectra_sha256
+from conftest import bundled_tau, flat_spectrum, linear_spectrum, mixed_grid_day, spectra_sha256
 
 DATE = dt.date(2017, 1, 2)
 
@@ -792,9 +796,12 @@ def six_weeks(tmp_path_factory):
 
 @pytest.mark.parametrize("aggregation", list(Aggregation))
 def test_streamed_campaign_holds_one_week_of_scans(six_weeks, bundled_cell, monkeypatch,
-                                                   aggregation):
+                                                   tmp_path, aggregation):
     expected = run_campaign(*load_campaign_dir(six_weeks), bundled_cell, aggregation).to_json()
-    scans, spectra, alive_scans = [], [], []
+    # The weeks run in this process and a forked helper, so each process logs
+    # its reads to one file, with the scans it holds after each scan read.
+    log = tmp_path / "reads.log"
+    scans, spectra = [], []
     read = pipeline.read_spectrum_csv
 
     def tracked(path):
@@ -802,20 +809,133 @@ def test_streamed_campaign_holds_one_week_of_scans(six_weeks, bundled_cell, monk
         if path.parent == six_weeks:
             scans.append(weakref.ref(s))
             gc.collect()
-            alive_scans.append(sum(r() is not None for r in scans))
+            line = f"{os.getpid()} scan {sum(r() is not None for r in scans)}"
         else:
             spectra.append(weakref.ref(s))
+            line = f"{os.getpid()} spectrum"
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
         return s
 
     monkeypatch.setattr(pipeline, "read_spectrum_csv", tracked)
     weeks, days = load_campaign_dir(six_weeks)
-    assert scans == []  # loading reads no scan
+    assert not log.exists()  # loading reads no scan
     result = run_campaign(weeks, days, bundled_cell, aggregation)
     assert result.to_json() == expected
-    assert len(alive_scans) == 36 and max(alive_scans) == 2
+    reads = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    alive_scans = {}
+    for pid, kind, *alive in reads:
+        if kind == "scan":
+            alive_scans.setdefault(pid, []).append(int(*alive))
+    # Three weeks, 18 scans, in each process, which never holds more than two.
+    assert len(alive_scans) == 2 and str(os.getpid()) in alive_scans
+    assert [len(a) for a in alive_scans.values()] == [18, 18]
+    assert [max(a) for a in alive_scans.values()] == [2, 2]
     gc.collect()
-    assert len(spectra) == (6 if aggregation is Aggregation.NOON else 42)
+    n_spectra = sum(kind == "spectrum" for _, kind, *_ in reads)
+    assert n_spectra == (6 if aggregation is Aggregation.NOON else 42)
     assert sum(r() is not None for r in spectra) == 0 and len(days) == 6
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the processes this process forks during the test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _in_memory(m):
+    """A week with its scans read into memory."""
+    return dataclasses.replace(m, soiled_scans=[read_spectrum_csv(p) for p in m.soiled_scans],
+                               control_scans=[read_spectrum_csv(p) for p in m.control_scans])
+
+
+@pytest.mark.parametrize("aggregation", list(Aggregation))
+def test_two_process_campaign_equals_the_in_memory_run(six_weeks, bundled_cell, forks,
+                                                       aggregation):
+    weeks, days = load_campaign_dir(six_weeks)
+    expected = run_campaign([_in_memory(m) for m in weeks], days, bundled_cell, aggregation)
+    assert forks == []  # in-memory weeks start no process
+    run_campaign(weeks[:1], days, bundled_cell, aggregation)
+    assert forks == []  # nor does a single week
+    result = run_campaign(weeks, days, bundled_cell, aggregation)
+    assert len(forks) == 1 and multiprocessing.active_children() == []
+    # Weeks 4 to 6 ran in the helper.
+    assert [w.to_json_dict() for w in result.weekly] == [w.to_json_dict() for w in expected.weekly]
+    assert result.to_json() == expected.to_json()
+    assert result.weekly_csv() == expected.weekly_csv()
+    taus = [w.tau for w in result.weekly[3:]]
+    assert len(taus) == 3 and all(tau is not None for tau in taus)
+    assert not any(t.wavelengths_nm.flags.writeable or t.values.flags.writeable for t in taus)
+
+
+def _shown_warnings(run):
+    """The warnings ``run()`` shows under the default filter, as (category, text, file, line)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        result = run()
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def test_campaign_without_fork_runs_in_one_process(tmp_path, toy2j, forks, monkeypatch):
+    # Each replicate pair has one transmittance sample of 1.01, so every week warns
+    # of noise with one text; its scans span [300, 900] only.
+    soiled = linear_spectrum(300.0, 900.0, 0.909, 0.9)
+    control = flat_spectrum(300.0, 900.0, 0.9, Kind.TRANSMITTANCE)
+    weeks = [WeeklyMeasurement(k, DATE + dt.timedelta(days=7 * k), [soiled] * 3, [control] * 3)
+             for k in (1, 2, 3, 4)]
+    loaded = load_campaign_dir(write_campaign_dir(weeks, [], tmp_path / "c"))
+    forks.clear()  # the scan writer's
+    result, shown = _shown_warnings(lambda: run_campaign(*loaded, toy2j))
+    assert len(forks) == 1
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    expected, expected_shown = _shown_warnings(lambda: run_campaign(*loaded, toy2j))
+    assert len(forks) == 1
+    assert result.to_json() == expected.to_json()
+    # The helper's warnings are shown as one process shows them: the noise once, at
+    # its place, then each scan's coverage.
+    assert [text for _, text, *_ in expected_shown].count(
+        "1 soiling-transmittance samples in (1, 1.02] kept (noise)") == 1
+    assert len(expected_shown) == 1 + 24
+    assert shown == expected_shown
+
+
+def test_helper_week_warnings_reach_the_caller_in_order(tmp_path, toy2j, forks):
+    weeks = [measurement([0.9, 0.9, 0.9], week_id=k, scan_date=DATE + dt.timedelta(days=7 * k))
+             for k in (1, 2, 3)]  # scans span [300, 900] only
+    out = write_campaign_dir(weeks, [], tmp_path / "c")
+    loaded = load_campaign_dir(out)
+    forks.clear()  # the scan writer's
+    with pytest.warns(UserWarning) as record:
+        result = run_campaign(*loaded, toy2j)
+    assert len(forks) == 1 and multiprocessing.active_children() == []
+    assert [w.rejection_reason for w in result.weekly] == ["NoClearDay"] * 3
+    # Week 3 ran in the helper; its six warnings follow the twelve of weeks 1 and 2.
+    assert [(w.category, str(w.message)) for w in record] == [
+        (UserWarning, f"week{k:02d}_{role}_{rep}.csv: scan covers [300.0, 900.0] nm, less than "
+                      f"the (300.0, 2000.0) nm convention")
+        for k in (1, 2, 3) for rep in (1, 2, 3) for role in ("soiled", "control")]
+    assert len({(w.filename, w.lineno) for w in record}) == 1
+
+
+def test_campaign_dir_of_week_ids_far_apart_lists_its_weeks(tmp_path):
+    weeks, days = synth_campaign(CampaignScenario(weeks=2, deposition_per_week=0.02, seed=1))
+    weeks[1] = dataclasses.replace(weeks[1], week_id=10**9)
+    out = write_campaign_dir(weeks, days, tmp_path / "c")
+    manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
+    assert manifest["weeks"] == [{"week_id": m.week_id, "scan_date": m.scan_date.isoformat()}
+                                 for m in weeks]
+    loaded, _ = load_campaign_dir(out)
+    assert [(m.week_id, m.scan_date) for m in loaded] == [(m.week_id, m.scan_date) for m in weeks]
 
 
 def test_campaign_outcomes_do_not_depend_on_week_order(bundled_cell):

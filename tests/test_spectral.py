@@ -1,3 +1,4 @@
+import pickle
 import re
 import sys
 import threading
@@ -93,6 +94,17 @@ def test_with_values_and_clamped_share_the_grid():
     new[0] = 0.9  # the values are still copied
     assert t.values.tolist() == [0.1, 0.2, 0.3]
     assert c.values.tolist() == [0.15, 0.2, 0.25]
+
+
+@pytest.mark.parametrize("units", ["", "custom"], ids=["default-units", "custom-units"])
+def test_pickled_spectrum_stays_read_only(units):
+    s = Spectrum(np.array([300.0, 350.0, 400.0]), np.array([0.2, 1.01, 0.1 + 0.2]),
+                 Kind.TRANSMITTANCE, units)
+    back = pickle.loads(pickle.dumps(s))
+    assert back.wavelengths_nm.tobytes() == s.wavelengths_nm.tobytes()
+    assert back.values.tobytes() == s.values.tobytes()
+    assert (back.kind, back.units) == (s.kind, s.units)
+    assert not back.wavelengths_nm.flags.writeable and not back.values.flags.writeable
 
 
 @pytest.mark.parametrize("derive, match", [
