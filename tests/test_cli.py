@@ -173,24 +173,43 @@ def test_synth_tree_bytes_are_pinned(tmp_path, capsys):
 
 def test_synth_scan_write_failure_names_its_file(tmp_path, capsys):
     scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 4\ndeposition_per_week: 0.02\n")
+    # Of four weeks, the synth process writes week 1's scans and its helper the rest.
+    for share, name in (("caller", "week01_control_2.csv"), ("helper", "week02_control_2.csv")):
+        blocked = tmp_path / share / name
+        blocked.mkdir(parents=True)  # a directory where a scan is written
+        assert main(["synth", "--scenario", str(scenario), "--out", str(blocked.parent)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, share
+        doc = json.loads(err)
+        assert doc["error"] == "IsADirectoryError" and str(blocked) in doc["message"], share
+
+
+def test_synth_into_a_campaign_dir_is_refused_not_mixed(tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    data = tmp_path / "st"
+    scenario.write_text("weeks: 5\ndeposition_per_week: 0.02\n")
+    assert main(["synth", "--scenario", str(scenario), "--out", str(data)]) == 0
+    before = _tree_bytes(data)
     scenario.write_text("weeks: 3\ndeposition_per_week: 0.02\n")
-    blocked = tmp_path / "data" / "week02_control_2.csv"
-    blocked.mkdir(parents=True)  # a directory where the helper writes a scan
-    assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "data")]) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    doc = json.loads(err)
-    assert doc["error"] == "IsADirectoryError" and str(blocked) in doc["message"]
-
-
-def _helper_dies(*args):
-    os._exit(1)
+    capsys.readouterr()
+    assert main(["synth", "--scenario", str(scenario), "--out", str(data)]) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "FileExistsError" and str(data) in doc["message"]
+    assert "field_" in doc["message"]  # the first of its campaign files by name
+    assert _tree_bytes(data) == before
 
 
 def test_synth_dead_helper_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    synth_pid = os.getpid()
+
+    def helper_dies(*args):  # the synth process writes its share of the scans too
+        if os.getpid() != synth_pid:
+            os._exit(1)
+
     scenario = tmp_path / "s.yaml"
     scenario.write_text("weeks: 3\ndeposition_per_week: 0.02\n")
-    monkeypatch.setattr(pipeline, "_write_scans", _helper_dies)
+    monkeypatch.setattr(pipeline, "_write_scans", helper_dies)
     out = tmp_path / "data"
     assert main(["synth", "--scenario", str(scenario), "--out", str(out)]) == 1
     err = capsys.readouterr().err

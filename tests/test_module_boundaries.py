@@ -100,3 +100,41 @@ def test_import_leaves_multiprocessing_unimported():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def imports_by_function(source):
+    """(module, enclosing function name or None) of each import in ``source``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((alias.name, function) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.extend((f"{child.module}.{alias.name}", function) for alias in child.names)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_function_starts_processes():
+    # One way to use a second process: no executor pool, and multiprocessing
+    # imported in one function only.
+    uses = [(path.name, module, function)
+            for path in sorted(PACKAGE_DIR.parent.rglob("*.py"))
+            for module, function in imports_by_function(path.read_text(encoding="utf-8"))]
+    assert [u for u in uses if u[1].startswith("concurrent.futures")] == []
+    assert [u for u in uses if u[1].split(".")[0] == "multiprocessing"] == [
+        ("pipeline.py", "multiprocessing", "_in_two")]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import concurrent.futures\n", [("concurrent.futures", None)]),
+    ("from concurrent import futures\n", [("concurrent.futures", None)]),
+    ("def f():\n    def g():\n        import multiprocessing\n    import os\n",
+     [("multiprocessing", "g"), ("os", "f")]),
+])
+def test_import_finder_names_module_and_function(source, expected):
+    assert imports_by_function(source) == expected

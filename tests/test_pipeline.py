@@ -927,6 +927,40 @@ def test_helper_week_warnings_reach_the_caller_in_order(tmp_path, toy2j, forks):
     assert len({(w.filename, w.lineno) for w in record}) == 1
 
 
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_campaign_dir_writer_without_fork_writes_the_same_tree_in_one_process(tmp_path, forks,
+                                                                              monkeypatch):
+    weeks, days = synth_campaign(CampaignScenario(weeks=5, deposition_per_week=0.02, seed=2))
+    two = write_campaign_dir(weeks, days, tmp_path / "two")
+    assert len(forks) == 1 and multiprocessing.active_children() == []
+    write_campaign_dir([], days[:1], tmp_path / "days")
+    assert len(forks) == 1  # no scans to share out, so no helper
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    one = write_campaign_dir(weeks, days, tmp_path / "one")
+    assert len(forks) == 1
+    assert len(_tree_bytes(one)) == 5 * 6 + 5 + 5 * 7 + 1
+    assert _tree_bytes(one) == _tree_bytes(two)
+
+
+@pytest.mark.parametrize("name", ["manifest.yaml", "field_2017-01-09.csv", "week04_soiled_1.csv"])
+def test_campaign_dir_writer_refuses_a_dir_holding_campaign_files(tmp_path, name):
+    out = tmp_path / "c"
+    out.mkdir()
+    (out / name).write_text("old\n")
+    (out / "notes.txt").write_text("kept\n")
+    with pytest.raises(FileExistsError) as info:
+        write_campaign_dir([measurement([0.9] * 3)], [clear_day(DATE)], out)
+    assert str(out) in str(info.value) and name in str(info.value)
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, "notes.txt"])
+    (out / name).unlink()
+    write_campaign_dir([measurement([0.9] * 3)], [clear_day(DATE)], out)  # other files stay
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
 def test_campaign_dir_of_week_ids_far_apart_lists_its_weeks(tmp_path):
     weeks, days = synth_campaign(CampaignScenario(weeks=2, deposition_per_week=0.02, seed=1))
     weeks[1] = dataclasses.replace(weeks[1], week_id=10**9)
