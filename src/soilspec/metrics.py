@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from .spectral import (
 
 __all__ = [
     "IndexReport",
-    "NoisyTransmittance",
+    "Transmittance",
     "soiling_transmittance",
     "sratio",
     "bsratio",
@@ -80,18 +79,23 @@ __all__ = [
 CONTROL_FLOOR = 0.05
 
 
-class NoisyTransmittance(UserWarning):
-    """Soiling transmittance exceeded 1 (measurement noise)."""
+class Transmittance(NamedTuple):
+    """A soiling transmittance with the count of its noisy samples, kept in
+    (1, 1 + 0.02], and of those clamped to that bound."""
+
+    tau: Spectrum
+    noisy: int
+    clamped: int
 
 
-def soiling_transmittance(soiled: Spectrum, control: Spectrum) -> Spectrum:
+def soiling_transmittance(soiled: Spectrum, control: Spectrum) -> Transmittance:
     """Soiling transmittance from a soiled/control coupon scan pair.
 
     Pointwise ratio soiled/control on the union grid over the overlap of
-    the two scans. Ratio values in (1, 1 + 0.02] are kept (noise) with a
-    warning; values above that are clamped to the bound, also with a
-    warning. A control value below :data:`CONTROL_FLOOR` anywhere in the
-    overlap raises :class:`ControlBelowFloor`.
+    the two scans. Ratio values in (1, 1 + 0.02] are kept (noise) and
+    counted as ``noisy``; values above that are clamped to the bound and
+    counted as ``clamped``. A control value below :data:`CONTROL_FLOOR`
+    anywhere in the overlap raises :class:`ControlBelowFloor`.
     """
     require_kind(soiled, Kind.TRANSMITTANCE, "soiled scan")
     require_kind(control, Kind.TRANSMITTANCE, "control scan")
@@ -103,23 +107,10 @@ def soiling_transmittance(soiled: Spectrum, control: Spectrum) -> Spectrum:
         )
     ratio = s / c
     hi = 1.0 + TRANSMITTANCE_EPS
-    n_clamped = int(np.sum(ratio > hi))
-    n_noisy = int(np.sum(ratio > 1.0)) - n_clamped
-    if n_clamped:
-        ratio = np.minimum(ratio, hi)
-        warnings.warn(
-            f"{n_clamped} soiling-transmittance samples above {hi} clamped "
-            f"to the bound; {n_noisy} more kept in (1, {hi}]",
-            NoisyTransmittance,
-            stacklevel=2,
-        )
-    elif n_noisy:
-        warnings.warn(
-            f"{n_noisy} soiling-transmittance samples in (1, {hi}] kept (noise)",
-            NoisyTransmittance,
-            stacklevel=2,
-        )
-    return Spectrum(grid, ratio, Kind.TRANSMITTANCE, DIMENSIONLESS)
+    clamped = int(np.count_nonzero(ratio > hi))
+    noisy = int(np.count_nonzero(ratio > 1.0)) - clamped
+    return Transmittance(Spectrum(grid, np.minimum(ratio, hi), Kind.TRANSMITTANCE, DIMENSIONLESS),
+                         noisy, clamped)
 
 
 def ast(tau: Spectrum, band: Waveband) -> float:

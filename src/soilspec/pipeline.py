@@ -28,8 +28,6 @@ import enum
 import json
 import math
 import re
-import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -299,13 +297,17 @@ class WeeklyMeasurement:
 
 @dataclass(frozen=True)
 class WeekValidation:
-    """Replicate-consistency verdict for one week."""
+    """Replicate-consistency verdict for one week, with each replicate pair's noise
+    counts and the file-held scans short of :data:`SCAN_COVERAGE_NM`, in read order."""
 
     accepted: bool
     tau: Spectrum | None
     reason: str | None
     replicate_ast: tuple[float, ...]
     spread: float
+    noisy_samples: tuple[int, ...]
+    clamped_samples: tuple[int, ...]
+    short_scans: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -329,31 +331,29 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
             f"week {m.week_id}: need 3 replicate pairs, got "
             f"{len(m.soiled_scans)} soiled / {len(m.control_scans)} control"
         )
-    taus = [
-        soiling_transmittance(_scan(s), _scan(c))
+    short: list[str] = []
+    pairs = [
+        soiling_transmittance(_scan(s, short), _scan(c, short))
         for s, c in zip(m.soiled_scans, m.control_scans)
     ]
+    taus = [p.tau for p in pairs]
     asts = tuple(ast(t, cell.full_band) for t in taus)
     spread = max(asts) - min(asts)
+    quality = (tuple(p.noisy for p in pairs), tuple(p.clamped for p in pairs), tuple(short))
     if spread > SPREAD_THRESHOLD:
-        return WeekValidation(False, None, "SpreadExceeded", asts, spread)
+        return WeekValidation(False, None, "SpreadExceeded", asts, spread, *quality)
     grid, sampled = sample_on_union(taus)
     tau = Spectrum(grid, np.mean(sampled, axis=0), Kind.TRANSMITTANCE)
-    return WeekValidation(True, tau, None, asts, spread)
+    return WeekValidation(True, tau, None, asts, spread, *quality)
 
 
-def _scan(held: Spectrum | Path) -> Spectrum:
-    """A coupon scan as :func:`_spectrum` gives it, warning when one read
-    from a file does not span :data:`SCAN_COVERAGE_NM`."""
+def _scan(held: Spectrum | Path, short: list[str]) -> Spectrum:
+    """A coupon scan as :func:`_spectrum` gives it; one read from a file that
+    does not span :data:`SCAN_COVERAGE_NM` has its name appended to ``short``."""
     s = _spectrum(held)
     lo, hi = s.support
     if isinstance(held, Path) and (lo > SCAN_COVERAGE_NM[0] or hi < SCAN_COVERAGE_NM[1]):
-        warnings.warn(
-            f"{held.name}: scan covers [{lo}, {hi}] nm, less than "
-            f"the {SCAN_COVERAGE_NM} nm convention",
-            UserWarning,
-            stacklevel=2,
-        )
+        short.append(held.name)
     return s
 
 
@@ -381,10 +381,10 @@ def select_spectra(scan_date: dt.date,
     within +/-1 day, preferring the previous day on a tie (the coupon
     state matches the day before the scan better than the day after). A
     neighbour outside the calendar (before 0001-01-01, after 9999-12-31)
-    is no candidate.
+    is no candidate. A sequence holding two field days of one date raises
+    ``ValueError`` naming the date; a mapping is used as given.
     """
-    if not isinstance(days, Mapping):
-        days = {d.date: d for d in days}
+    days = _day_map(days)
     for offset in (0, -1, +1):
         try:
             day = days.get(scan_date + dt.timedelta(days=offset))
@@ -401,13 +401,26 @@ def select_spectra(scan_date: dt.date,
     raise NoClearDay(f"no clear field day within +/-1 day of {scan_date}")
 
 
+def _day_map(days: Iterable[FieldDay] | Mapping) -> Mapping[dt.date, FieldDay]:
+    """The field days by date, a mapping as given; two days of one date raise ``ValueError``."""
+    if isinstance(days, Mapping):
+        return days
+    day_map = {}
+    for d in days:
+        if d.date in day_map:
+            raise ValueError(f"field day {d.date} appears more than once")
+        day_map[d.date] = d
+    return day_map
+
+
 # ---------------------------------------------------------------------------
 # Campaign driver
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WeeklyOutcome:
-    """Per-week result: either a full report or a rejection reason."""
+    """Per-week result: either a full report or a rejection reason, with the noise and
+    coverage fields of its :class:`WeekValidation` (``None`` if :func:`validate_week` raised)."""
 
     week_id: int
     scan_date: dt.date
@@ -416,6 +429,9 @@ class WeeklyOutcome:
     tau: Spectrum | None
     report: IndexReport | None
     ast_by_band: dict[str, float] | None
+    noisy_samples: tuple[int, ...] | None = None
+    clamped_samples: tuple[int, ...] | None = None
+    short_scans: tuple[str, ...] | None = None
 
     @property
     def accepted(self) -> bool:
@@ -432,6 +448,9 @@ class WeeklyOutcome:
             "scan_date": self.scan_date.isoformat(),
             "accepted": self.accepted,
             "rejection_reason": self.rejection_reason,
+            "noisy_samples": self.noisy_samples,
+            "clamped_samples": self.clamped_samples,
+            "short_scans": self.short_scans,
             "spectra_date": self.spectra_date.isoformat() if self.spectra_date else None,
             "ast_full": self.ast_full,
             "ast_by_band": self.ast_by_band,
@@ -541,18 +560,14 @@ def run_campaign(weeks: Iterable[WeeklyMeasurement],
     the run takes two processes. This process runs the first half of the
     weeks in the order given (the larger one, for an odd count), and one
     helper forked from it runs the rest, with the field days it inherits.
-    Each process holds at most two scans at a time. Printed text, warnings
-    and errors come out as in one process, this process's first; a helper
+    Each process holds at most two scans at a time. Printed text and
+    errors come out as in one process, this process's first; a helper
     that dies raises ``OSError`` naming its weeks and exit code. Other
     weeks run in this process alone.
 
     Two field days of one date raise ``ValueError`` naming the date.
     """
-    day_map = {}
-    for d in days:
-        if d.date in day_map:
-            raise ValueError(f"field day {d.date} appears more than once")
-        day_map[d.date] = d
+    day_map = _day_map(days)
     weeks = list(weeks)
 
     def run(part: list[WeeklyMeasurement]) -> list[WeeklyOutcome]:
@@ -582,11 +597,10 @@ def _in_two(here: Callable[[], Any], there: Callable[[list], Any], share: list,
     """``(here(), there(share))``: ``there`` runs in one helper forked from
     this process, inheriting its inputs unpickled, while ``here`` runs
     here. ``sys.stdout`` and ``sys.stderr`` are flushed before the fork.
-    The helper's warnings follow this process's own, in their order and
-    under its filters. This process's error is raised first and stops the
-    helper; else the helper's, with its type and message; a helper that
-    dies raises ``OSError`` naming ``helper_name``. With an empty ``share``
-    or no ``fork``, both run here, ``here`` first."""
+    This process's error is raised first and stops the helper; else the
+    helper's, with its type and message; a helper that dies raises
+    ``OSError`` naming ``helper_name``. With an empty ``share`` or no
+    ``fork``, both run here, ``here`` first."""
     # Imported here: multiprocessing costs every `import soilspec` about 16 ms.
     import multiprocessing
 
@@ -594,13 +608,11 @@ def _in_two(here: Callable[[], Any], there: Callable[[list], Any], share: list,
         return here(), there(share)
 
     def helper() -> None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")  # the caller's filters apply when it warns again
-            try:
-                sent = there(share), None
-            except Exception as exc:
-                sent = None, exc
-        sender.send((*sent, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+        try:
+            sent = there(share), None
+        except Exception as exc:
+            sent = None, exc
+        sender.send(sent)
 
     ctx = multiprocessing.get_context("fork")  # the helper inherits the inputs, unpickled
     receiver, sender = ctx.Pipe(duplex=False)
@@ -610,7 +622,7 @@ def _in_two(here: Callable[[], Any], there: Callable[[list], Any], share: list,
     try:
         mine = here()
         try:
-            theirs, error, caught = receiver.recv()
+            theirs, error = receiver.recv()
         except EOFError:
             process.join()
             raise OSError(f"{helper_name} ended unexpectedly with exit code "
@@ -621,13 +633,6 @@ def _in_two(here: Callable[[], Any], there: Callable[[list], Any], share: list,
     finally:
         receiver.close()
         process.join()
-    # Emitted as if raised here at its location, so its module keeps its once-per-location record.
-    modules = {getattr(mod, "__file__", None): mod for mod in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        where = vars(modules[filename]) if filename in modules else {}
-        warnings.warn_explicit(message, category, filename, lineno, module=where.get("__name__"),
-                               registry=where.setdefault("__warningregistry__", {}),
-                               module_globals=where or None)
     if error is not None:
         raise error
     return mine, theirs
@@ -637,8 +642,11 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
                   aggregation: Aggregation) -> WeeklyOutcome:
     """One week of :func:`run_campaign`; a :class:`SoilspecError` becomes its rejection."""
     tau = spectra_date = report = ast_by_band = reason = None
+    quality = {}
     try:
         v = validate_week(m, cell)
+        quality = {"noisy_samples": v.noisy_samples, "clamped_samples": v.clamped_samples,
+                   "short_scans": v.short_scans}
         if not v.accepted:
             reason = v.reason
         else:
@@ -662,7 +670,7 @@ def _week_outcome(m: WeeklyMeasurement, day_map: Mapping[dt.date, FieldDay], cel
                        else {b.name: ast(tau, b) for b in cell.bands})
     return WeeklyOutcome(week_id=m.week_id, scan_date=m.scan_date, rejection_reason=reason,
                          spectra_date=spectra_date, tau=tau, report=report,
-                         ast_by_band=ast_by_band)
+                         ast_by_band=ast_by_band, **quality)
 
 
 def _spectrum(held: Spectrum | Path) -> Spectrum:

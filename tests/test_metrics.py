@@ -35,7 +35,6 @@ from soilspec.errors import (
     ZeroCurrent,
     ZeroDenominator,
 )
-from soilspec.metrics import NoisyTransmittance
 from soilspec.synth import SoilingModel
 
 from conftest import (
@@ -56,21 +55,22 @@ from conftest import (
 def test_tau_constant_ratio():
     soiled = flat_spectrum(300, 900, 0.45, Kind.TRANSMITTANCE)
     control = flat_spectrum(300, 900, 0.90, Kind.TRANSMITTANCE)
-    tau = soiling_transmittance(soiled, control)
+    tau = soiling_transmittance(soiled, control).tau
     np.testing.assert_allclose(tau.values, 0.5, rtol=1e-15)
     assert tau.kind is Kind.TRANSMITTANCE
 
 
 def test_tau_clean_coupon():
     scan = linear_spectrum(300, 900, 0.85, 0.92)
-    tau = soiling_transmittance(scan, scan)
+    tau, noisy, clamped = soiling_transmittance(scan, scan)
     np.testing.assert_array_equal(tau.values, 1.0)
+    assert (noisy, clamped) == (0, 0)  # a ratio of 1 is no noise
 
 
 def test_tau_pointwise_division():
     soiled = linear_spectrum(300, 900, 0.45, 0.90)
     control = flat_spectrum(300, 900, 0.9, Kind.TRANSMITTANCE)
-    tau = soiling_transmittance(soiled, control)
+    tau = soiling_transmittance(soiled, control).tau
     f = sampled_eval(tau)
     assert f(300) == pytest.approx(0.5, rel=1e-15)
     assert f(600) == pytest.approx(0.75, rel=1e-15)
@@ -84,21 +84,34 @@ def test_tau_control_floor():
         soiling_transmittance(soiled, control)
 
 
+@pytest.mark.filterwarnings("error")
 def test_tau_noise_kept_and_flagged():
     soiled = flat_spectrum(300, 900, 0.91, Kind.TRANSMITTANCE)
     control = flat_spectrum(300, 900, 0.90, Kind.TRANSMITTANCE)
-    with pytest.warns(NoisyTransmittance):
-        tau = soiling_transmittance(soiled, control)
-    # ratio 1.0111 is kept, not clamped
+    tau, noisy, clamped = soiling_transmittance(soiled, control)
+    # ratio 1.0111 is kept, not clamped, at both samples
     np.testing.assert_allclose(tau.values, 0.91 / 0.90, rtol=1e-15)
+    assert (noisy, clamped) == (2, 0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_tau_clamped_above_bound():
     soiled = flat_spectrum(300, 900, 0.95, Kind.TRANSMITTANCE)
     control = flat_spectrum(300, 900, 0.90, Kind.TRANSMITTANCE)
-    with pytest.warns(NoisyTransmittance, match="clamped"):
-        tau = soiling_transmittance(soiled, control)
+    tau, noisy, clamped = soiling_transmittance(soiled, control)
     np.testing.assert_allclose(tau.values, 1.02, rtol=1e-15)
+    assert (noisy, clamped) == (0, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_tau_counts_noisy_and_clamped_samples_apart():
+    grid = np.array([300.0, 400.0, 500.0, 600.0, 700.0])
+    soiled = Spectrum(grid, np.array([0.45, 0.5, 0.505, 0.51, 0.55]), Kind.TRANSMITTANCE)
+    control = Spectrum(grid, np.full(5, 0.5), Kind.TRANSMITTANCE)
+    tau, noisy, clamped = soiling_transmittance(soiled, control)
+    # Ratios 0.9, 1, 1.01, 1 + 0.02 and 1.1: a ratio at the bound is noise, not clamped.
+    assert tau.values.tolist() == [0.9, 1.0, 1.01, 1.0 + 0.02, 1.0 + 0.02]
+    assert (noisy, clamped) == (2, 1)
 
 
 def test_tau_requires_transmittance_kinds():
@@ -117,13 +130,13 @@ def test_tau_requires_overlap():
 def test_tau_frozen_values(demo_weeks):
     # The demo scans share one grid, so both factors are on the union grid;
     # the offset pair puts neither on it.
-    taus = [soiling_transmittance(s, c)
+    taus = [soiling_transmittance(s, c).tau
             for m in demo_weeks for s, c in zip(m.soiled_scans, m.control_scans)]
     assert spectra_sha256(taus) == (
         "80ace7e70421a7b46a67c4c5cb7e7c60ea8eafaf688643e2d3fbaba3e5373871")
     soiled = synth_tau(SoilingModel(k=0.3, alpha=1.2), np.arange(298.0, 1814.0, 4.0))
     control = synth_tau(SoilingModel(k=0.02, alpha=0.5), np.arange(297.5, 1815.0, 5.0))
-    assert spectra_sha256([soiling_transmittance(soiled, control)]) == (
+    assert spectra_sha256([soiling_transmittance(soiled, control).tau]) == (
         "271e7be0b0914789df64affa943b14a85e9147adee0bbccbd4fcc8a3baf1e3b3")
 
 

@@ -119,15 +119,26 @@ def imports_by_function(source):
     return found
 
 
+def package_imports():
+    """(file name, module, enclosing function name or None) of each import under src/."""
+    return [(path.name, module, function)
+            for path in sorted(PACKAGE_DIR.parent.rglob("*.py"))
+            for module, function in imports_by_function(path.read_text(encoding="utf-8"))]
+
+
 def test_one_function_starts_processes():
     # One way to use a second process: no executor pool, and multiprocessing
     # imported in one function only.
-    uses = [(path.name, module, function)
-            for path in sorted(PACKAGE_DIR.parent.rglob("*.py"))
-            for module, function in imports_by_function(path.read_text(encoding="utf-8"))]
+    uses = package_imports()
     assert [u for u in uses if u[1].startswith("concurrent.futures")] == []
     assert [u for u in uses if u[1].split(".")[0] == "multiprocessing"] == [
         ("pipeline.py", "multiprocessing", "_in_two")]
+
+
+def test_no_module_warns():
+    # Noise and coverage are per-week data, which Python's once-per-location
+    # warning filter would thin out; so no module imports warnings.
+    assert [u for u in package_imports() if u[1].split(".")[0] == "warnings"] == []
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -135,6 +146,7 @@ def test_one_function_starts_processes():
     ("from concurrent import futures\n", [("concurrent.futures", None)]),
     ("def f():\n    def g():\n        import multiprocessing\n    import os\n",
      [("multiprocessing", "g"), ("os", "f")]),
+    ("from warnings import warn\n", [("warnings.warn", None)]),
 ])
 def test_import_finder_names_module_and_function(source, expected):
     assert imports_by_function(source) == expected

@@ -11,7 +11,6 @@ import random
 import re
 import struct
 import tempfile
-import warnings
 import weakref
 from pathlib import Path
 
@@ -294,6 +293,14 @@ def test_select_missing_scan_day_uses_neighbour():
     assert select_spectra(DATE, days).date == DATE - dt.timedelta(days=1)
 
 
+def test_select_refuses_two_field_days_of_one_date_in_either_order():
+    clear, cloudy = clear_day(DATE), cloudy_day(DATE)
+    for days in ([cloudy, clear], [clear, cloudy]):
+        with pytest.raises(ValueError, match=f"field day {DATE} appears more than once"):
+            select_spectra(DATE, days)
+    assert select_spectra(DATE, {DATE: clear}) is clear  # a mapping is used as given
+
+
 # ---------------------------------------------------------------------------
 # campaign driver
 # ---------------------------------------------------------------------------
@@ -409,6 +416,9 @@ def test_run_campaign_incomplete_week_rejected(toy2j):
                                control_scans=m.control_scans[:1])
     result = run_campaign([broken], [clear_day(DATE)], toy2j)
     assert result.weekly[0].rejection_reason == "IncompleteReplicates"
+    # validate_week raised, so the week has no noise counts and no short scans.
+    week = result.weekly[0].to_json_dict()
+    assert [week[k] for k in ("noisy_samples", "clamped_samples", "short_scans")] == [None] * 3
 
 
 def test_aggregation_modes_agree_for_single_record(toy2j):
@@ -780,12 +790,22 @@ def test_load_campaign_dir_manifest_override(tmp_path):
     assert loaded_weeks[1].scan_date == dt.date(2017, 1, 11)
 
 
+def _scan_names(week_id):
+    """A week's six scan file names, in the order validate_week reads them."""
+    return tuple(f"week{week_id:02d}_{role}_{rep}.csv"
+                 for rep in (1, 2, 3) for role in ("soiled", "control"))
+
+
+@pytest.mark.filterwarnings("error")
 def test_load_campaign_dir_warns_on_short_coverage(tmp_path, toy2j):
     weeks = [measurement([0.9, 0.9, 0.9])]  # scans span [300, 900] only
     out = write_campaign_dir(weeks, [], tmp_path / "c")
     loaded = load_campaign_dir(out)
-    with pytest.warns(UserWarning, match="convention"):
-        run_campaign(*loaded, toy2j)
+    (week,) = run_campaign(*loaded, toy2j).weekly
+    assert week.short_scans == _scan_names(1)
+    assert week.to_json_dict()["short_scans"] == week.short_scans
+    # Scans held in memory have no file to name.
+    assert validate_week(weeks[0], toy2j).short_scans == ()
 
 
 @pytest.fixture(scope="module")
@@ -878,53 +898,52 @@ def test_two_process_campaign_equals_the_in_memory_run(six_weeks, bundled_cell, 
     assert not any(t.wavelengths_nm.flags.writeable or t.values.flags.writeable for t in taus)
 
 
-def _shown_warnings(run):
-    """The warnings ``run()`` shows under the default filter, as (category, text, file, line)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        result = run()
-    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+def _quality(result):
+    """Each week's noise counts and short scans, as ``campaign.json`` holds them."""
+    return [(w.week_id, w.noisy_samples, w.clamped_samples, w.short_scans)
+            for w in result.weekly]
 
 
+@pytest.mark.filterwarnings("error")
 def test_campaign_without_fork_runs_in_one_process(tmp_path, toy2j, forks, monkeypatch):
-    # Each replicate pair has one transmittance sample of 1.01, so every week warns
-    # of noise with one text; its scans span [300, 900] only.
+    # Each replicate pair has one transmittance sample of 1.01, at 300 nm, and
+    # its scans span [300, 900] only.
     soiled = linear_spectrum(300.0, 900.0, 0.909, 0.9)
     control = flat_spectrum(300.0, 900.0, 0.9, Kind.TRANSMITTANCE)
     weeks = [WeeklyMeasurement(k, DATE + dt.timedelta(days=7 * k), [soiled] * 3, [control] * 3)
              for k in (1, 2, 3, 4)]
     loaded = load_campaign_dir(write_campaign_dir(weeks, [], tmp_path / "c"))
     forks.clear()  # the scan writer's
-    result, shown = _shown_warnings(lambda: run_campaign(*loaded, toy2j))
+    result = run_campaign(*loaded, toy2j)
     assert len(forks) == 1
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    expected, expected_shown = _shown_warnings(lambda: run_campaign(*loaded, toy2j))
+    expected = run_campaign(*loaded, toy2j)
     assert len(forks) == 1
     assert result.to_json() == expected.to_json()
-    # The helper's warnings are shown as one process shows them: the noise once, at
-    # its place, then each scan's coverage.
-    assert [text for _, text, *_ in expected_shown].count(
-        "1 soiling-transmittance samples in (1, 1.02] kept (noise)") == 1
-    assert len(expected_shown) == 1 + 24
-    assert shown == expected_shown
+    # Weeks 3 and 4 ran in the helper, and carry the same data as in one process.
+    assert _quality(result) == _quality(expected) == [
+        (k, (1, 1, 1), (0, 0, 0), _scan_names(k)) for k in (1, 2, 3, 4)]
 
 
-def test_helper_week_warnings_reach_the_caller_in_order(tmp_path, toy2j, forks):
+@pytest.mark.filterwarnings("error")
+def test_helper_week_warnings_reach_the_caller_in_order(tmp_path, toy2j, forks, monkeypatch):
     weeks = [measurement([0.9, 0.9, 0.9], week_id=k, scan_date=DATE + dt.timedelta(days=7 * k))
              for k in (1, 2, 3)]  # scans span [300, 900] only
+    # Week 3's first pair has a ratio of 1.05, clamped, at 300 nm, so its spread is too wide.
+    weeks[2] = dataclasses.replace(weeks[2], soiled_scans=[
+        linear_spectrum(300.0, 900.0, 0.945, 0.81), *weeks[2].soiled_scans[1:]])
     out = write_campaign_dir(weeks, [], tmp_path / "c")
     loaded = load_campaign_dir(out)
     forks.clear()  # the scan writer's
-    with pytest.warns(UserWarning) as record:
-        result = run_campaign(*loaded, toy2j)
+    result = run_campaign(*loaded, toy2j)
     assert len(forks) == 1 and multiprocessing.active_children() == []
-    assert [w.rejection_reason for w in result.weekly] == ["NoClearDay"] * 3
-    # Week 3 ran in the helper; its six warnings follow the twelve of weeks 1 and 2.
-    assert [(w.category, str(w.message)) for w in record] == [
-        (UserWarning, f"week{k:02d}_{role}_{rep}.csv: scan covers [300.0, 900.0] nm, less than "
-                      f"the (300.0, 2000.0) nm convention")
-        for k in (1, 2, 3) for rep in (1, 2, 3) for role in ("soiled", "control")]
-    assert len({(w.filename, w.lineno) for w in record}) == 1
+    assert [w.rejection_reason for w in result.weekly] == ["NoClearDay"] * 2 + ["SpreadExceeded"]
+    # Week 3 ran in the helper; its scans are named in read order, as those of weeks 1 and 2.
+    assert _quality(result) == [
+        (k, (0, 0, 0), (1, 0, 0) if k == 3 else (0, 0, 0), _scan_names(k)) for k in (1, 2, 3)]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _quality(run_campaign(*loaded, toy2j)) == _quality(result)
+    assert len(forks) == 1
 
 
 def _tree_bytes(root):

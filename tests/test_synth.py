@@ -119,7 +119,7 @@ def test_blue_tilt_raises_smr(reference):
 # ---------------------------------------------------------------------------
 
 def _mean_tau(m):
-    taus = [soiling_transmittance(s, c)
+    taus = [soiling_transmittance(s, c).tau
             for s, c in zip(m.soiled_scans, m.control_scans)]
     grid = taus[0].wavelengths_nm
     return np.mean([t.values for t in taus], axis=0)
@@ -139,7 +139,7 @@ def test_campaign_deposition_only_monotone():
     band = Waveband("MJ", 300.0, 1810.0)
     asts = []
     for m in weeks:
-        tau = soiling_transmittance(m.soiled_scans[0], m.control_scans[0])
+        tau = soiling_transmittance(m.soiled_scans[0], m.control_scans[0]).tau
         asts.append(ast(tau, band))
     assert all(b < a for a, b in zip(asts, asts[1:]))
 
@@ -192,7 +192,7 @@ def test_campaign_scan_noise_below_rejection_rule():
     weeks, _ = synth_campaign(scenario)
     band = Waveband("MJ", 300.0, 1810.0)
     for m in weeks:
-        asts = [ast(soiling_transmittance(s, c), band)
+        asts = [ast(soiling_transmittance(s, c).tau, band)
                 for s, c in zip(m.soiled_scans, m.control_scans)]
         assert max(asts) - min(asts) < 0.01
 
