@@ -56,9 +56,48 @@ def _version_string() -> str:
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, in chunks."""
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, in chunks.
+
+    With an indent, ``json`` encodes in pure Python, so this walks the
+    containers itself (dicts by sorted ``str`` key, tuples as lists) and
+    hands each scalar, and each list of scalars none of which is a string,
+    to the C encoder whole. Only such a list is re-indented by replacing
+    its ``", "`` separators, since no number, ``true``, ``false`` or
+    ``null`` holds one. No chunk holds more than one scalar or one such
+    list, so the document is never built as one string.
+    """
+    yield from _json_value(doc, "\n")
     yield "\n"
+
+
+def _json_value(value: object, newline: str) -> Iterator[str]:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it
+    at the depth where ``newline`` starts a line."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for key in sorted(value):
+            yield f"{sep}{json.dumps(key)}: "
+            yield from _json_value(value[key], inner)
+            sep = "," + inner
+        yield newline + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+        elif any(issubclass(t, (str, dict, list, tuple)) for t in set(map(type, value))):
+            sep = "[" + inner
+            for v in value:
+                yield sep
+                yield from _json_value(v, inner)
+                sep = "," + inner
+            yield newline + "]"
+        else:
+            yield f"[{inner}{json.dumps(value)[1:-1].replace(', ', ',' + inner)}{newline}]"
+    else:
+        yield json.dumps(value)
 
 
 def _out_dir(path: str) -> Path:

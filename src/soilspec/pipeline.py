@@ -836,56 +836,35 @@ def _field_columns(rows: list[str], folder: Path
     return timestamps, columns, [folder / name if name else None for name in cells[8::9]]
 
 
-def _spectrum_name(timestamp: dt.datetime) -> str:
-    """A record's spectrum file, relative to the data dir (see :func:`write_campaign_dir`)."""
-    fmt = "%Y-%m-%dT%H-%M"
-    if timestamp.second or timestamp.microsecond:
-        fmt += "-%S"
-    if timestamp.microsecond:
-        fmt += "-%f"
-    return f"spectra/{timestamp.strftime(fmt)}.csv"
+def _spectrum_files(days: Sequence[FieldDay]) -> tuple[list[list[str]], dict[str, str]]:
+    """Each record's spectrum file name (``""`` without a spectrum), day by
+    day, and the text of each file by name: ``spectra/<n>.csv``, numbered
+    from 1 in the order the texts are first seen. Each held value is read
+    and formatted once, so records that hold one object or one path cost
+    one format; records whose texts are equal share one file."""
+    names: dict[str, str] = {}  # text -> file name, in first-seen order
+    named: dict[Spectrum | Path, str] = {}  # held value -> file name
+
+    def name(held: Spectrum | Path) -> str:
+        rel = named.get(held)
+        if rel is None:
+            text = spectrum_csv_text(_spectrum(held))
+            rel = named[held] = names.setdefault(text, f"spectra/{len(names) + 1}.csv")
+        return rel
+
+    rels = [[name(s) if s is not None else "" for s in day.spectra] for day in days]
+    return rels, {rel: text for text, rel in names.items()}
 
 
-def _spectrum_names(day: FieldDay) -> list[str]:
-    """Each record's spectrum file name (``""`` without a spectrum); a name
-    two records would share raises ``ValueError``."""
-    names = [_spectrum_name(t) if s is not None else ""
-             for t, s in zip(day.timestamps, day.spectra)]
-    taken: dict[str, dt.datetime] = {}
-    for t, rel in zip(day.timestamps, names):
-        if not rel:
-            continue
-        if rel in taken:
-            raise ValueError(f"field day {day.date}: records at {taken[rel].isoformat()} and "
-                             f"{t.isoformat()} would both write {rel}")
-        taken[rel] = t
-    return names
-
-
-def _write_field_day(day: FieldDay, out_dir: Path, texts: dict[Spectrum, str],
-                     spec_rels: list[str]) -> Path:
-    """Write one field day and its spectra with the names of
-    :func:`_spectrum_names`, taking each spectrum's CSV text from
-    ``texts`` and adding the ones it formats, so a spectrum object that
-    several records share is formatted once per ``texts``."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if any(spec_rels):
-        (out_dir / "spectra").mkdir(exist_ok=True)
-    for held, spec_rel in zip(day.spectra, spec_rels):
-        if spec_rel:
-            s = _spectrum(held)
-            text = texts.get(s)
-            if text is None:
-                text = texts[s] = spectrum_csv_text(s)
-            write_text_atomic(out_dir / spec_rel, text)
+def _write_field_day(day: FieldDay, out_dir: Path, spec_rels: list[str]) -> None:
+    """Write one field day's CSV, naming each record's spectrum file in ``spec_rels``."""
     # A value is written with repr, which round-trips exactly; an empty cell is NaN.
     cells = zip(map(dt.datetime.isoformat, day.timestamps),
                 *(["" if v != v else repr(v) for v in getattr(day, name).tolist()]
                   for name in _COLUMNS),
                 spec_rels)
-    path = out_dir / f"field_{day.date.isoformat()}.csv"
-    write_text_atomic(path, "\n".join([FIELD_HEADER, *map(",".join, cells)]) + "\n")
-    return path
+    write_text_atomic(out_dir / f"field_{day.date.isoformat()}.csv",
+                      "\n".join([FIELD_HEADER, *map(",".join, cells)]) + "\n")
 
 
 def _write_scans(weeks: Sequence[WeeklyMeasurement], out_dir: Path) -> None:
@@ -902,34 +881,36 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
                        out_dir: str | Path) -> Path:
     """Write a complete campaign data directory the loader can ingest.
 
-    A field record's spectrum goes to ``spectra/<YYYY-MM-DD>T<HH>-<MM>.csv``,
-    named by its local timestamp, with ``-<SS>`` appended when the seconds
-    or microseconds are non-zero and ``-<ffffff>`` when the microseconds
-    are. A scan or spectrum held as a path is read here.
+    Field spectra are written one file per distinct text: each is
+    formatted once, before any file is written, and goes to
+    ``spectra/<n>.csv``, numbered from 1 in the order first seen (days by
+    date, records in row order). Every record whose spectrum has that text
+    names the file in its ``spectrum_file`` column, so records that share
+    a spectrum share its file. A scan or spectrum held as a path is read
+    here, a field spectrum once per distinct path; one that cannot be read
+    raises the reader's error before any file is written.
 
     A negative or repeated week id, a week without scans or with more
-    than three of one role, two field days of one date, or two records of
-    one day whose spectra would share a file name (two tz-aware records a
-    UTC-offset change apart can share a local time; the error names the
-    day and both timestamps) would write files the loader skips, drops or
-    reads as one, so each raises ``ValueError`` naming it. An ``out_dir``
-    that already holds a file the loader reads (``manifest.yaml``, a
-    ``field_*.csv`` or a scan file) would mix two campaigns, so it raises
-    ``FileExistsError`` naming ``out_dir`` and one such file. Every check
-    runs before any file is written.
+    than three of one role, or two field days of one date would write
+    files the loader skips, drops or reads as one, so each raises
+    ``ValueError`` naming it. An ``out_dir`` that already holds a file the
+    loader reads (``manifest.yaml``, a ``field_*.csv`` or a scan file) or
+    a spectrum file this call would write would mix two campaigns, so it
+    raises ``FileExistsError`` naming ``out_dir`` and one such file. Every
+    check runs before any file is written.
 
-    With ``fork``, this process writes every field day and then the scans
-    of the first quarter of the weeks by id, rounded down, while one
-    forked helper writes the other scans; the manifest comes last. Written
-    in one process, the 520-week synth archive's field days took
-    0.50-0.69 s and its scans 1.28-1.62 s, so the processes are about
-    equally busy at 0.29 of the scans: a quarter is the round share below it.
-    Without ``fork``, this process writes it all, its share first. A
-    spectrum object that several field records share is formatted once.
-    Errors come as in one process, this process's first, so a failed
-    helper does not cut the field days short; the helper's is its first
-    failed scan write, with its type and file name, and a helper that
-    dies raises ``OSError`` naming ``out_dir``.
+    With ``fork``, this process writes the spectra, every field day and
+    then the scans of the first two fifths of the weeks by id, rounded
+    down, while one forked helper writes the other scans; the manifest
+    comes last. Written in one process, the 520-week synth archive's
+    spectra and field days took 0.54-1.05 s (medians 0.65 and 0.84 s over
+    two rounds of 7) and its scans 1.85-4.46 s (medians 3.67 and 3.97 s),
+    so the processes are about equally busy at 0.40-0.41 of the scans: two
+    fifths is the round share at or below it. Without ``fork``, this
+    process writes it all, its share first. Errors come as in one process,
+    this process's first, so a failed helper does not cut the field days
+    short; the helper's is its first failed scan write, with its type and
+    file name, and a helper that dies raises ``OSError`` naming ``out_dir``.
     """
     weeks = sorted(weeks, key=lambda w: w.week_id)
     days = sorted(days, key=lambda d: d.date)
@@ -948,20 +929,26 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
     for a, b in zip(days, days[1:]):
         if a.date == b.date:
             raise ValueError(f"field day {b.date} appears more than once")
-    spec_rels = [_spectrum_names(day) for day in days]
+    spec_rels, spectra = _spectrum_files(days)
     out_dir = Path(out_dir)
-    for p in sorted(out_dir.iterdir()) if out_dir.is_dir() else ():
-        if p.is_file() and (p.name == "manifest.yaml" or p.match("field_*.csv")
-                            or _SCAN_RE.match(p.name)):
-            raise FileExistsError(f"{out_dir} already holds campaign file {p.name}; "
+    if out_dir.is_dir():
+        taken = [p.name for p in sorted(out_dir.iterdir())
+                 if p.is_file() and (p.name == "manifest.yaml" or p.match("field_*.csv")
+                                     or _SCAN_RE.match(p.name))]
+        taken += [rel for rel in spectra if (out_dir / rel).is_file()]
+        if taken:
+            raise FileExistsError(f"{out_dir} already holds campaign file {taken[0]}; "
                                   f"write to a new directory or one without campaign files")
     out_dir.mkdir(parents=True, exist_ok=True)
-    k = len(weeks) // 4
+    k = len(weeks) * 2 // 5
 
     def write_here() -> None:
-        texts: dict[Spectrum, str] = {}
-        for day, names in zip(days, spec_rels):
-            _write_field_day(day, out_dir, texts, names)
+        if spectra:
+            (out_dir / "spectra").mkdir(exist_ok=True)
+        for rel, text in spectra.items():
+            write_text_atomic(out_dir / rel, text)
+        for day, rels in zip(days, spec_rels):
+            _write_field_day(day, out_dir, rels)
         _write_scans(weeks[:k], out_dir)
 
     _in_two(write_here, lambda part: _write_scans(part, out_dir), weeks[k:],

@@ -451,12 +451,12 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write a text file via temp-then-rename so readers never see a torn file.
 
     ``text`` is a ``str``, written whole, or an iterable of ``str`` chunks,
-    written one after another as they come, so a large document (say,
-    from ``json.JSONEncoder.iterencode``) never exists as one string. The
-    temp name is unique to the writing process and thread, so concurrent
-    writers of one path each rename a whole file of their own and the last
-    rename wins. If writing fails, the temp file is removed and ``path``
-    is left as it was.
+    written one after another as they come, so a large document (say, the
+    chunks of an encoder that yields JSON as it goes) never exists as one
+    string. The temp name is unique to the writing process and thread, so
+    concurrent writers of one path each rename a whole file of their own
+    and the last rename wins. If writing fails, the temp file is removed
+    and ``path`` is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")

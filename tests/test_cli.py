@@ -4,6 +4,7 @@ import datetime as dt
 import errno
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 
 from soilspec import (
     Aggregation,
+    CampaignScenario,
+    FieldDay,
     Kind,
     campaign_fits,
     load_bundled_3j,
@@ -27,8 +30,11 @@ from soilspec import (
     pipeline,
     read_spectrum_csv,
     run_campaign,
+    synth_campaign,
+    write_campaign_dir,
     write_spectrum_csv,
 )
+from soilspec import cli
 from soilspec.cell import bundled_cell_config_path, reference_spectrum_path
 from soilspec.cli import build_parser, main
 
@@ -151,9 +157,9 @@ def test_synth_tree_bytes_are_pinned(tmp_path, capsys):
     # that any drift of the campaign-dir format fails here. The tilted tree
     # also pins synth_spectrum's renormalisation of the reshaped spectrum.
     pinned = {
-        "": "a07625c34b631f0ee2d1b265ea7f10bba5027fcac3d762b1ed0540c944de0426",
+        "": "caaa731f13491b82c6a336aa73c8a1cae1433d2480b88b688b38be7fc25c649e",
         "spectrum_tilt: -0.1234567\n":
-            "cdd253df3baa2d535de54274936f6a709cce89b048bb46bef8fa43ddfc4d3a34",
+            "ae44f56abf6f1305e86cbbd9cde6a1dd314142896220a364e14f9baf8f19ebc9",
     }
     for extra, expected in pinned.items():
         scenario = tmp_path / "s.yaml"
@@ -164,7 +170,9 @@ def test_synth_tree_bytes_are_pinned(tmp_path, capsys):
                      "--seed", "7"]) == 0
         capsys.readouterr()
         tree = _tree_bytes(out)
-        assert len(tree) == 43  # 18 scans, 3 field files, 21 spectra, the manifest
+        # 18 scans, 3 field files, the manifest and one file per distinct text
+        # of the seven hourly spectra the days share (11:00 and 13:00 are equal)
+        assert len(tree) == 28
         digest = hashlib.sha256()
         for name, data in sorted(tree.items()):
             digest.update(name.encode() + b"\0" + data)
@@ -586,6 +594,28 @@ def test_campaign_json_files_match_the_in_memory_run(small_data, tmp_path, capsy
         assert (tmp_path / "out" / name).read_bytes() == text.encode("utf-8")
 
 
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.floats().map(np.float64) | st.text()
+                 | st.sampled_from([0, 0.0, -0.0, False, None, math.nan, math.inf, -math.inf]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30)
+
+
+@given(doc=st.dictionaries(st.text(), _JSON_VALUES))
+@example(doc={"mixed": [0, 0.0, -0.0, False, None], "empty": [[], {}, ()],
+              "escaped": ['a, "b"\n\\', "\u00e9 \u2603 \U0001d11e", "\x00"],
+              "numpy": (np.float64(-0.0), np.float64("nan"), np.float64(1e300),
+                        np.float64(-math.inf)),
+              "nested": {"": [[0.5, 1], [True, "x"]], "z": -0.0}})
+def test_json_chunks_equal_the_stdlib_encoding(doc):
+    chunks = list(cli._json_chunks(doc))
+    assert all(isinstance(c, str) for c in chunks) and len(chunks) > len(doc)
+    assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_campaign_bad_scan_names_its_file(small_data, tmp_path, capsys):
     data = shutil.copytree(small_data, tmp_path / "data")
     scan = data / "week01_soiled_1.csv"
@@ -702,6 +732,14 @@ def _logged_reads(monkeypatch, log):
     return reads
 
 
+def _spectrum_files(data, day):
+    """Each spectral record's file of the ``day``-th field day by date, as
+    its ``spectrum_file`` column names it, keyed by the record's time."""
+    field = sorted(data.glob("field_*.csv"))[day]
+    rows = [row.split(",") for row in field.read_text(encoding="utf-8").splitlines()[1:]]
+    return {dt.datetime.fromisoformat(row[0]).time(): data / row[-1] for row in rows if row[-1]}
+
+
 @pytest.mark.parametrize("mode, n_spectra", [("noon", 3), ("daily", 21)])
 def test_campaign_reads_only_the_spectra_it_uses(three_weeks, tmp_path, capsys, monkeypatch,
                                                 mode, n_spectra):
@@ -717,15 +755,17 @@ def test_campaign_reads_only_the_spectra_it_uses(three_weeks, tmp_path, capsys, 
     scans = [p for p in calls if p.parent == three_weeks]
     assert len(scans) == 18
     assert len(calls) == 18 + n_spectra
-    # Week by week: its six scans, then the spectra of its field day.
-    days = sorted(three_weeks.glob("field_*.csv"))
+    # Week by week: its six scans, then the spectra of its field day in row
+    # order (the noon one alone in noon mode), as its field file names them.
     for week in range(1, 4):
         block = calls[per_week * (week - 1):per_week * week]
         assert all(p.name.startswith(f"week{week:02d}_") for p in block[:6])
-        day = days[week - 1].name.removeprefix("field_").removesuffix(".csv")
-        assert all(p.parent.name == "spectra" and p.name.startswith(day) for p in block[6:])
+        files = _spectrum_files(three_weeks, week - 1)
+        assert len(files) == 7
         if mode == "noon":
-            assert [p.name for p in block[6:]] == [f"{day}T12-00.csv"]
+            assert block[6:] == [files[dt.time(12)]]
+        else:
+            assert block[6:] == list(files.values())
 
 
 def _duplicate_first_row(path):
@@ -739,17 +779,43 @@ def test_campaign_noon_ignores_a_bad_spectrum_no_week_uses(three_weeks, tmp_path
                                                            damage):
     assert _campaign(three_weeks, tmp_path / "clean", "--aggregation", "noon") == 0
     data = shutil.copytree(three_weeks, tmp_path / "data")
-    damage(sorted(data.glob("spectra/*T09-00.csv"))[0])
+    spectrum = _spectrum_files(data, 0)[dt.time(9)]
+    assert all(_spectrum_files(data, day)[dt.time(12)] != spectrum for day in range(3))
+    damage(spectrum)
     assert _campaign(data, tmp_path / "damaged", "--aggregation", "noon") == 0
     capsys.readouterr()
     assert _tree_bytes(tmp_path / "damaged" / "out") == _tree_bytes(tmp_path / "clean" / "out")
 
 
+@pytest.fixture(scope="module")
+def three_days_apart(tmp_path_factory):
+    """``three_weeks``' campaign with each field day's spectra scaled by a
+    factor of its own, so that no two days share a spectrum file."""
+    weeks, days = synth_campaign(CampaignScenario(weeks=3, deposition_per_week=0.02, seed=5))
+    days = [FieldDay.from_columns(
+                day.date, day.timestamps,
+                [None if s is None else s.with_values(s.values * (1.0 + k / 1000))
+                 for s in day.spectra],
+                **{name: getattr(day, name) for name in
+                   ("dni", "gni", "ghi", "dhi", "rainfall_mm", "pm10", "pm25")})
+            for k, day in enumerate(days, start=1)]
+    return write_campaign_dir(weeks, days, tmp_path_factory.mktemp("apart") / "data")
+
+
+def _spectrum_of_one_day(data, day, hour):
+    """The file of the ``day``-th field day's record at ``hour``, checked to
+    be used by no other day."""
+    spectrum = _spectrum_files(data, day)[dt.time(hour)]
+    assert all(spectrum not in _spectrum_files(data, other).values()
+               for other in range(3) if other != day)
+    return spectrum
+
+
 @pytest.mark.parametrize("mode, hour", [("noon", "12"), ("daily", "09")])
-def test_campaign_bad_spectrum_of_a_used_record_names_its_file(three_weeks, tmp_path, capsys,
-                                                               mode, hour):
-    data = shutil.copytree(three_weeks, tmp_path / "data")
-    spectrum = sorted(data.glob(f"spectra/*T{hour}-00.csv"))[0]
+def test_campaign_bad_spectrum_of_a_used_record_names_its_file(three_days_apart, tmp_path,
+                                                               capsys, mode, hour):
+    data = shutil.copytree(three_days_apart, tmp_path / "data")
+    spectrum = _spectrum_of_one_day(data, 0, int(hour))
     _duplicate_first_row(spectrum)
     assert _campaign(data, tmp_path, "--aggregation", mode) == 1
     message = _one_error(capsys)["message"]
@@ -776,10 +842,10 @@ def test_campaign_bad_scan_of_a_helper_week_ends_the_run_as_in_one_process(
 
 
 @pytest.mark.parametrize("mode, hour", [("noon", "12"), ("daily", "09")])
-def test_campaign_missing_spectrum_of_a_helper_week_ends_the_run(three_weeks, tmp_path, capsys,
-                                                                 mode, hour):
-    data = shutil.copytree(three_weeks, tmp_path / "data")
-    spectrum = sorted(data.glob(f"spectra/*T{hour}-00.csv"))[-1]  # on week 3's field day
+def test_campaign_missing_spectrum_of_a_helper_week_ends_the_run(three_days_apart, tmp_path,
+                                                                 capsys, mode, hour):
+    data = shutil.copytree(three_days_apart, tmp_path / "data")
+    spectrum = _spectrum_of_one_day(data, 2, int(hour))  # on week 3's field day
     spectrum.unlink()
     with pytest.raises(FileNotFoundError) as missing:
         read_spectrum_csv(spectrum)

@@ -50,7 +50,7 @@ from soilspec.errors import (
 )
 from soilspec import pipeline
 from soilspec.pipeline import CLOUDY_THRESHOLD, WeeklyOutcome, campaign_fits, read_field_csv
-from soilspec.spectral import read_spectrum_csv, write_spectrum_csv
+from soilspec.spectral import read_spectrum_csv, spectrum_csv_text, write_spectrum_csv
 
 from conftest import bundled_tau, flat_spectrum, linear_spectrum, mixed_grid_day, spectra_sha256
 
@@ -661,8 +661,9 @@ def test_loaded_field_spectrum_is_read_on_first_access(tmp_path, bundled_cell):
     out = write_campaign_dir(weeks, days, tmp_path / "campaign")
     expected = run_campaign(weeks, days, bundled_cell, Aggregation.NOON).to_json()
     spectra = sorted((out / "spectra").iterdir())
-    noon = out / "spectra" / f"{days[0].date.isoformat()}T12-00.csv"
-    assert noon in spectra and len(spectra) == len(days[0].spectral_records)
+    noon = {r.timestamp: path for r, path in _spectrum_files(out, days[0])}[
+        dt.datetime.combine(days[0].date, dt.time(12))]
+    assert noon in spectra and len(spectra) == 6  # 7 records; 11:00 and 13:00 share a text
     for path in spectra:
         if path != noon:
             path.unlink()  # no week of a NOON run uses these
@@ -690,11 +691,17 @@ def test_loaded_field_records_hold_their_spectrum_paths(tmp_path, monkeypatch):
                                   for rep in (1, 2, 3))
     assert loaded_weeks == again_weeks
     assert repr(loaded_weeks) == repr(again_weeks)
-    for day in loaded:
+    # Files are numbered by text, first seen first; both days share the hourly spectra.
+    first_seen = {}
+    for day in days:
+        for s in day.spectra:
+            if s is not None:
+                first_seen.setdefault(spectrum_csv_text(s), f"spectra/{len(first_seen) + 1}.csv")
+    assert len(first_seen) == 6
+    for day, held in zip(loaded, days):
         assert len(day.spectral_records) == 7
         assert [r.spectral_dni for r in day.spectral_records] == [
-            out / f"spectra/{r.timestamp.strftime('%Y-%m-%dT%H-%M')}.csv"
-            for r in day.spectral_records]
+            out / first_seen[spectrum_csv_text(s)] for s in held.spectra if s is not None]
     assert not hasattr(loaded[0].records[0], "__dict__")
     assert loaded == again
     assert repr(loaded) == repr(again)
@@ -706,7 +713,7 @@ def test_loaded_campaign_dir_writes_back_byte_for_byte(tmp_path):
     second = write_campaign_dir(*load_campaign_dir(first), tmp_path / "second")
     files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
-    assert len(files) == 43  # 18 scans, 3 field files, 21 spectra, the manifest
+    assert len(files) == 28  # 18 scans, 3 field files, 6 spectra, the manifest
     for rel in files:
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
@@ -961,20 +968,22 @@ def test_campaign_dir_writer_without_fork_writes_the_same_tree_in_one_process(tm
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     one = write_campaign_dir(weeks, days, tmp_path / "one")
     assert len(forks) == 1
-    assert len(_tree_bytes(one)) == 5 * 6 + 5 + 5 * 7 + 1
+    assert len(_tree_bytes(one)) == 5 * 6 + 5 + 6 + 1  # the days share 6 spectrum texts
     assert _tree_bytes(one) == _tree_bytes(two)
 
 
-@pytest.mark.parametrize("name", ["manifest.yaml", "field_2017-01-09.csv", "week04_soiled_1.csv"])
+@pytest.mark.parametrize("name", ["manifest.yaml", "field_2017-01-09.csv", "week04_soiled_1.csv",
+                                  "spectra/1.csv"])
 def test_campaign_dir_writer_refuses_a_dir_holding_campaign_files(tmp_path, name):
     out = tmp_path / "c"
-    out.mkdir()
+    (out / name).parent.mkdir(parents=True)
     (out / name).write_text("old\n")
     (out / "notes.txt").write_text("kept\n")
     with pytest.raises(FileExistsError) as info:
         write_campaign_dir([measurement([0.9] * 3)], [clear_day(DATE)], out)
     assert str(out) in str(info.value) and name in str(info.value)
-    assert sorted(p.name for p in out.iterdir()) == sorted([name, "notes.txt"])
+    assert sorted(_tree_bytes(out)) == sorted([name, "notes.txt"])
+    assert (out / name).read_text() == "old\n"
     (out / name).unlink()
     write_campaign_dir([measurement([0.9] * 3)], [clear_day(DATE)], out)  # other files stay
     assert (out / "notes.txt").read_text() == "kept\n"
@@ -1032,58 +1041,100 @@ def test_campaign_dir_formats_each_shared_spectrum_once(tmp_path, monkeypatch):
     for path, scan in scan_files.items():
         assert path.read_text(encoding="utf-8") == csv_text(scan), path.name
     pairs = [pair for day in days for pair in _spectrum_files(out, day)]
-    assert sorted(path for _, path in pairs) == sorted((out / "spectra").iterdir())
-    assert len(pairs) == 21
+    assert sorted({path for _, path in pairs}) == sorted((out / "spectra").iterdir())
+    assert len(pairs) == 21 and len({path for _, path in pairs}) == 6
     for record, path in pairs:
         write_spectrum_csv(record.spectral_dni, tmp_path / "alone.csv")
         assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes(), path.name
+    # Loaded, the 21 records hold 6 distinct paths: each is read and formatted once.
+    formats.clear()
+    reads = []
+    read = pipeline.read_spectrum_csv
+    monkeypatch.setattr(pipeline, "read_spectrum_csv",
+                        lambda path: reads.append(path) or read(path))
+    again = write_campaign_dir([], load_campaign_dir(out)[1], tmp_path / "again")
+    assert len(formats) == 6 and sorted(reads) == sorted((out / "spectra").iterdir())
+    field_files = [{rel: data for rel, data in _tree_bytes(root).items()
+                    if rel.startswith(("field_", "spectra/"))} for root in (out, again)]
+    assert field_files[0] == field_files[1] and len(field_files[0]) == 3 + 6
 
 
-def test_sub_minute_records_get_spectrum_files_of_their_own(tmp_path):
-    times = [dt.time(11, 59), dt.time(12, 0), dt.time(12, 0, 30),
-             dt.time(12, 0, 30, 250000), dt.time(12, 1, 0, 500000)]
-    records = tuple(
-        FieldRecord(timestamp=dt.datetime.combine(DATE, t), dni=800.0, gni=1000.0,
-                    spectral_dni=flat_spectrum(300.0, 900.0, 1.0 + i))
-        for i, t in enumerate(times))
-    write_campaign_dir([], [FieldDay(date=DATE, records=records)], tmp_path)
-    path = tmp_path / f"field_{DATE.isoformat()}.csv"
-    assert sorted(p.name for p in (tmp_path / "spectra").iterdir()) == [
-        "2017-01-02T11-59.csv", "2017-01-02T12-00-30-250000.csv", "2017-01-02T12-00-30.csv",
-        "2017-01-02T12-00.csv", "2017-01-02T12-01-00-500000.csv",
-    ]
-    back = read_field_csv(path)
-    assert [r.timestamp for r in back.records] == [r.timestamp for r in records]
-    for orig, loaded in zip(records, back.records):
-        np.testing.assert_array_equal(read_spectrum_csv(loaded.spectral_dni).values,
-                                      orig.spectral_dni.values)
+_SPECTRUM_VALUES = (1.0, 2.0, 3.0)
+_SHARED = {v: flat_spectrum(300.0, 900.0, v) for v in _SPECTRUM_VALUES}
 
 
-def test_spectrum_file_name_clash_across_an_offset_change_is_refused(tmp_path):
-    day = dt.date(2017, 11, 5)
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.lists(st.none() | st.tuples(st.sampled_from(_SPECTRUM_VALUES),
+                                                    st.booleans()),
+                              min_size=1, max_size=6),
+                     min_size=1, max_size=3))
+def test_equal_spectrum_texts_share_one_file_and_distinct_ones_never_do(rows):
+    # Each record holds no spectrum, or a flat one of a drawn value: the one
+    # object shared by every record that draws it, or an equal object of its own.
+    def held(cell):
+        if cell is None:
+            return None
+        value, shared = cell
+        return _SHARED[value] if shared else flat_spectrum(300.0, 900.0, value)
+
+    days = []
+    for i, cells in enumerate(rows):
+        date = DATE + dt.timedelta(days=i)
+        days.append(FieldDay(date, tuple(
+            FieldRecord(timestamp=dt.datetime.combine(date, dt.time(9 + j)), dni=800.0,
+                        gni=1000.0, spectral_dni=held(cell))
+            for j, cell in enumerate(cells))))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = write_campaign_dir([], days, tmp)
+        pairs = [(record.spectral_dni, path) for day in days
+                 for record, path in _spectrum_files(out, day)]
+        assert len(pairs) == sum(cell is not None for day in rows for cell in day)
+        texts = [spectrum_csv_text(s) for s, _ in pairs]
+        for (_, a), text_a in zip(pairs, texts):
+            for (_, b), text_b in zip(pairs, texts):
+                assert (a == b) == (text_a == text_b)
+        first_seen = list(dict.fromkeys(path for _, path in pairs))
+        assert first_seen == [out / f"spectra/{n}.csv" for n in range(1, len(first_seen) + 1)]
+        assert sorted(first_seen) == sorted(out.glob("spectra/*"))
+        for (_, path), text in zip(pairs, texts):
+            assert path.read_text(encoding="utf-8") == text
+        for day in days:
+            back = read_field_csv(out / f"field_{day.date.isoformat()}.csv")
+            assert back.timestamps == day.timestamps
+            for held, orig in zip(back.spectra, day.spectra):
+                assert (held is None) == (orig is None)
+                if held is not None:
+                    np.testing.assert_array_equal(read_spectrum_csv(held).values, orig.values)
+
+
+def test_tz_aware_records_an_offset_change_apart_write_and_round_trip(tmp_path):
+    # 01:30 at -04:00 and then at -05:00: one local clock time, an hour apart.
     stamps = [dt.datetime(2017, 11, 5, 1, 30, tzinfo=dt.timezone(dt.timedelta(hours=h)))
               for h in (-4, -5)]
-    records = tuple(FieldRecord(timestamp=ts, dni=800.0, gni=1000.0,
-                                spectral_dni=flat_spectrum(300.0, 900.0, 1.0))
-                    for ts in stamps)
-    out = tmp_path / "c"
-    with pytest.raises(ValueError, match="2017-11-05") as info:
-        write_campaign_dir([], [FieldDay(date=day, records=records)], out)
-    assert all(ts.isoformat() in str(info.value) for ts in stamps)
-    assert not list(out.rglob("*"))
+    spectra = [flat_spectrum(300.0, 900.0, 1.0), flat_spectrum(300.0, 900.0, 2.0)]
+    day = FieldDay(date=dt.date(2017, 11, 5), records=tuple(
+        FieldRecord(timestamp=ts, dni=800.0, gni=1000.0, spectral_dni=s)
+        for ts, s in zip(stamps, spectra)))
+    weeks = [measurement([0.9] * 3, week_id=w, scan_date=day.date) for w in range(3)]
+    out = write_campaign_dir(weeks, [day], tmp_path / "c")
+    assert [path for _, path in _spectrum_files(out, day)] == [
+        out / "spectra/1.csv", out / "spectra/2.csv"]
+    _, (back,) = load_campaign_dir(out)
+    assert back.timestamps == tuple(stamps)
+    for held, orig in zip(back.spectra, spectra):
+        np.testing.assert_array_equal(read_spectrum_csv(held).values, orig.values)
 
 
-def test_spectrum_file_name_clash_is_refused_before_any_scan_is_written(tmp_path):
-    stamps = [dt.datetime(2017, 11, 5, 1, 30, tzinfo=dt.timezone(dt.timedelta(hours=h)))
-              for h in (-4, -5)]
-    clash = FieldDay(date=dt.date(2017, 11, 5), records=tuple(
-        FieldRecord(timestamp=ts, dni=800.0, gni=1000.0,
-                    spectral_dni=flat_spectrum(300.0, 900.0, 1.0)) for ts in stamps))
-    weeks = [measurement([0.9] * 3, week_id=w) for w in range(3)]
-    out = tmp_path / "c"
-    with pytest.raises(ValueError, match="2017-11-05"):
-        write_campaign_dir(weeks, [clear_day(DATE), clash], out)
-    assert not list(out.rglob("*"))
+def test_unreadable_field_spectrum_fails_before_any_file_is_written(tmp_path):
+    weeks, days = synth_campaign(CampaignScenario(weeks=4, deposition_per_week=0.02, seed=3))
+    first = write_campaign_dir(weeks, days, tmp_path / "first")
+    loaded = load_campaign_dir(first)
+    missing = _spectrum_files(first, days[-1])[0][1]  # read after the other days'
+    missing.unlink()
+    out = tmp_path / "second"
+    with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+        write_campaign_dir(*loaded, out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("weeks, days, fragment", [
