@@ -55,7 +55,9 @@ from .spectral import (
     Waveband,
     integrate,
     integrate_product,
+    integrate_product_pair,
     require_kind,
+    same_grid,
     sample_on_union,
 )
 
@@ -303,6 +305,9 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     by their samples, not by the array holding them, and evaluated in the
     order each is first seen; so the report is the same, bit for bit,
     whether equal grids share one array or each spectrum has its own copy.
+    When ``tau`` is on a grid's samples, each junction's cleaned and soiled
+    currents come from one sampling (:func:`integrate_product_pair`);
+    otherwise from two :func:`jsc_junction` calls. Both give the same bits.
     """
     if len(spectra) == 0:
         raise ValueError("need at least one irradiance spectrum")
@@ -314,9 +319,12 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     b_clean = 0.0
     b_soil = 0.0
     for e in _sum_by_grid(spectra):
+        shared = same_grid(e, tau)
         for j in cell.junctions:
-            cleaned[j.name] += jsc_junction(e, j)
-            soiled[j.name] += jsc_junction(e, j, tau)
+            c, s = (integrate_product_pair(e, tau, j.sr, band=j.band) if shared
+                    else (jsc_junction(e, j), jsc_junction(e, j, tau)))
+            cleaned[j.name] += c
+            soiled[j.name] += s
         b_clean += integrate(e, cell.full_band)
         b_soil += integrate_product(e, tau, band=cell.full_band)
     clean_stack = stack_current(cleaned, cell)

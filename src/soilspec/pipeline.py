@@ -777,6 +777,13 @@ def campaign_fits(result: CampaignResult) -> dict:
 FIELD_HEADER = ("timestamp_iso8601,dni_wm2,gni_wm2,ghi_wm2,dhi_wm2,"
                 "rainfall_mm,pm10,pm25,spectrum_file")
 _SCAN_RE = re.compile(r"^week(\d+)_(soiled|control)_([123])\.csv$")
+_TMP_SUFFIX_RE = re.compile(r"\.\d+\.\d+\.tmp$")  # write_text_atomic's temp file suffix
+
+
+def _loader_file(name: str) -> bool:
+    """Whether a file of this name is one the campaign-dir loader reads."""
+    return (name == "manifest.yaml" or (name.startswith("field_") and name.endswith(".csv"))
+            or _SCAN_RE.match(name) is not None)
 
 
 def read_field_csv(path: str | Path) -> FieldDay:
@@ -897,7 +904,9 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
     loader reads (``manifest.yaml``, a ``field_*.csv`` or a scan file) or
     a spectrum file this call would write would mix two campaigns, so it
     raises ``FileExistsError`` naming ``out_dir`` and one such file. Every
-    check runs before any file is written.
+    check runs before any file is written. A write that fails after that
+    (say, on a scan held as a path that cannot be read) removes every file
+    it wrote, and ``spectra/`` if it made it, before the error is raised.
 
     With ``fork``, this process writes the spectra, every field day and
     then the scans of the first two fifths of the weeks by id, rounded
@@ -932,27 +941,24 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
     spec_rels, spectra = _spectrum_files(days)
     out_dir = Path(out_dir)
     if out_dir.is_dir():
-        taken = [p.name for p in sorted(out_dir.iterdir())
-                 if p.is_file() and (p.name == "manifest.yaml" or p.match("field_*.csv")
-                                     or _SCAN_RE.match(p.name))]
+        taken = [p.name for p in sorted(out_dir.iterdir()) if p.is_file() and _loader_file(p.name)]
         taken += [rel for rel in spectra if (out_dir / rel).is_file()]
         if taken:
             raise FileExistsError(f"{out_dir} already holds campaign file {taken[0]}; "
                                   f"write to a new directory or one without campaign files")
     out_dir.mkdir(parents=True, exist_ok=True)
+    made_spectra_dir = bool(spectra) and not (out_dir / "spectra").is_dir()
+    if made_spectra_dir:
+        (out_dir / "spectra").mkdir()
     k = len(weeks) * 2 // 5
 
     def write_here() -> None:
-        if spectra:
-            (out_dir / "spectra").mkdir(exist_ok=True)
         for rel, text in spectra.items():
             write_text_atomic(out_dir / rel, text)
         for day, rels in zip(days, spec_rels):
             _write_field_day(day, out_dir, rels)
         _write_scans(weeks[:k], out_dir)
 
-    _in_two(write_here, lambda part: _write_scans(part, out_dir), weeks[k:],
-            f"{out_dir}: the helper process writing the coupon scans of {len(weeks) - k} weeks")
     manifest: dict = {"cadence_days": CADENCE_DAYS}
     if weeks:
         first = weeks[0]
@@ -966,9 +972,28 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
                 {"week_id": m.week_id, "scan_date": m.scan_date.isoformat()}
                 for m in weeks
             ]
-    write_text_atomic(out_dir / "manifest.yaml",
-                      yaml.safe_dump(manifest, sort_keys=True))
+    try:
+        _in_two(write_here, lambda part: _write_scans(part, out_dir), weeks[k:],
+                f"{out_dir}: the helper process writing the coupon scans of {len(weeks) - k} weeks")
+        write_text_atomic(out_dir / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True))
+    except BaseException:
+        _remove_written(out_dir, spectra, made_spectra_dir)
+        raise
     return out_dir
+
+
+def _remove_written(out_dir: Path, spectra: Iterable[str], made_spectra_dir: bool) -> None:
+    """Remove what a failed :func:`write_campaign_dir` wrote to ``out_dir``,
+    which its checks found holding none of it: every file the loader
+    reads and the temp file of a write the helper was stopped in, the
+    ``spectra`` files, and ``spectra/`` itself if the writer made it."""
+    for p in out_dir.iterdir():
+        if p.is_file() and _loader_file(_TMP_SUFFIX_RE.sub("", p.name)):
+            p.unlink()
+    for rel in spectra:
+        (out_dir / rel).unlink(missing_ok=True)
+    if made_spectra_dir:
+        (out_dir / "spectra").rmdir()
 
 
 def load_campaign_dir(data_dir: str | Path) -> tuple[list[WeeklyMeasurement], list[FieldDay]]:

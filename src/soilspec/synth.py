@@ -203,6 +203,7 @@ def synth_campaign(scenario: CampaignScenario,
     generation deterministic and parallelizable across weeks.
     Every field day shares the same seven hourly spectra (09:00-15:00)
     and the same irradiance values; a day's records share its PM values.
+    Every coupon scan holds one read-only grid array.
     """
     if cell is not None:
         lo, hi = scenario.grid_min_nm, scenario.grid_max_nm
@@ -215,6 +216,7 @@ def synth_campaign(scenario: CampaignScenario,
     profile = _day_profile(synth_spectrum(scenario.spectrum_tilt, grid), scenario)
     wash = {r.week: r.wash_fraction for r in scenario.rain_weeks}
     glass = scenario.glass_transmittance
+    scan = Spectrum(grid, np.full(grid.size, glass), Kind.TRANSMITTANCE)
 
     weeks: list[WeeklyMeasurement] = []
     days: list[FieldDay] = []
@@ -229,10 +231,8 @@ def synth_campaign(scenario: CampaignScenario,
         for _ in range(3):
             noise_s = 1.0 + scenario.noise_sigma * rng.standard_normal(grid.size)
             noise_c = 1.0 + scenario.noise_sigma * rng.standard_normal(grid.size)
-            soiled.append(
-                Spectrum(grid, glass * tau_true * noise_s, Kind.TRANSMITTANCE)
-            )
-            control.append(Spectrum(grid, glass * noise_c, Kind.TRANSMITTANCE))
+            soiled.append(scan.with_values(glass * tau_true * noise_s))
+            control.append(scan.with_values(glass * noise_c))
         scan_date = scenario.start_date + dt.timedelta(days=7 * (w - 1))
         rainfall = 40.0 * wash.get(w, 0.0)
         weeks.append(

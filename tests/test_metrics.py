@@ -454,6 +454,59 @@ def test_report_frozen_values(bundled_cell):
     assert index_report(e, bundled_cell, tau).to_dict() == _FROZEN_REPORT
 
 
+# Computed with two jsc_junction calls per junction, before the report
+# took a junction's cleaned and soiled currents from one sampling.
+_FROZEN_SHARED_GRID_REPORT = {
+    "sratio": float.fromhex("0x1.a0fff6942295cp-1"),
+    "bsratio": float.fromhex("0x1.98058cbcbf944p-1"),
+    "ssratio": float.fromhex("0x1.05a210ad59e4bp+0"),
+    "smr_cleaned": float.fromhex("0x1.201c5391f122fp+0"),
+    "smr_soiled": float.fromhex("0x1.003d2eada2803p+0"),
+    "smratio": float.fromhex("0x1.c75c6cf99732bp-1"),
+    "limiting_cleaned": "mid",
+    "limiting_soiled": "top",
+    "ast_MJ": float.fromhex("0x1.ac2074106bd50p-1"),
+    "ast_top": float.fromhex("0x1.68b23d8628b02p-1"),
+    "ast_mid": float.fromhex("0x1.a8ba7412f382fp-1"),
+    "ast_bot": float.fromhex("0x1.ccb62c008f8b9p-1"),
+}
+
+
+def test_report_frozen_values_with_tau_on_the_irradiance_grid(bundled_cell):
+    # E and tau on one 5 nm grid, held as two equal arrays, as in a campaign
+    grid = np.arange(297.5, 1815.0, 5.0)
+    e = synth_spectrum(0.3, grid)
+    tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), grid)
+    assert e.wavelengths_nm is not tau.wavelengths_nm
+    assert index_report(e, bundled_cell, tau).to_dict() == _FROZEN_SHARED_GRID_REPORT
+
+
+def test_weighted_report_samples_each_junction_once_when_tau_is_on_the_grid(bundled_cell,
+                                                                         monkeypatch):
+    # three spectra on one grid, two of them holding one array and one a copy,
+    # and tau on another equal copy: one distinct grid, whose currents come
+    # from one pair-kernel call per junction and none from jsc_junction
+    grid = np.arange(297.5, 1815.0, 5.0)
+    a0 = synth_spectrum(0.2, grid)
+    day = [a0, a0.with_values(0.3 * a0.values), synth_spectrum(-0.1, grid.copy())]
+    tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), grid.copy())
+    pairs, singles = [], []
+    pair = soilspec.metrics.integrate_product_pair
+    monkeypatch.setattr(soilspec.metrics, "integrate_product_pair",
+                        lambda *args, **kw: pairs.append(args) or pair(*args, **kw))
+    monkeypatch.setattr(soilspec.metrics, "jsc_junction",
+                        lambda *args: singles.append(args) or jsc_junction(*args))
+    report = index_report_weighted(day, bundled_cell, tau).to_dict()
+    assert len(pairs) == len(bundled_cell.junctions)
+    assert [sr for _, _, sr in pairs] == [j.sr for j in bundled_cell.junctions]
+    assert singles == []
+    # the two-call route gives the same bits
+    monkeypatch.setattr(soilspec.metrics, "same_grid", lambda a, b: False)
+    assert index_report_weighted(day, bundled_cell, tau).to_dict() == report
+    assert len(pairs) == len(bundled_cell.junctions)
+    assert len(singles) == 2 * len(bundled_cell.junctions)
+
+
 # ---------------------------------------------------------------------------
 # step-tau spectral gain, checked against a fine-grid oracle
 # ---------------------------------------------------------------------------

@@ -1137,6 +1137,28 @@ def test_unreadable_field_spectrum_fails_before_any_file_is_written(tmp_path):
     assert not out.exists()
 
 
+# Of 4 weeks this process writes week 1's scans and the helper the others'.
+@pytest.mark.parametrize("bad", ["week01_soiled_2.csv", "week04_control_2.csv"],
+                         ids=["this-process", "helper"])
+def test_failed_write_removes_every_file_it_wrote(tmp_path, bad):
+    weeks, days = synth_campaign(CampaignScenario(weeks=4, deposition_per_week=0.02, seed=3))
+    first = write_campaign_dir(weeks, days, tmp_path / "first")
+    loaded = load_campaign_dir(first)
+    (first / bad).write_text("oops", encoding="utf-8")
+    out = tmp_path / "second"
+    with pytest.raises(ValueError, match=re.escape(str(first / bad))):
+        write_campaign_dir(*loaded, out)
+    assert list(out.iterdir()) == []
+    # what was there before stays: a spectra/ the writer did not make, a stray file
+    (out / "spectra").mkdir()
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(first / bad))):
+        write_campaign_dir(*loaded, out)
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["notes.txt",
+                                                                              "spectra"]
+    assert write_campaign_dir(weeks, days, out) == out  # and the dir is not refused
+
+
 @pytest.mark.parametrize("weeks, days, fragment", [
     ([measurement([0.9] * 3, week_id=-1)], [], "week id -1"),
     ([measurement([0.9] * 3, week_id=1), measurement([0.8] * 3, week_id=1)], [], "week id 1 "),

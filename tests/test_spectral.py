@@ -24,7 +24,9 @@ from soilspec.spectral import (
     DIMENSIONLESS,
     IRRADIANCE_UNITS,
     SR_UNITS,
+    integrate_product_pair,
     read_spectrum_csv,
+    same_grid,
     sample_on_union,
     union_grid,
     write_spectrum_csv,
@@ -396,6 +398,12 @@ def _on(*grids):
     return [Spectrum(np.array(w), np.ones(len(w)), Kind.IRRADIANCE) for w in grids]
 
 
+def _sharing(w, n):
+    """``n`` spectra holding one grid array, each with its own values."""
+    s = _on(w)[0]
+    return [s.with_values(np.arange(1.0, len(w) + 1.0) * k) for k in range(1, n + 1)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(spectra=_spectra_on_shared_points())
 @example(spectra=_on([300.0, 310.0], [310.0, 320.0]))                 # touching supports
@@ -406,6 +414,10 @@ def _on(*grids):
                      [np.nextafter(300.0, 0.0), 305.0, np.nextafter(320.0, np.inf)]))
 # each overlap end is a sample point of two grids
 @example(spectra=_on([300.0, 310.0, 320.0], [300.0, 315.0, 330.0], [290.0, 305.0, 320.0]))
+# equal grids: one shared array, equal copies, one spectrum alone
+@example(spectra=_sharing([300.0, 305.0, 312.5, 320.0], 3))
+@example(spectra=_on([300.0, 305.0, 312.5], [300.0, 305.0, 312.5], [300.0, 305.0, 312.5]))
+@example(spectra=_on([300.0, 310.0]))
 def test_sample_on_union_equals_unique_and_interp(spectra):
     ws = [s.wavelengths_nm for s in spectra]
     lo, hi = max(w[0] for w in ws), min(w[-1] for w in ws)
@@ -426,6 +438,21 @@ def test_sample_on_union_equals_unique_and_interp(spectra):
         assert v.tobytes() == np.interp(grid, s.wavelengths_nm, s.values).tobytes()
         if s.wavelengths_nm.tobytes() == grid.tobytes():
             assert v is s.values  # passed through, not interpolated again
+
+
+def test_union_of_equal_grids_is_the_first_grid_itself():
+    a, b = _sharing([300.0, 305.0, 320.0], 2)
+    copy = _on([300.0, 305.0, 320.0])[0]
+    for spectra in ([a], [a, b], [a, copy, b], [copy, a]):
+        assert same_grid(spectra[0], spectra[-1])
+        assert union_grid(spectra) is spectra[0].wavelengths_nm
+        grid, sampled = sample_on_union(spectra)
+        assert grid is spectra[0].wavelengths_nm
+        assert all(v is s.values for s, v in zip(spectra, sampled))
+    # a grid of another size, and one of the same size with another sample
+    for other in _on([300.0, 305.0], [300.0, 306.0, 320.0]):
+        assert not same_grid(a, other)
+        assert union_grid([a, other]) is not a.wavelengths_nm
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +609,63 @@ def test_integrate_product_disjoint_supports():
     b = flat_spectrum(500, 600, 1.0, Kind.SPECTRAL_RESPONSE)
     with pytest.raises(NoOverlap):
         integrate_product(a, b, band=Waveband("b", 300.0, 600.0))
+
+
+# ---------------------------------------------------------------------------
+# integrate_product_pair
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _pair_case(draw):
+    """E, tau and SR, and a band in their overlap whose limits are union
+    points, their neighbouring doubles or free points. tau is on E's grid
+    as one shared array (``with_values`` keeps E's kind, which the kernel
+    does not check), on an equal copy of it, or on a grid of its own; SR's
+    support is drawn apart from E's, so it is often narrower."""
+    e = draw(_factor(Kind.IRRADIANCE, 2.0))
+    sr = draw(_factor(Kind.SPECTRAL_RESPONSE, 0.7))
+    v = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=e.n_samples,
+                                 max_size=e.n_samples)))
+    tau = draw(st.sampled_from([e.with_values(v),
+                                Spectrum(e.wavelengths_nm.copy(), v, Kind.TRANSMITTANCE)])
+               | _factor(Kind.TRANSMITTANCE, 1.0))
+    grid = _reference_product([e, tau, sr])[0]
+    lo, hi = float(grid[0]), float(grid[-1])
+    limit = st.sampled_from(grid.tolist()).flatmap(_ulp_near) | st.floats(lo, hi)
+    a, b = sorted(min(max(draw(limit), lo), hi) for _ in range(2))
+    assume(a < b)
+    return e, tau, sr, Waveband("b", a, b)
+
+
+_PAIR_TAU = Spectrum(_E.wavelengths_nm.copy(), _TAU.values, Kind.TRANSMITTANCE)
+_NARROW_SR = Spectrum(np.array([305.0, 320.0, 335.0]), np.array([0.2, 0.5, 0.4]),
+                      Kind.SPECTRAL_RESPONSE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_pair_case())
+@example(case=(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 305.0, 335.0)))  # SR's support
+@example(case=(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 310.0, 325.0)))  # on E's samples
+@example(case=(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 311.0, 317.5)))  # between samples
+@example(case=(_E, _E.with_values(_TAU.values), _NARROW_SR, Waveband("b", 306.0, 334.0)))
+@example(case=(_E, _TAU, _NARROW_SR, Waveband("b", 305.0, 325.0)))      # tau on its own grid
+def test_integrate_product_pair_equals_the_two_integrals(case):
+    e, tau, sr, band = case
+    clean, soiled = integrate_product_pair(e, tau, sr, band=band)
+    assert clean.hex() == integrate_product(e, sr, band=band).hex()
+    assert soiled.hex() == integrate_product(e, tau, sr, band=band).hex()
+
+
+def test_integrate_product_pair_samples_a_shared_grid_once(monkeypatch):
+    import soilspec.spectral as spectral
+    calls = []
+    monkeypatch.setattr(spectral, "sample_on_union",
+                        lambda fs, f=spectral.sample_on_union: calls.append(fs) or f(fs))
+    band = Waveband("b", 306.0, 334.0)
+    for tau, sampled in ((_PAIR_TAU, 1), (_E.with_values(_TAU.values), 1), (_TAU, 2)):
+        calls.clear()
+        integrate_product_pair(_E, tau, _NARROW_SR, band=band)
+        assert len(calls) == sampled
 
 
 # ---------------------------------------------------------------------------

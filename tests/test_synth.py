@@ -175,6 +175,18 @@ def test_campaign_field_days_share_hourly_spectra():
         assert all(other[h] is by_hour[0][h] for h in other)
 
 
+def test_campaign_scans_share_one_read_only_grid():
+    scenario = CampaignScenario(weeks=3, deposition_per_week=0.02)
+    weeks, _ = synth_campaign(scenario)
+    grids = {id(s.wavelengths_nm) for m in weeks for s in m.soiled_scans + m.control_scans}
+    assert len(grids) == 1
+    grid = weeks[0].soiled_scans[0].wavelengths_nm
+    assert not grid.flags.writeable
+    assert grid.tobytes() == scenario.grid.tobytes()
+    # and a second campaign holds a grid of its own
+    assert synth_campaign(scenario)[0][0].control_scans[0].wavelengths_nm is not grid
+
+
 def test_campaign_field_days_are_clear_and_dated():
     scenario = CampaignScenario(weeks=2, deposition_per_week=0.02,
                                 start_date=dt.date(2017, 1, 2))
