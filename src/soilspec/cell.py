@@ -206,11 +206,16 @@ def stack_current(currents: Mapping[str, float], cell: CellModel) -> JscResult:
     broken by junction order (first wins) and reported via the ``tie``
     flag. Currents of ineligible junctions may be absent.
     """
-    eligible = [j.name for j in cell.junctions if j.limiting_eligible]
-    # min() keeps the first minimal element, which is the tie-break rule.
-    value, limiting = min(((currents[n], n) for n in eligible), key=lambda c: c[0])
-    tie = sum(1 for n in eligible if currents[n] == value) > 1
-    return JscResult(value=value, limiting=limiting, tie=tie)
+    value = limiting = None
+    ties = 0
+    for j in cell.junctions:
+        if j.limiting_eligible:
+            c = currents[j.name]
+            if limiting is None or c < value:  # the first minimal one wins a tie
+                value, limiting, ties = c, j.name, 1
+            elif c == value:
+                ties += 1
+    return JscResult(value=value, limiting=limiting, tie=ties > 1)
 
 
 def boxcar_cell(
@@ -224,7 +229,16 @@ def boxcar_cell(
     With SR == 1 the junction current reduces to the band integral of the
     irradiance, which makes hand-checked oracles easy. The default
     reference spectrum is flat 1 W*m^-2*nm^-1 over the union of bands.
+    ``not_eligible`` names the bands kept out of the stack-current minimum;
+    a bare string, or a name that is no band's, raises ``ValueError``.
     """
+    if isinstance(not_eligible, str):
+        raise ValueError(f"not_eligible must be a sequence of band names, not the string "
+                         f"{not_eligible!r}")
+    excluded = set(not_eligible)
+    unknown = sorted(excluded - {b[0] for b in bands})
+    if unknown:
+        raise ValueError(f"not_eligible names no band: {unknown}")
     lo = min(b[1] for b in bands)
     hi = max(b[2] for b in bands)
     if reference is None:
@@ -238,7 +252,7 @@ def boxcar_cell(
                 np.array([1.0, 1.0]),
                 Kind.SPECTRAL_RESPONSE,
             ),
-            limiting_eligible=bname not in set(not_eligible),
+            limiting_eligible=bname not in excluded,
         )
         for bname, bmin, bmax in bands
     ]

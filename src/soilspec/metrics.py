@@ -55,9 +55,8 @@ from .spectral import (
     Waveband,
     integrate,
     integrate_product,
-    integrate_product_pair,
+    integrate_products,
     require_kind,
-    same_grid,
     sample_on_union,
 )
 
@@ -130,6 +129,8 @@ def _sum_by_grid(spectra: Sequence[Spectrum]) -> list[Spectrum]:
     share a group. A grid's bytes are read only when the grid array differs
     from the previous spectrum's, as it does not along spectra built by
     :meth:`Spectrum.with_values` from one another."""
+    if len(spectra) == 1:
+        return list(spectra)
     groups: dict[bytes, list[Spectrum]] = {}
     grid = key = None
     for e in spectra:
@@ -168,7 +169,7 @@ def _ratio(num: float, den: float, error: type[Exception], what: str) -> float:
 def _matching(num: Mapping[str, float], den: Mapping[str, float], cell: CellModel) -> float:
     """The matching-ratio form (num_i / num_j) * (den_j / den_i) of SMR and
     SMratio, i and j being the cell's first two junctions (top and mid)."""
-    i, j = cell.junction_names[:2]
+    i, j = cell.junctions[0].name, cell.junctions[1].name
     if num[j] == 0.0 or den[i] == 0.0:
         raise ZeroCurrent(f"matching-ratio denominator is zero ({j}: {num[j]}, {i}: {den[i]})")
     m = (num[i] / num[j]) * (den[j] / den[i])
@@ -305,28 +306,37 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     by their samples, not by the array holding them, and evaluated in the
     order each is first seen; so the report is the same, bit for bit,
     whether equal grids share one array or each spectrum has its own copy.
-    When ``tau`` is on a grid's samples, each junction's cleaned and soiled
-    currents come from one sampling (:func:`integrate_product_pair`);
-    otherwise from two :func:`jsc_junction` calls. Both give the same bits.
+    Each grid's currents and broadband integrals, and with the first grid
+    the AST band integrals of ``tau``, come from one
+    :func:`integrate_products` call, whose every result has the bits of
+    the :func:`jsc_junction`, :func:`integrate` or
+    :func:`integrate_product` call it stands for.
     """
     if len(spectra) == 0:
         raise ValueError("need at least one irradiance spectrum")
     require_kind(tau, Kind.TRANSMITTANCE, "soiling transmittance")
     for e in spectra:
         require_kind(e, Kind.IRRADIANCE, "irradiance spectrum")
+    n = len(cell.junctions)
     cleaned = {j.name: 0.0 for j in cell.junctions}
     soiled = {j.name: 0.0 for j in cell.junctions}
     b_clean = 0.0
     b_soil = 0.0
+    alone = (tau,)  # one factors object, so the AST bands share one product
+    taus = [(alone, b) for b in cell.bands]  # integrated with the first grid only
     for e in _sum_by_grid(spectra):
-        shared = same_grid(e, tau)
-        for j in cell.junctions:
-            c, s = (integrate_product_pair(e, tau, j.sr, band=j.band) if shared
-                    else (jsc_junction(e, j), jsc_junction(e, j, tau)))
+        # In the order of the single calls, so the first to fail raises its error.
+        got = integrate_products([entry for j in cell.junctions
+                                  for entry in (((e, j.sr), j.band), ((e, tau, j.sr), j.band))]
+                                 + [((e,), cell.full_band), ((e, tau), cell.full_band)] + taus)
+        for j, c, s in zip(cell.junctions, got[0:2 * n:2], got[1:2 * n:2]):
             cleaned[j.name] += c
             soiled[j.name] += s
-        b_clean += integrate(e, cell.full_band)
-        b_soil += integrate_product(e, tau, band=cell.full_band)
+        b_clean += got[2 * n]
+        b_soil += got[2 * n + 1]
+        if taus:
+            asts = {b.name: a / b.width_nm for b, a in zip(cell.bands, got[2 * n + 2:])}
+            taus = []
     clean_stack = stack_current(cleaned, cell)
     soiled_stack = stack_current(soiled, cell)
     sr = _ratio(soiled_stack.value, clean_stack.value, ZeroCleanCurrent, "cleaned stack current")
@@ -347,7 +357,7 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
                     + ", ".join(f"{name} = {value}" for name, value in bad.items()))
     return IndexReport(
         **indexes,
-        ast={b.name: ast(tau, b) for b in cell.bands},
+        ast=asts,
         limiting_cleaned=clean_stack.limiting,
         limiting_soiled=soiled_stack.limiting,
     )

@@ -6,13 +6,14 @@ reduce to three operations on spectra: resampling onto a new grid,
 pointwise products, and definite integrals over a :class:`Waveband`.
 
 Junction currents and soiled broadband integrals are integrals of a
-product; :func:`integrate_product` computes them from the factors'
-arrays without building the product spectrum, and equals
+product; :func:`integrate_product` computes one from the factors' arrays
+without building the product spectrum, and equals
 ``integrate(pointwise_product(...), band)`` bit for bit.
-:func:`integrate_product_pair` gives a junction's cleaned and soiled
-integrals from one sampling when the transmittance shares the
-irradiance's grid. :func:`pointwise_product` stays for callers that
-need the product curve.
+:func:`integrate_products` computes many at once, as a report needs
+them: each distinct union grid is built once, each spectrum sampled with
+one ``np.interp`` call and every band summed with one reduction, and
+each result has the bits of the single call it stands for.
+:func:`pointwise_product` stays for callers that need the product curve.
 
 Conventions
 -----------
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 import os
 import re
 import threading
@@ -55,7 +57,7 @@ __all__ = [
     "resample",
     "integrate",
     "integrate_product",
-    "integrate_product_pair",
+    "integrate_products",
     "pointwise_product",
     "same_grid",
     "union_grid",
@@ -256,32 +258,51 @@ def resample(s: Spectrum, grid: Sequence[float] | np.ndarray) -> Spectrum:
     return Spectrum(g, vals, s.kind, s.units)
 
 
-def _band_trapezoid(w: np.ndarray, v: np.ndarray, band: Waveband) -> float:
-    """Trapezoid of samples (w, v) over a band, endpoints interpolated.
+def _trapezoids(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The trapezoid of each interval of the samples (x, y): the one
+    formula of every band integral."""
+    return (x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0
 
-    The band's interior samples are bracketed by the two band limits, at
-    the values interpolated there. Raises :class:`BandOutOfSupport` when
-    the band leaves [w[0], w[-1]].
+
+def _require_cover(first: float, last: float, band: Waveband) -> None:
+    """Raise :class:`BandOutOfSupport` when the band leaves [first, last]."""
+    if band.lambda_min_nm < first or band.lambda_max_nm > last:
+        raise BandOutOfSupport(f"band {band.name!r} [{band.lambda_min_nm}, {band.lambda_max_nm}] nm "
+                               f"not covered by support [{float(first)}, {float(last)}] nm")
+
+
+_ZERO = np.zeros(1)  # the 0.0 before each band's trapezoids in integrate_products
+_ZERO.flags.writeable = False
+
+
+def _band_terms(w: np.ndarray, v: np.ndarray, band: Waveband, t: np.ndarray | None = None,
+                ends: Sequence[float] | None = None) -> np.ndarray:
+    """The trapezoids of the samples (w, v) over a band inside [w[0], w[-1]],
+    whose sum is the band integral.
+
+    The band's interior samples are bracketed by its two limits, at the
+    values ``np.interp`` gives there on (w, v), which ``ends`` may hold
+    already; it finds the interval that brackets each limit, so the
+    values are those it gives on the bracketing slice. ``t`` holds the
+    :func:`_trapezoids` of all of (w, v); without it, those of the band's
+    slice are formed. The two end trapezoids are formed again with the
+    limits, so both ways give the same bits; a band on the whole grid
+    takes the trapezoids as they are.
     """
     lo, hi = band.lambda_min_nm, band.lambda_max_nm
-    w0, wn = w[0], w[-1]
-    if lo < w0 or hi > wn:
-        raise BandOutOfSupport(
-            f"band {band.name!r} [{lo}, {hi}] nm not covered by support "
-            f"[{float(w0)}, {float(wn)}] nm"
-        )
-    if lo == w0 and hi == wn:  # np.interp would return the end samples
-        x, y = w, v
-    else:
-        i0 = int(w.searchsorted(lo, side="right"))
-        i1 = int(w.searchsorted(hi, side="left"))
-        # w[i0-1] <= lo < w[i0] and w[i1-1] < hi <= w[i1]: the slice holds the
-        # interior samples plus one on each side, which the limits replace.
-        # np.interp finds the same interval, so the same bits, in the slice.
-        x, y = w[i0 - 1:i1 + 1].copy(), v[i0 - 1:i1 + 1].copy()
-        y[0], y[-1] = np.interp((lo, hi), x, y)
-        x[0], x[-1] = lo, hi
-    return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum())
+    if lo == w.item(0) and hi == w.item(-1):  # np.interp would give the end samples
+        return _trapezoids(w, v) if t is None else t
+    ylo, yhi = np.interp((lo, hi), w, v).tolist() if ends is None else ends
+    i0 = int(w.searchsorted(lo, "right"))
+    i1 = int(w.searchsorted(hi, "left"))
+    # w[i0-1] <= lo < w[i0] and w[i1-1] < hi <= w[i1]: the band's interior
+    # samples lie between, and the limits replace the two outside them.
+    if i0 == i1:  # the band lies inside one interval
+        return np.array(((hi - lo) * (yhi + ylo) / 2.0,))
+    terms = _trapezoids(w[i0 - 1:i1 + 1], v[i0 - 1:i1 + 1]) if t is None else t[i0 - 1:i1].copy()
+    terms[0] = (w.item(i0) - lo) * (v.item(i0) + ylo) / 2.0
+    terms[-1] = (hi - w.item(i1 - 1)) * (yhi + v.item(i1 - 1)) / 2.0
+    return terms
 
 
 def integrate(s: Spectrum, band: Waveband) -> float:
@@ -289,16 +310,32 @@ def integrate(s: Spectrum, band: Waveband) -> float:
 
     Trapezoidal rule over all samples inside the band plus the two band
     endpoints inserted by interpolation. Exact for piecewise-linear
-    integrands on the sample grid.
+    integrands on the sample grid. Raises :class:`BandOutOfSupport` when
+    the band leaves the spectrum's support.
     """
-    return _band_trapezoid(s.wavelengths_nm, s.values, band)
+    w = s.wavelengths_nm
+    _require_cover(w[0], w[-1], band)
+    return float(np.add.reduce(_band_terms(w, s.values, band)))
+
+
+def _equal_grids(w: np.ndarray, g: np.ndarray) -> bool:
+    return w is g or (w.size == g.size and bool((w == g).all()))
+
+
+def _grid_key(w: np.ndarray, known: list[tuple]) -> tuple:
+    """(bit, grid, first, last) of the grid ``w``: those of the equal grid
+    among the ``known`` distinct ones, or a new one, which joins them."""
+    for key in known:
+        if _equal_grids(w, key[1]):
+            return key
+    known.append((1 << len(known), w, w.item(0), w.item(-1)))
+    return known[-1]
 
 
 def same_grid(a: Spectrum, b: Spectrum) -> bool:
     """Whether two spectra are sampled on one grid: the same array, or
     arrays of one size holding equal samples (the size is compared first)."""
-    w, g = a.wavelengths_nm, b.wavelengths_nm
-    return w is g or (w.size == g.size and bool((w == g).all()))
+    return _equal_grids(a.wavelengths_nm, b.wavelengths_nm)
 
 
 def union_grid(spectra: Iterable[Spectrum]) -> np.ndarray:
@@ -319,12 +356,20 @@ def union_grid(spectra: Iterable[Spectrum]) -> np.ndarray:
     lo = max([s.wavelengths_nm[0] for s in spectra])
     hi = min([s.wavelengths_nm[-1] for s in spectra])
     if lo >= hi:
-        raise NoOverlap(
-            "spectra supports do not overlap: "
-            + ", ".join(f"[{s.support[0]}, {s.support[1]}]" for s in spectra)
-        )
-    pts = np.concatenate([s.wavelengths_nm for s in spectra])
-    pts.sort()
+        raise _no_overlap(spectra)
+    return _union([s.wavelengths_nm for s in spectra], lo, hi)
+
+
+def _no_overlap(spectra: Sequence[Spectrum]) -> NoOverlap:
+    return NoOverlap("spectra supports do not overlap: "
+                     + ", ".join(f"[{s.support[0]}, {s.support[1]}]" for s in spectra))
+
+
+def _union(grids: Sequence[np.ndarray], lo: float, hi: float) -> np.ndarray:
+    """The distinct points of the grids in [lo, hi], sorted; lo and hi are
+    points of the grids."""
+    pts = np.concatenate(grids)
+    pts.sort(kind="stable")  # the grids are sorted runs, which a stable sort merges
     # Cut [lo, hi] (both sample points, so kept) and keep the first of each
     # run of equal points. That is np.unique's bytes as long as equal points
     # share their bytes: no grid mixes 0.0 with -0.0.
@@ -383,25 +428,134 @@ def integrate_product(*spectra: Spectrum, band: Waveband) -> float:
     overlap and :class:`BandOutOfSupport` when the overlap does not
     cover the band.
     """
-    return _band_trapezoid(*_product(spectra), band)
+    grid, vals = _product(spectra)
+    _require_cover(grid[0], grid[-1], band)
+    return float(np.add.reduce(_band_terms(grid, vals, band)))
 
 
-def integrate_product_pair(e: Spectrum, tau: Spectrum, sr: Spectrum, *,
-                           band: Waveband) -> tuple[float, float]:
-    """``(integrate_product(e, sr, band=band), integrate_product(e, tau,
-    sr, band=band))``, bit for bit: a junction's cleaned and soiled
-    integrals.
+def integrate_products(entries: Iterable[tuple[Sequence[Spectrum], Waveband]]) -> list[float]:
+    """The band integral of each ``(factors, band)`` entry's product, in
+    one pass: a list with the bits of ``integrate_product(*factors,
+    band=band)`` for each entry, which for one factor ``f`` are those of
+    ``integrate(f, band)``.
 
-    When ``tau`` is on ``e``'s grid (see :func:`same_grid`), the union of
-    the three grids is that of ``e`` and ``sr``, so the factors are
-    sampled on it once and the two products are formed from those
-    samples, in argument order: ``e*sr`` and ``(e*tau)*sr``. Otherwise
-    this makes the two calls.
+    Entries that hold one factors object share one product, and entries
+    whose factor grids are the same (see :func:`same_grid`) share one
+    union grid and the samples on it: ``(e, sr)`` and ``(e, tau, sr)``
+    with tau on e's grid are sampled once. Each spectrum is sampled with
+    one ``np.interp`` call over the laid-out unions it is needed on (a
+    product whose factors share one grid takes their values). Each
+    product is formed in argument order on its union, the products are
+    laid out end to end and their trapezoids formed at once. Each band
+    is closed on its product's grid, and one ``np.add.reduceat`` call
+    sums them all. The entries are checked in order, and the first that
+    would raise :class:`NoOverlap` or :class:`BandOutOfSupport` from
+    :func:`integrate_product` raises it here, with the same message.
     """
-    if not same_grid(e, tau):
-        return integrate_product(e, sr, band=band), integrate_product(e, tau, sr, band=band)
-    grid, (ev, tv, sv) = sample_on_union((e, tau, sr))
-    return _band_trapezoid(grid, ev * sv, band), _band_trapezoid(grid, ev * tv * sv, band)
+    grids: list[tuple] = []  # (bit, grid, first, last) of each distinct grid
+    grid_of: dict[int, tuple] = {}  # id of a spectrum -> that of its grid
+    unions: list[np.ndarray] = []
+    union_of: dict[int, int] = {}  # grid bits -> union
+    products: list[tuple] = []  # (union, factors, sampled)
+    covers: list[tuple[float, float]] = []  # each product's support
+    product_of: dict[int, int] = {}  # id of a factors sequence -> its product
+    bands: list[list[Waveband]] = []  # each product's bands
+    of_entry: list[tuple[int, int]] = []  # each entry's product and place among its bands
+    wanted: dict[int, tuple[Spectrum, set[int]]] = {}  # id -> spectrum, unions to sample it on
+    for fs, band in entries:
+        p = product_of.get(id(fs))
+        if p is None:
+            bits, lo, hi, mine = 0, -np.inf, np.inf, []
+            for f in fs:
+                g = grid_of.get(id(f))
+                if g is None:
+                    g = grid_of[id(f)] = _grid_key(f.wavelengths_nm, grids)
+                b, grid, first, last = g
+                if not bits & b:
+                    bits |= b
+                    mine.append(grid)
+                    if first > lo:
+                        lo = first
+                    if last < hi:
+                        hi = last
+            if not mine:
+                raise ValueError("need at least one spectrum")
+            if lo >= hi:
+                raise _no_overlap(fs)
+            u = union_of.get(bits)
+            if u is None:
+                u = union_of[bits] = len(unions)
+                unions.append(mine[0] if len(mine) == 1 else _union(mine, lo, hi))
+            # On one grid, a product's factors are sampled there already.
+            if sampled := len(mine) > 1:
+                for f in fs:
+                    if (got := wanted.get(id(f))) is None:
+                        wanted[id(f)] = (f, {u})
+                    else:
+                        got[1].add(u)
+            p = product_of[id(fs)] = len(products)
+            products.append((u, fs, sampled))
+            covers.append((lo, hi))
+            bands.append([])
+        _require_cover(*covers[p], band)
+        of_entry.append((p, len(bands[p])))
+        bands[p].append(band)
+    if not of_entry:
+        return []
+
+    # Each spectrum is sampled with one np.interp call, over the laid-out
+    # unions it is wanted on.
+    sizes = [g.size for g in unions]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    laid = unions[0] if len(unions) == 1 else np.concatenate(unions)
+    samples: dict[tuple[int, int], np.ndarray] = {}  # (id, union) -> samples
+    for f, us in wanted.values():
+        us = sorted(us)
+        if us[-1] - us[0] == len(us) - 1:  # adjacent unions: one slice
+            x = laid[starts[us[0]]:starts[us[-1] + 1]]
+        else:
+            x = np.concatenate([unions[u] for u in us])
+        vals, at = np.interp(x, f.wavelengths_nm, f.values), 0
+        for u in us:
+            samples[id(f), u] = vals[at:at + sizes[u]]
+            at += sizes[u]
+
+    # The products in argument order, laid out one after another, and all
+    # their trapezoids at once; then each product's bands.
+    ys = []
+    for u, fs, sampled in products:
+        if sampled:
+            y = samples[id(fs[0]), u]
+            for f in fs[1:]:
+                y = y * samples[id(f), u]
+        else:
+            y = fs[0].values
+            for f in fs[1:]:
+                y = y * f.values
+        ys.append(y)
+    order = [u for u, *_ in products]
+    x = laid if order == list(range(len(unions))) else np.concatenate([unions[u] for u in order])
+    y = ys[0] if len(ys) == 1 else np.concatenate(ys)
+    t = _trapezoids(x, y)
+    # Each band's trapezoids go behind a 0.0 into one array, and one
+    # np.add.reduceat sums them: it adds a band's trapezoids to the 0.0
+    # before them, as np.add.reduce adds them to 0.0, so with its bits.
+    pieces, at, first, offset, start = [], [], [], 0, 0
+    for u, closing in zip(order, bands):
+        n = sizes[u]
+        w, v, tu = unions[u], y[start:start + n], t[start:start + n - 1]
+        first.append(len(at))
+        # one np.interp call for the limits of all the product's bands
+        ends = (np.interp([z for b in closing for z in (b.lambda_min_nm, b.lambda_max_nm)],
+                          w, v).tolist() if len(closing) > 1 else None)
+        for k, band in enumerate(closing):
+            terms = _band_terms(w, v, band, tu, ends and ends[2 * k:2 * k + 2])
+            pieces += _ZERO, terms
+            at.append(offset)
+            offset += terms.size + 1
+        start += n
+    sums = np.add.reduceat(np.concatenate(pieces), at).tolist()
+    return [sums[first[p] + j] for p, j in of_entry]
 
 
 def require_kind(s: Spectrum, kind: Kind, what: str) -> None:

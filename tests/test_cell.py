@@ -124,6 +124,19 @@ def test_two_junction_bands_of_one_name_rejected():
 # jsc
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("not_eligible, named", [
+    (["bott"], "['bott']"),   # a misspelt band
+    ("bot", "'bot'"),         # a bare string, not a list of names
+    (["bot", "x"], "['x']"),
+])
+def test_boxcar_not_eligible_must_name_bands(not_eligible, named):
+    bands = [("top", 300.0, 700.0), ("mid", 700.0, 900.0), ("bot", 900.0, 1800.0)]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        boxcar_cell(bands, not_eligible=not_eligible)
+    cell = boxcar_cell(bands, not_eligible=["bot"])
+    assert [j.limiting_eligible for j in cell.junctions] == [True, True, False]
+
+
 def test_jsc_junction_flat_oracle():
     # 420 nm band x E 1 x SR 0.5 = 210
     j = Junction("top", Waveband("top", 300, 720), flat_sr(300, 720, 0.5))

@@ -35,6 +35,8 @@ from soilspec.errors import (
     ZeroCurrent,
     ZeroDenominator,
 )
+from soilspec.cell import stack_current
+from soilspec.spectral import integrate_product
 from soilspec.synth import SoilingModel
 
 from conftest import (
@@ -376,17 +378,37 @@ def _per_spectrum_indexes(spectra, cell, tau):
     }, (lim_c, lim_s)
 
 
+def _record_kernel_calls(monkeypatch):
+    """Record the entries of every integrate_products call the report makes,
+    and every jsc_junction call, of which it should make none."""
+    calls, singles = [], []
+    kernel = soilspec.metrics.integrate_products
+    monkeypatch.setattr(soilspec.metrics, "integrate_products",
+                        lambda entries: calls.append(entries) or kernel(entries))
+    monkeypatch.setattr(soilspec.metrics, "jsc_junction",
+                        lambda *args: singles.append(args) or jsc_junction(*args))
+    return calls, singles
+
+
+def _check_one_call_per_grid(calls, grids, cell):
+    """One kernel call per distinct grid, in first-seen order, told by the
+    irradiance of each call; each holds a cleaned and a soiled current per
+    junction and the two broadband integrals, and the first also the AST
+    bands of tau."""
+    assert [c[0][0][0].wavelengths_nm.tobytes() for c in calls] == [g.tobytes() for g in grids]
+    n = len(cell.junctions)
+    assert [len(c) for c in calls] == [2 * n + 2 + len(cell.bands)] + [2 * n + 2] * (len(grids) - 1)
+
+
 def test_weighted_report_mixed_grids_matches_per_spectrum_sums(bundled_cell, monkeypatch):
     spectra = mixed_grid_day()
     tau = bundled_tau()
-    calls = []
-    monkeypatch.setattr(
-        soilspec.metrics, "jsc_junction",
-        lambda *args: calls.append(args) or jsc_junction(*args),
-    )
+    calls, singles = _record_kernel_calls(monkeypatch)
     report = index_report_weighted(spectra, bundled_cell, tau)
-    # one cleaned and one soiled current per junction and distinct grid
-    assert len(calls) == 2 * 2 * len(bundled_cell.junctions)
+    # the 5 nm grid, then the 4 nm one, and no single-current call
+    _check_one_call_per_grid(calls, [spectra[0].wavelengths_nm, spectra[1].wavelengths_nm],
+                             bundled_cell)
+    assert singles == []
     expected, limiting = _per_spectrum_indexes(spectra, bundled_cell, tau)
     for key, value in expected.items():
         assert getattr(report, key) == pytest.approx(value, rel=1e-12, abs=0.0), key
@@ -404,17 +426,11 @@ def test_weighted_report_groups_grids_by_content(bundled_cell, monkeypatch):
     assert a1.wavelengths_nm is a0.wavelengths_nm
     assert a_copy.wavelengths_nm is not a0.wavelengths_nm
     tau = bundled_tau()
-    calls = []
-    monkeypatch.setattr(
-        soilspec.metrics, "jsc_junction",
-        lambda *args: calls.append(args) or jsc_junction(*args),
-    )
+    calls, singles = _record_kernel_calls(monkeypatch)
     report = index_report_weighted(day, bundled_cell, tau).to_dict()
     # one evaluation per distinct grid: A (all three spectra), then B
-    assert len(calls) == 2 * 2 * len(bundled_cell.junctions)
-    firsts = calls[::2 * len(bundled_cell.junctions)]
-    assert [e.wavelengths_nm.tobytes() for e, _ in firsts] == [
-        grid_a.tobytes(), b.wavelengths_nm.tobytes()]
+    _check_one_call_per_grid(calls, [grid_a, b.wavelengths_nm], bundled_cell)
+    assert singles == []
     monkeypatch.undo()
     own_grids = [Spectrum(e.wavelengths_nm.copy(), e.values, e.kind, e.units) for e in day]
     assert index_report_weighted(own_grids, bundled_cell, tau).to_dict() == report
@@ -484,27 +500,86 @@ def test_report_frozen_values_with_tau_on_the_irradiance_grid(bundled_cell):
 def test_weighted_report_samples_each_junction_once_when_tau_is_on_the_grid(bundled_cell,
                                                                          monkeypatch):
     # three spectra on one grid, two of them holding one array and one a copy,
-    # and tau on another equal copy: one distinct grid, whose currents come
-    # from one pair-kernel call per junction and none from jsc_junction
+    # and tau on another equal copy: one distinct grid, one kernel call, and
+    # one union per junction, of the grid and the junction's SR, which its
+    # cleaned and soiled currents share; no single-current call
+    import soilspec.spectral as spectral
     grid = np.arange(297.5, 1815.0, 5.0)
     a0 = synth_spectrum(0.2, grid)
     day = [a0, a0.with_values(0.3 * a0.values), synth_spectrum(-0.1, grid.copy())]
     tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), grid.copy())
-    pairs, singles = [], []
-    pair = soilspec.metrics.integrate_product_pair
-    monkeypatch.setattr(soilspec.metrics, "integrate_product_pair",
-                        lambda *args, **kw: pairs.append(args) or pair(*args, **kw))
-    monkeypatch.setattr(soilspec.metrics, "jsc_junction",
-                        lambda *args: singles.append(args) or jsc_junction(*args))
+    calls, singles = _record_kernel_calls(monkeypatch)
+    unions = []
+    monkeypatch.setattr(spectral, "_union", lambda grids, lo, hi, f=spectral._union:
+                        unions.append(grids) or f(grids, lo, hi))
     report = index_report_weighted(day, bundled_cell, tau).to_dict()
-    assert len(pairs) == len(bundled_cell.junctions)
-    assert [sr for _, _, sr in pairs] == [j.sr for j in bundled_cell.junctions]
+    _check_one_call_per_grid(calls, [grid], bundled_cell)
     assert singles == []
-    # the two-call route gives the same bits
-    monkeypatch.setattr(soilspec.metrics, "same_grid", lambda a, b: False)
-    assert index_report_weighted(day, bundled_cell, tau).to_dict() == report
-    assert len(pairs) == len(bundled_cell.junctions)
-    assert len(singles) == 2 * len(bundled_cell.junctions)
+    assert len(unions) == len(bundled_cell.junctions)
+    for grids, j in zip(unions, bundled_cell.junctions):
+        assert sorted(g.tobytes() for g in grids) == sorted([grid.tobytes(),
+                                                              j.sr.wavelengths_nm.tobytes()])
+    # the per-current route gives the same bits
+    monkeypatch.undo()
+    summed = a0.with_values(np.sum([e.values for e in day], axis=0))
+    assert _hexed(report) == _hexed(_per_current_report(summed, bundled_cell, tau))
+
+
+def _hexed(report):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.items()}
+
+
+def _per_current_report(e, cell, tau):
+    """The report of one irradiance from single calls: jsc_junction for each
+    current, integrate and integrate_product for the broadband integrals,
+    integrate for the ASTs, combined by the report's formulas."""
+    clean = {j.name: jsc_junction(e, j) for j in cell.junctions}
+    soiled = {j.name: jsc_junction(e, j, tau) for j in cell.junctions}
+    clean_stack, soiled_stack = stack_current(clean, cell), stack_current(soiled, cell)
+    sr = soiled_stack.value / clean_stack.value
+    bs = integrate_product(e, tau, band=cell.full_band) / integrate(e, cell.full_band)
+    top, mid = cell.junctions[0].name, cell.junctions[1].name
+    ref = cell.reference_currents
+
+    def matching(num, den):
+        return (num[top] / num[mid]) * (den[mid] / den[top])
+
+    report = {
+        "sratio": sr,
+        "bsratio": bs,
+        "ssratio": sr / bs,
+        "smr_cleaned": matching(clean, ref),
+        "smr_soiled": matching(soiled, ref),
+        "smratio": matching(soiled, clean),
+        "limiting_cleaned": clean_stack.limiting,
+        "limiting_soiled": soiled_stack.limiting,
+    }
+    report.update({f"ast_{b.name}": integrate(tau, b) / b.width_nm for b in cell.bands})
+    return report
+
+
+def _random_grid(rng):
+    """A grid over the bundled cell's 300-1810 nm band, randomly offset and
+    stepped (4-6 nm)."""
+    step = rng.uniform(4.0, 6.0)
+    start = 300.0 - rng.uniform(0.0, step)
+    return start + step * np.arange(int(np.ceil((1810.0 - start) / step)) + 1)
+
+
+def test_report_equals_the_per_current_route_on_random_grids(bundled_cell):
+    # 200 cases with E and tau each on its own random grid, then 20 with tau
+    # on E's grid (an equal copy, or the same grid array passed twice)
+    rng = np.random.default_rng(30)
+    cases = []
+    for k in range(220):
+        tilt, soil = rng.uniform(-1.0, 1.0), SoilingModel(rng.uniform(0.02, 0.6),
+                                                          rng.uniform(0.5, 2.0))
+        grid = _random_grid(rng)
+        tau_grid = _random_grid(rng) if k < 200 else grid.copy() if k % 2 else grid
+        cases.append((synth_spectrum(float(tilt), grid), synth_tau(soil, tau_grid)))
+    for e, tau in cases:
+        assert (_hexed(index_report(e, bundled_cell, tau).to_dict())
+                == _hexed(_per_current_report(e, bundled_cell, tau)))
 
 
 # ---------------------------------------------------------------------------

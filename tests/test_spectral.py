@@ -24,7 +24,7 @@ from soilspec.spectral import (
     DIMENSIONLESS,
     IRRADIANCE_UNITS,
     SR_UNITS,
-    integrate_product_pair,
+    integrate_products,
     read_spectrum_csv,
     same_grid,
     sample_on_union,
@@ -612,16 +612,27 @@ def test_integrate_product_disjoint_supports():
 
 
 # ---------------------------------------------------------------------------
-# integrate_product_pair
+# integrate_products
 # ---------------------------------------------------------------------------
 
+def _limits_in(draw, grid):
+    """A band in the span of ``grid`` whose limits are its points, their
+    neighbouring doubles or free points (the whole span if they meet)."""
+    lo, hi = float(grid[0]), float(grid[-1])
+    limit = st.sampled_from(grid.tolist()).flatmap(_ulp_near) | st.floats(lo, hi)
+    a, b = sorted(min(max(draw(limit), lo), hi) for _ in range(2))
+    return Waveband("b", a, b) if a < b else Waveband("b", lo, hi)
+
+
 @st.composite
-def _pair_case(draw):
-    """E, tau and SR, and a band in their overlap whose limits are union
-    points, their neighbouring doubles or free points. tau is on E's grid
-    as one shared array (``with_values`` keeps E's kind, which the kernel
-    does not check), on an equal copy of it, or on a grid of its own; SR's
-    support is drawn apart from E's, so it is often narrower."""
+def _entries(draw):
+    """1-6 entries over E, tau and SR, each of 1-3 factors (repeats allowed)
+    with a band in their overlap. tau is on E's grid as one shared array
+    (``with_values`` keeps E's kind, which the kernel does not check), on an
+    equal copy of it, or on a grid of its own; SR's support is drawn apart
+    from E's, so it is often narrower. Entries may hold one factors tuple.
+    One entry in four lists holds a band past its product's support, or
+    factors whose supports do not overlap, somewhere among the others."""
     e = draw(_factor(Kind.IRRADIANCE, 2.0))
     sr = draw(_factor(Kind.SPECTRAL_RESPONSE, 0.7))
     v = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=e.n_samples,
@@ -629,12 +640,26 @@ def _pair_case(draw):
     tau = draw(st.sampled_from([e.with_values(v),
                                 Spectrum(e.wavelengths_nm.copy(), v, Kind.TRANSMITTANCE)])
                | _factor(Kind.TRANSMITTANCE, 1.0))
-    grid = _reference_product([e, tau, sr])[0]
-    lo, hi = float(grid[0]), float(grid[-1])
-    limit = st.sampled_from(grid.tolist()).flatmap(_ulp_near) | st.floats(lo, hi)
-    a, b = sorted(min(max(draw(limit), lo), hi) for _ in range(2))
-    assume(a < b)
-    return e, tau, sr, Waveband("b", a, b)
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        if entries and draw(st.booleans()):
+            fs = draw(st.sampled_from([fs for fs, _ in entries]))
+        else:
+            fs = tuple(draw(st.lists(st.sampled_from([e, tau, sr]), min_size=1, max_size=3)))
+        entries.append((fs, _limits_in(draw, _reference_product(fs)[0])))
+    if draw(st.integers(0, 3)) == 0:
+        fs = draw(st.sampled_from([fs for fs, _ in entries] + [(e, _APART)]))
+        if fs[-1] is _APART:
+            band = Waveband("b", 400.0, 800.0)
+        else:
+            grid = _reference_product(fs)[0]
+            lo, hi, past = float(grid[0]), float(grid[-1]), draw(st.floats(1e-6, 50.0))
+            band = draw(st.sampled_from([Waveband("b", lo - past, hi), Waveband("b", lo, hi + past)]))
+        entries.insert(draw(st.integers(0, len(entries))), (fs, band))
+    return entries
+
+
+_APART = Spectrum(np.array([1100.0, 1200.0]), np.ones(2), Kind.SPECTRAL_RESPONSE)  # past every _factor
 
 
 _PAIR_TAU = Spectrum(_E.wavelengths_nm.copy(), _TAU.values, Kind.TRANSMITTANCE)
@@ -642,30 +667,71 @@ _NARROW_SR = Spectrum(np.array([305.0, 320.0, 335.0]), np.array([0.2, 0.5, 0.4])
                       Kind.SPECTRAL_RESPONSE)
 
 
+def _junction(e, tau, sr, band):
+    """A junction's cleaned and soiled entries, then tau alone over the band."""
+    return [((e, sr), band), ((e, tau, sr), band), ((tau,), band)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=_pair_case())
-@example(case=(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 305.0, 335.0)))  # SR's support
-@example(case=(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 310.0, 325.0)))  # on E's samples
-@example(case=(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 311.0, 317.5)))  # between samples
-@example(case=(_E, _E.with_values(_TAU.values), _NARROW_SR, Waveband("b", 306.0, 334.0)))
-@example(case=(_E, _TAU, _NARROW_SR, Waveband("b", 305.0, 325.0)))      # tau on its own grid
-def test_integrate_product_pair_equals_the_two_integrals(case):
-    e, tau, sr, band = case
-    clean, soiled = integrate_product_pair(e, tau, sr, band=band)
-    assert clean.hex() == integrate_product(e, sr, band=band).hex()
-    assert soiled.hex() == integrate_product(e, tau, sr, band=band).hex()
+@given(entries=_entries())
+@example(entries=_junction(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 305.0, 335.0)))  # SR's support
+@example(entries=_junction(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 310.0, 325.0)))  # on E's samples
+@example(entries=_junction(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 311.0, 317.5)))  # between samples
+@example(entries=_junction(_E, _E.with_values(_TAU.values), _NARROW_SR,
+                           Waveband("b", 306.0, 334.0)))                    # one shared array
+@example(entries=_junction(_E, _TAU, _NARROW_SR, Waveband("b", 305.0, 325.0)))  # tau's own grid
+@example(entries=[((_E, _E), Waveband("b", _UP, _DOWN)), ((_E,), Waveband("b", 300.0, 340.0))])
+def test_integrate_products_equals_the_single_integrals(entries):
+    try:
+        singles = [_single(fs, band) for fs, band in entries]
+    except (NoOverlap, BandOutOfSupport) as error:
+        # the first entry that fails alone raises the same error here
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            integrate_products(entries)
+        return
+    got = integrate_products(entries)
+    assert len(got) == len(entries)
+    for value, single, (fs, band) in zip(got, singles, entries):
+        assert value.hex() == _reference_trapezoid(*_reference_product(fs), band).hex()
+        assert value.hex() == single.hex()
+    assert integrate_products(iter(entries)) == got  # any iterable of entries
+    assert integrate_products([]) == []
 
 
-def test_integrate_product_pair_samples_a_shared_grid_once(monkeypatch):
+def _single(fs, band):
+    return integrate(fs[0], band) if len(fs) == 1 else integrate_product(*fs, band=band)
+
+
+def test_integrate_products_samples_a_shared_grid_once(monkeypatch):
     import soilspec.spectral as spectral
-    calls = []
-    monkeypatch.setattr(spectral, "sample_on_union",
-                        lambda fs, f=spectral.sample_on_union: calls.append(fs) or f(fs))
+    unions = []
+    monkeypatch.setattr(spectral, "_union",
+                        lambda grids, lo, hi, f=spectral._union: unions.append(grids) or f(grids, lo, hi))
     band = Waveband("b", 306.0, 334.0)
-    for tau, sampled in ((_PAIR_TAU, 1), (_E.with_values(_TAU.values), 1), (_TAU, 2)):
-        calls.clear()
-        integrate_product_pair(_E, tau, _NARROW_SR, band=band)
-        assert len(calls) == sampled
+    for tau, built in ((_PAIR_TAU, 1), (_E.with_values(_TAU.values), 1), (_TAU, 2)):
+        unions.clear()
+        integrate_products(_junction(_E, tau, _NARROW_SR, band))
+        assert len(unions) == built
+
+
+_FAR = Spectrum(np.array([400.0, 500.0]), np.ones(2), Kind.SPECTRAL_RESPONSE)
+
+
+@pytest.mark.parametrize("entries", [
+    [((_E, _FAR), Waveband("b", 300.0, 340.0))],                          # no overlap
+    [((_E, _TAU), Waveband("b", 299.0, 340.0))],                          # below the support
+    [((_E,), Waveband("b", 300.0, 340.0)), ((_TAU, _NARROW_SR), Waveband("b", 300.0, 340.0))],
+    # the first failing entry raises, though a later one fails another way
+    [((_E, _NARROW_SR), Waveband("b", 300.0, 320.0)), ((_E, _FAR), Waveband("b", 300.0, 340.0))],
+    [((_E, _FAR), Waveband("b", 300.0, 340.0)), ((_E,), Waveband("b", 290.0, 340.0))],
+    [((), Waveband("b", 300.0, 340.0))],                                  # no factor
+])
+def test_integrate_products_raises_the_first_entrys_error(entries):
+    with pytest.raises(Exception) as expected:
+        for fs, band in entries:
+            _single(fs, band)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        integrate_products(entries)
 
 
 # ---------------------------------------------------------------------------
