@@ -116,6 +116,10 @@ class TooFewPoints(SoilspecError):
     """Not enough points for the requested fit."""
 
 
+class NonFiniteStatistic(SoilspecError):
+    """A statistic came out infinite or NaN because its sums overflowed."""
+
+
 # --- synth -----------------------------------------------------------------
 
 class EmptyScenario(SoilspecError):

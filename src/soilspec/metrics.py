@@ -55,7 +55,7 @@ from .spectral import (
     Waveband,
     integrate,
     integrate_product,
-    integrate_products,
+    report_integrals,
     require_kind,
     sample_on_union,
 )
@@ -308,7 +308,7 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     whether equal grids share one array or each spectrum has its own copy.
     Each grid's currents and broadband integrals, and with the first grid
     the AST band integrals of ``tau``, come from one
-    :func:`integrate_products` call, whose every result has the bits of
+    :func:`report_integrals` call, whose every result has the bits of
     the :func:`jsc_junction`, :func:`integrate` or
     :func:`integrate_product` call it stands for.
     """
@@ -322,21 +322,18 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     soiled = {j.name: 0.0 for j in cell.junctions}
     b_clean = 0.0
     b_soil = 0.0
-    alone = (tau,)  # one factors object, so the AST bands share one product
-    taus = [(alone, b) for b in cell.bands]  # integrated with the first grid only
+    responses = [(j.sr, j.band) for j in cell.junctions]
+    bands = cell.bands  # integrated with the first grid only
     for e in _sum_by_grid(spectra):
-        # In the order of the single calls, so the first to fail raises its error.
-        got = integrate_products([entry for j in cell.junctions
-                                  for entry in (((e, j.sr), j.band), ((e, tau, j.sr), j.band))]
-                                 + [((e,), cell.full_band), ((e, tau), cell.full_band)] + taus)
+        got = report_integrals(e, tau, responses, cell.full_band, bands)
         for j, c, s in zip(cell.junctions, got[0:2 * n:2], got[1:2 * n:2]):
             cleaned[j.name] += c
             soiled[j.name] += s
         b_clean += got[2 * n]
         b_soil += got[2 * n + 1]
-        if taus:
-            asts = {b.name: a / b.width_nm for b, a in zip(cell.bands, got[2 * n + 2:])}
-            taus = []
+        if bands:
+            asts = {b.name: a / b.width_nm for b, a in zip(bands, got[2 * n + 2:])}
+            bands = ()
     clean_stack = stack_current(cleaned, cell)
     soiled_stack = stack_current(soiled, cell)
     sr = _ratio(soiled_stack.value, clean_stack.value, ZeroCleanCurrent, "cleaned stack current")

@@ -9,10 +9,11 @@ Junction currents and soiled broadband integrals are integrals of a
 product; :func:`integrate_product` computes one from the factors' arrays
 without building the product spectrum, and equals
 ``integrate(pointwise_product(...), band)`` bit for bit.
-:func:`integrate_products` computes many at once, as a report needs
-them: each distinct union grid is built once, each spectrum sampled with
-one ``np.interp`` call and every band summed with one reduction, and
-each result has the bits of the single call it stands for.
+:func:`report_integrals` computes the twelve a report needs at once,
+from the report's fixed layout: each junction's union grids are built
+once, each spectrum sampled with one ``np.interp`` call and every band
+summed with one reduction, and each result has the bits of the single
+call it stands for.
 :func:`pointwise_product` stays for callers that need the product curve.
 
 Conventions
@@ -57,7 +58,7 @@ __all__ = [
     "resample",
     "integrate",
     "integrate_product",
-    "integrate_products",
+    "report_integrals",
     "pointwise_product",
     "same_grid",
     "union_grid",
@@ -271,7 +272,7 @@ def _require_cover(first: float, last: float, band: Waveband) -> None:
                                f"not covered by support [{float(first)}, {float(last)}] nm")
 
 
-_ZERO = np.zeros(1)  # the 0.0 before each band's trapezoids in integrate_products
+_ZERO = np.zeros(1)  # the 0.0 before each band's trapezoids in report_integrals
 _ZERO.flags.writeable = False
 
 
@@ -320,16 +321,6 @@ def integrate(s: Spectrum, band: Waveband) -> float:
 
 def _equal_grids(w: np.ndarray, g: np.ndarray) -> bool:
     return w is g or (w.size == g.size and bool((w == g).all()))
-
-
-def _grid_key(w: np.ndarray, known: list[tuple]) -> tuple:
-    """(bit, grid, first, last) of the grid ``w``: those of the equal grid
-    among the ``known`` distinct ones, or a new one, which joins them."""
-    for key in known:
-        if _equal_grids(w, key[1]):
-            return key
-    known.append((1 << len(known), w, w.item(0), w.item(-1)))
-    return known[-1]
 
 
 def same_grid(a: Spectrum, b: Spectrum) -> bool:
@@ -433,129 +424,102 @@ def integrate_product(*spectra: Spectrum, band: Waveband) -> float:
     return float(np.add.reduce(_band_terms(grid, vals, band)))
 
 
-def integrate_products(entries: Iterable[tuple[Sequence[Spectrum], Waveband]]) -> list[float]:
-    """The band integral of each ``(factors, band)`` entry's product, in
-    one pass: a list with the bits of ``integrate_product(*factors,
-    band=band)`` for each entry, which for one factor ``f`` are those of
-    ``integrate(f, band)``.
+def report_integrals(e: Spectrum, tau: Spectrum, responses: Sequence[tuple[Spectrum, Waveband]],
+                     full_band: Waveband, tau_bands: Sequence[Waveband]) -> list[float]:
+    """The band integrals of one irradiance's report, in one pass.
 
-    Entries that hold one factors object share one product, and entries
-    whose factor grids are the same (see :func:`same_grid`) share one
-    union grid and the samples on it: ``(e, sr)`` and ``(e, tau, sr)``
-    with tau on e's grid are sampled once. Each spectrum is sampled with
-    one ``np.interp`` call over the laid-out unions it is needed on (a
-    product whose factors share one grid takes their values). Each
-    product is formed in argument order on its union, the products are
-    laid out end to end and their trapezoids formed at once. Each band
-    is closed on its product's grid, and one ``np.add.reduceat`` call
-    sums them all. The entries are checked in order, and the first that
-    would raise :class:`NoOverlap` or :class:`BandOutOfSupport` from
-    :func:`integrate_product` raises it here, with the same message.
+    ``responses`` holds a cell's ``(sr, band)`` pairs in stack order. The
+    list returned holds, for each pair, its cleaned current and then its
+    soiled one, with the bits of ``integrate_product(e, sr, band=band)``
+    and ``integrate_product(e, tau, sr, band=band)``; then those of
+    ``integrate(e, full_band)`` and ``integrate_product(e, tau,
+    band=full_band)``; then those of ``integrate(tau, b)`` for each band
+    ``b`` of ``tau_bands``.
+
+    A junction's cleaned current is taken on the union of E's and its
+    SR's grids, and its soiled current on the union of E's, tau's and its
+    SR's; when tau is on E's grid (see :func:`same_grid`) the two are one
+    union. E * tau is taken on the union of E's and tau's grids, which is
+    then E's grid, with their values as they are. E and tau are each
+    sampled with one ``np.interp`` call over all the unions they are
+    needed on, and each SR with one over its junction's; at a point of its
+    own grid ``np.interp`` gives a spectrum's sample back, so a factor
+    whose grid is the union keeps its values. Each product is formed in
+    argument order, the products are laid out end to end with E and tau,
+    and their trapezoids are formed at once. Each band is closed on its
+    product's grid, and one ``np.add.reduceat`` call sums them all. The
+    supports are checked in the order of the single calls, so the first
+    that would raise :class:`NoOverlap` or :class:`BandOutOfSupport`
+    raises it here, with the same message.
     """
-    grids: list[tuple] = []  # (bit, grid, first, last) of each distinct grid
-    grid_of: dict[int, tuple] = {}  # id of a spectrum -> that of its grid
-    unions: list[np.ndarray] = []
-    union_of: dict[int, int] = {}  # grid bits -> union
-    products: list[tuple] = []  # (union, factors, sampled)
-    covers: list[tuple[float, float]] = []  # each product's support
-    product_of: dict[int, int] = {}  # id of a factors sequence -> its product
-    bands: list[list[Waveband]] = []  # each product's bands
-    of_entry: list[tuple[int, int]] = []  # each entry's product and place among its bands
-    wanted: dict[int, tuple[Spectrum, set[int]]] = {}  # id -> spectrum, unions to sample it on
-    for fs, band in entries:
-        p = product_of.get(id(fs))
-        if p is None:
-            bits, lo, hi, mine = 0, -np.inf, np.inf, []
-            for f in fs:
-                g = grid_of.get(id(f))
-                if g is None:
-                    g = grid_of[id(f)] = _grid_key(f.wavelengths_nm, grids)
-                b, grid, first, last = g
-                if not bits & b:
-                    bits |= b
-                    mine.append(grid)
-                    if first > lo:
-                        lo = first
-                    if last < hi:
-                        hi = last
-            if not mine:
-                raise ValueError("need at least one spectrum")
+    we, wt = e.wavelengths_nm, tau.wavelengths_nm
+    shared = _equal_grids(we, wt)
+    e0, e1, t0, t1 = we.item(0), we.item(-1), wt.item(0), wt.item(-1)
+    cleaned: list[np.ndarray] = []  # each junction's union for E * SR
+    soiled: list[np.ndarray] = []  # and for E * tau * SR
+    for sr, band in responses:
+        ws = sr.wavelengths_nm
+        lo, hi = max(e0, ws.item(0)), min(e1, ws.item(-1))
+        if lo >= hi:
+            raise _no_overlap((e, sr))
+        _require_cover(lo, hi, band)
+        cleaned.append(we if _equal_grids(we, ws) else _union((we, ws), lo, hi))
+        if not shared:
+            lo, hi = max(lo, t0), min(hi, t1)
             if lo >= hi:
-                raise _no_overlap(fs)
-            u = union_of.get(bits)
-            if u is None:
-                u = union_of[bits] = len(unions)
-                unions.append(mine[0] if len(mine) == 1 else _union(mine, lo, hi))
-            # On one grid, a product's factors are sampled there already.
-            if sampled := len(mine) > 1:
-                for f in fs:
-                    if (got := wanted.get(id(f))) is None:
-                        wanted[id(f)] = (f, {u})
-                    else:
-                        got[1].add(u)
-            p = product_of[id(fs)] = len(products)
-            products.append((u, fs, sampled))
-            covers.append((lo, hi))
-            bands.append([])
-        _require_cover(*covers[p], band)
-        of_entry.append((p, len(bands[p])))
-        bands[p].append(band)
-    if not of_entry:
-        return []
+                raise _no_overlap((e, tau, sr))
+            _require_cover(lo, hi, band)
+            soiled.append(_union((we, wt, ws), lo, hi))
+    _require_cover(e0, e1, full_band)
+    if shared:
+        soiled, w = cleaned, we
+    else:
+        lo, hi = max(e0, t0), min(e1, t1)
+        if lo >= hi:
+            raise _no_overlap((e, tau))
+        _require_cover(lo, hi, full_band)
+        w = _union((we, wt), lo, hi)
+    for band in tau_bands:
+        _require_cover(t0, t1, band)
 
-    # Each spectrum is sampled with one np.interp call, over the laid-out
-    # unions it is wanted on.
-    sizes = [g.size for g in unions]
-    starts = list(itertools.accumulate(sizes, initial=0))
-    laid = unions[0] if len(unions) == 1 else np.concatenate(unions)
-    samples: dict[tuple[int, int], np.ndarray] = {}  # (id, union) -> samples
-    for f, us in wanted.values():
-        us = sorted(us)
-        if us[-1] - us[0] == len(us) - 1:  # adjacent unions: one slice
-            x = laid[starts[us[0]]:starts[us[-1] + 1]]
-        else:
-            x = np.concatenate([unions[u] for u in us])
-        vals, at = np.interp(x, f.wavelengths_nm, f.values), 0
-        for u in us:
-            samples[id(f), u] = vals[at:at + sizes[u]]
-            at += sizes[u]
-
-    # The products in argument order, laid out one after another, and all
-    # their trapezoids at once; then each product's bands.
-    ys = []
-    for u, fs, sampled in products:
-        if sampled:
-            y = samples[id(fs[0]), u]
-            for f in fs[1:]:
-                y = y * samples[id(f), u]
-        else:
-            y = fs[0].values
-            for f in fs[1:]:
-                y = y * f.values
-        ys.append(y)
-    order = [u for u, *_ in products]
-    x = laid if order == list(range(len(unions))) else np.concatenate([unions[u] for u in order])
-    y = ys[0] if len(ys) == 1 else np.concatenate(ys)
+    # The products' grids end to end: the cleaned currents', the soiled
+    # ones', then those of E * tau, E and tau.
+    n = len(cleaned)
+    grids = [*cleaned, *soiled, w, we, wt]
+    x = np.concatenate(grids)
+    starts = list(itertools.accumulate([g.size for g in grids], initial=0))
+    # E is sampled on x[:end], the unions and w, and tau on x[at:end], the
+    # soiled unions and w, where E * tau is formed. When tau is on E's grid
+    # the soiled unions are the cleaned ones and w is E's grid, so both are
+    # sampled on the cleaned unions alone.
+    at, end = (0, starts[n]) if shared else (starts[n], starts[2 * n + 1])
+    ev = np.interp(x[:end], we, e.values)
+    et = ev[at:] * np.interp(x[at:end], wt, tau.values)
+    ys_clean, ys_soiled = [], []
+    soiled_starts = starts if shared else starts[n:]
+    for (sr, _), a, b, i, k in zip(responses, cleaned, soiled, starts, soiled_starts):
+        s = np.interp(a if shared else np.concatenate((a, b)), sr.wavelengths_nm, sr.values)
+        ys_clean.append(ev[i:i + a.size] * s[:a.size])
+        ys_soiled.append(et[k - at:k - at + b.size] * s[-b.size:])
+    ew = e.values * tau.values if shared else et[starts[2 * n] - at:]
+    y = np.concatenate([*ys_clean, *ys_soiled, ew, e.values, tau.values])
     t = _trapezoids(x, y)
+
     # Each band's trapezoids go behind a 0.0 into one array, and one
     # np.add.reduceat sums them: it adds a band's trapezoids to the 0.0
     # before them, as np.add.reduce adds them to 0.0, so with its bits.
-    pieces, at, first, offset, start = [], [], [], 0, 0
-    for u, closing in zip(order, bands):
-        n = sizes[u]
-        w, v, tu = unions[u], y[start:start + n], t[start:start + n - 1]
-        first.append(len(at))
-        # one np.interp call for the limits of all the product's bands
-        ends = (np.interp([z for b in closing for z in (b.lambda_min_nm, b.lambda_max_nm)],
-                          w, v).tolist() if len(closing) > 1 else None)
-        for k, band in enumerate(closing):
-            terms = _band_terms(w, v, band, tu, ends and ends[2 * k:2 * k + 2])
-            pieces += _ZERO, terms
-            at.append(offset)
-            offset += terms.size + 1
-        start += n
-    sums = np.add.reduceat(np.concatenate(pieces), at).tolist()
-    return [sums[first[p] + j] for p, j in of_entry]
+    pieces = []
+    for g, band in [*((g, band) for j, (_, band) in enumerate(responses) for g in (j, n + j)),
+                    (2 * n + 1, full_band), (2 * n, full_band)]:
+        i, j = starts[g], starts[g + 1]
+        pieces += _ZERO, _band_terms(grids[g], y[i:j], band, t[i:j - 1])
+    # tau's bands, with one np.interp call for the limits of all of them
+    ends = np.interp([z for b in tau_bands for z in (b.lambda_min_nm, b.lambda_max_nm)],
+                     wt, tau.values).tolist()
+    for k, band in enumerate(tau_bands):
+        pieces += _ZERO, _band_terms(wt, tau.values, band, t[starts[-2]:], ends[2 * k:2 * k + 2])
+    firsts = list(itertools.accumulate([p.size for p in pieces[:-1]], initial=0))[::2]
+    return np.add.reduceat(np.concatenate(pieces), firsts).tolist()
 
 
 def require_kind(s: Spectrum, kind: Kind, what: str) -> None:

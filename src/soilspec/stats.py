@@ -4,10 +4,16 @@ MAPE and MPE are percentage errors of a modelled series against a
 measured one; R^2 is the squared sample Pearson correlation (implemented
 in that exact form rather than 1 - SS_res/SS_tot; the two coincide for
 OLS fits with an intercept).
+
+The sums behind a statistic can overflow for finite data of large
+magnitude (say, a ratio to a band whose transmittance is 1e-200). Such
+a sum or statistic, infinite or NaN, raises :class:`NonFiniteStatistic`
+and numpy issues no warning, so a campaign records the fit as failed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -15,6 +21,7 @@ import numpy as np
 from .errors import (
     DegenerateX,
     LengthMismatch,
+    NonFiniteStatistic,
     TooFewPoints,
     ZeroMeasured,
     ZeroVariance,
@@ -44,6 +51,14 @@ class FitResult:
         return asdict(self)
 
 
+def _finite(what: str, **values: float) -> None:
+    """Raise :class:`NonFiniteStatistic` naming ``what`` and the values
+    unless every one of them is finite."""
+    if not all(math.isfinite(v) for v in values.values()):
+        raise NonFiniteStatistic(f"{what} overflowed: "
+                                 + ", ".join(f"{k} = {v!r}" for k, v in values.items()))
+
+
 def _paired(measured, modelled) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(measured, dtype=float)
     b = np.asarray(modelled, dtype=float)
@@ -54,22 +69,29 @@ def _paired(measured, modelled) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+@np.errstate(over="ignore", invalid="ignore")  # raised as NonFiniteStatistic
 def mape(measured, modelled) -> float:
     """Mean absolute percentage error of modelled against measured, in %."""
     a, b = _paired(measured, modelled)
     if np.any(a == 0.0):
         raise ZeroMeasured("measured series contains 0; MAPE undefined")
-    return float(100.0 / a.size * np.sum(np.abs((b - a) / a)))
+    value = float(100.0 / a.size * np.sum(np.abs((b - a) / a)))
+    _finite("MAPE", mape=value)
+    return value
 
 
+@np.errstate(over="ignore", invalid="ignore")  # raised as NonFiniteStatistic
 def mpe(measured, modelled) -> float:
     """Signed mean percentage error of modelled against measured, in %."""
     a, b = _paired(measured, modelled)
     if np.any(a == 0.0):
         raise ZeroMeasured("measured series contains 0; MPE undefined")
-    return float(100.0 / a.size * np.sum((b - a) / a))
+    value = float(100.0 / a.size * np.sum((b - a) / a))
+    _finite("MPE", mpe=value)
+    return value
 
 
+@np.errstate(over="ignore", invalid="ignore")  # raised as NonFiniteStatistic
 def r2(measured, modelled) -> float:
     """Squared sample Pearson correlation between the two series."""
     a, b = _paired(measured, modelled)
@@ -81,16 +103,20 @@ def r2(measured, modelled) -> float:
         raise ZeroVariance("a series is constant; correlation undefined")
     num = float(np.sum(da * db))
     val = (num * num) / (ssa * ssb)
+    _finite("R^2", ss_measured=ssa, ss_modelled=ssb, cross_sum=num, r2=val)
     # Guard against 1 + few-ulp from rounding.
     return float(min(max(val, 0.0), 1.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # raised as NonFiniteStatistic
 def linfit(x, y) -> FitResult:
     """Ordinary least squares y = slope*x + intercept.
 
     The returned MAPE/MPE compare y (measured) against the fitted line
     (modelled). Raises TooFewPoints for n < 3 and DegenerateX when x has
-    zero variance; a constant y propagates ZeroVariance from ``r2``.
+    zero variance; a constant y propagates ZeroVariance from ``r2``. A
+    sum, coefficient or statistic that overflows raises
+    NonFiniteStatistic.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -105,6 +131,7 @@ def linfit(x, y) -> FitResult:
         raise DegenerateX("x values are all identical")
     slope = float(np.sum(dx * (ya - ya.mean())) / sxx)
     intercept = float(ya.mean() - slope * xa.mean())
+    _finite("the linear fit", sxx=sxx, slope=slope, intercept=intercept)
     yhat = slope * xa + intercept
     return FitResult(
         slope=slope,

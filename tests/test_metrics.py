@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from soilspec import (
     synth_tau,
 )
 from soilspec.errors import (
+    BandOutOfSupport,
     ControlBelowFloor,
     KindMismatch,
     NonFiniteIndex,
@@ -379,25 +381,37 @@ def _per_spectrum_indexes(spectra, cell, tau):
 
 
 def _record_kernel_calls(monkeypatch):
-    """Record the entries of every integrate_products call the report makes,
+    """Record the arguments of every report_integrals call the report makes,
     and every jsc_junction call, of which it should make none."""
     calls, singles = [], []
-    kernel = soilspec.metrics.integrate_products
-    monkeypatch.setattr(soilspec.metrics, "integrate_products",
-                        lambda entries: calls.append(entries) or kernel(entries))
+    kernel = soilspec.metrics.report_integrals
+    monkeypatch.setattr(soilspec.metrics, "report_integrals",
+                        lambda *args: calls.append(args) or kernel(*args))
     monkeypatch.setattr(soilspec.metrics, "jsc_junction",
                         lambda *args: singles.append(args) or jsc_junction(*args))
     return calls, singles
 
 
-def _check_one_call_per_grid(calls, grids, cell):
+def _check_one_call_per_grid(calls, grids, cell, tau):
     """One kernel call per distinct grid, in first-seen order, told by the
-    irradiance of each call; each holds a cleaned and a soiled current per
-    junction and the two broadband integrals, and the first also the AST
-    bands of tau."""
-    assert [c[0][0][0].wavelengths_nm.tobytes() for c in calls] == [g.tobytes() for g in grids]
-    n = len(cell.junctions)
-    assert [len(c) for c in calls] == [2 * n + 2 + len(cell.bands)] + [2 * n + 2] * (len(grids) - 1)
+    irradiance of each call; each with tau, the cell's (SR, band) pairs in
+    stack order and its full band, and the first alone with the AST bands."""
+    assert [c[0].wavelengths_nm.tobytes() for c in calls] == [g.tobytes() for g in grids]
+    responses = [(j.sr, j.band) for j in cell.junctions]
+    for k, (_, t, got, full_band, tau_bands) in enumerate(calls):
+        assert t is tau and full_band == cell.full_band
+        assert list(got) == responses
+        assert tuple(tau_bands) == (cell.bands if k == 0 else ())
+
+
+def _grid_sums(spectra):
+    """One spectrum per distinct grid, in first-seen order, holding the sum
+    of the values on that grid (np.sum over axis 0, as the report sums)."""
+    groups = {}
+    for e in spectra:
+        groups.setdefault(e.wavelengths_nm.tobytes(), []).append(e)
+    return [g[0] if len(g) == 1 else g[0].with_values(np.sum([e.values for e in g], axis=0))
+            for g in groups.values()]
 
 
 def test_weighted_report_mixed_grids_matches_per_spectrum_sums(bundled_cell, monkeypatch):
@@ -407,12 +421,16 @@ def test_weighted_report_mixed_grids_matches_per_spectrum_sums(bundled_cell, mon
     report = index_report_weighted(spectra, bundled_cell, tau)
     # the 5 nm grid, then the 4 nm one, and no single-current call
     _check_one_call_per_grid(calls, [spectra[0].wavelengths_nm, spectra[1].wavelengths_nm],
-                             bundled_cell)
+                             bundled_cell, tau)
     assert singles == []
     expected, limiting = _per_spectrum_indexes(spectra, bundled_cell, tau)
     for key, value in expected.items():
         assert getattr(report, key) == pytest.approx(value, rel=1e-12, abs=0.0), key
     assert (report.limiting_cleaned, report.limiting_soiled) == limiting
+    # the per-current route over the two grid sums gives the same bits
+    monkeypatch.undo()
+    assert _hexed(report.to_dict()) == _hexed(_per_current_report(_grid_sums(spectra),
+                                                                  bundled_cell, tau))
 
 
 def test_weighted_report_groups_grids_by_content(bundled_cell, monkeypatch):
@@ -429,13 +447,14 @@ def test_weighted_report_groups_grids_by_content(bundled_cell, monkeypatch):
     calls, singles = _record_kernel_calls(monkeypatch)
     report = index_report_weighted(day, bundled_cell, tau).to_dict()
     # one evaluation per distinct grid: A (all three spectra), then B
-    _check_one_call_per_grid(calls, [grid_a, b.wavelengths_nm], bundled_cell)
+    _check_one_call_per_grid(calls, [grid_a, b.wavelengths_nm], bundled_cell, tau)
     assert singles == []
     monkeypatch.undo()
     own_grids = [Spectrum(e.wavelengths_nm.copy(), e.values, e.kind, e.units) for e in day]
     assert index_report_weighted(own_grids, bundled_cell, tau).to_dict() == report
     summed_a = a0.with_values(np.sum([a0.values, a_copy.values, a1.values], axis=0))
     assert index_report_weighted([summed_a, b], bundled_cell, tau).to_dict() == report
+    assert _hexed(report) == _hexed(_per_current_report([summed_a, b], bundled_cell, tau))
 
 
 def test_weighted_report_checks_kind_of_every_spectrum(toy2j, flat_e, linear_tau):
@@ -513,7 +532,7 @@ def test_weighted_report_samples_each_junction_once_when_tau_is_on_the_grid(bund
     monkeypatch.setattr(spectral, "_union", lambda grids, lo, hi, f=spectral._union:
                         unions.append(grids) or f(grids, lo, hi))
     report = index_report_weighted(day, bundled_cell, tau).to_dict()
-    _check_one_call_per_grid(calls, [grid], bundled_cell)
+    _check_one_call_per_grid(calls, [grid], bundled_cell, tau)
     assert singles == []
     assert len(unions) == len(bundled_cell.junctions)
     for grids, j in zip(unions, bundled_cell.junctions):
@@ -530,14 +549,18 @@ def _hexed(report):
 
 
 def _per_current_report(e, cell, tau):
-    """The report of one irradiance from single calls: jsc_junction for each
-    current, integrate and integrate_product for the broadband integrals,
-    integrate for the ASTs, combined by the report's formulas."""
-    clean = {j.name: jsc_junction(e, j) for j in cell.junctions}
-    soiled = {j.name: jsc_junction(e, j, tau) for j in cell.junctions}
+    """The report of one irradiance, or of a list of them on distinct
+    grids, from single calls: jsc_junction for each current, integrate and
+    integrate_product for the broadband integrals, each summed over the
+    list in order from 0.0, and integrate for the ASTs, combined by the
+    report's formulas."""
+    spectra = [e] if isinstance(e, Spectrum) else e
+    clean = {j.name: sum((jsc_junction(e, j) for e in spectra), 0.0) for j in cell.junctions}
+    soiled = {j.name: sum((jsc_junction(e, j, tau) for e in spectra), 0.0) for j in cell.junctions}
     clean_stack, soiled_stack = stack_current(clean, cell), stack_current(soiled, cell)
     sr = soiled_stack.value / clean_stack.value
-    bs = integrate_product(e, tau, band=cell.full_band) / integrate(e, cell.full_band)
+    bs = (sum((integrate_product(e, tau, band=cell.full_band) for e in spectra), 0.0)
+          / sum((integrate(e, cell.full_band) for e in spectra), 0.0))
     top, mid = cell.junctions[0].name, cell.junctions[1].name
     ref = cell.reference_currents
 
@@ -580,6 +603,30 @@ def test_report_equals_the_per_current_route_on_random_grids(bundled_cell):
     for e, tau in cases:
         assert (_hexed(index_report(e, bundled_cell, tau).to_dict())
                 == _hexed(_per_current_report(e, bundled_cell, tau)))
+
+
+_GRID_5NM = np.arange(297.5, 1815.0, 5.0)
+
+
+# Kinds and messages computed at the commit before the report took its
+# integrals from one call shaped to it; the first integral to fail, in the
+# order of the single calls, raises.
+@pytest.mark.parametrize("e_grid, tau_grid, error, message", [
+    (_GRID_5NM, np.arange(400.0, 2001.0, 4.0), BandOutOfSupport,
+     "band 'top' [300.0, 720.0] nm not covered by support [400.0, 720.0] nm"),
+    (np.arange(297.5, 1500.0, 5.0), np.arange(298.0, 1814.0, 4.0), BandOutOfSupport,
+     "band 'bot' [920.0, 1810.0] nm not covered by support [920.0, 1497.5] nm"),
+    (_GRID_5NM, np.arange(298.0, 1700.0, 4.0), BandOutOfSupport,
+     "band 'bot' [920.0, 1810.0] nm not covered by support [920.0, 1698.0] nm"),
+    (_GRID_5NM, np.arange(1000.0, 2001.0, 4.0), NoOverlap,
+     "spectra supports do not overlap: [297.5, 1812.5], [1000.0, 2000.0], [300.0, 720.0]"),
+], ids=["tau-from-400", "e-to-1497.5", "tau-to-1698", "tau-from-1000"])
+def test_report_raises_the_first_failing_integrals_error(bundled_cell, e_grid, tau_grid, error,
+                                                         message):
+    e = synth_spectrum(0.3, e_grid)
+    tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), tau_grid)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        index_report(e, bundled_cell, tau)
 
 
 # ---------------------------------------------------------------------------

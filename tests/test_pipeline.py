@@ -33,6 +33,7 @@ from soilspec import (
     index_report,
     is_cloudy,
     load_campaign_dir,
+    load_scenario,
     run_campaign,
     select_spectra,
     soiling_rate_fit,
@@ -618,6 +619,34 @@ def test_campaign_fits_on_synthetic_campaign(bundled_cell):
     }
     assert fits["bsratio_vs_ast_MJ"]["r2"] > 0.95
     assert fits["sratio_vs_ast_MJ"]["n"] == 8
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_fit_is_recorded_and_the_campaign_goes_on(bundled_cell):
+    # six demo weeks whose soiled scans are dimmed by 1e-200 over 700-940 nm:
+    # every week is accepted, but the ratios to the mid band's AST are about
+    # 1e200, so the sums of squares of two fits overflow
+    scenario = dataclasses.replace(
+        load_scenario(str(Path(pipeline.__file__).parent / "data" / "demo_scenario.yaml")), weeks=6)
+    weeks, days = synth_campaign(scenario, bundled_cell)
+
+    def dim(s):
+        return s.with_values(np.where((s.wavelengths_nm >= 700.0) & (s.wavelengths_nm <= 940.0),
+                                      s.values * 1e-200, s.values))
+
+    weeks = [WeeklyMeasurement(m.week_id, m.scan_date, tuple(map(dim, m.soiled_scans)),
+                               m.control_scans) for m in weeks]
+    result = run_campaign(weeks, days, bundled_cell)
+    assert [w.accepted for w in result.weekly] == [True] * 6
+    fits = campaign_fits(result)
+    assert {key: fit.get("error") for key, fit in fits.items()} == {
+        "sratio_vs_ast_MJ": "ZeroVariance",
+        "bsratio_vs_ast_MJ": None,
+        "ssratio_vs_ast_MJ": "ZeroVariance",
+        "smratio_vs_ast_MJ": "NonFiniteStatistic",
+        "ast_top_over_mid_vs_ast_MJ": "NonFiniteStatistic",
+        "ast_top_over_bot_vs_ast_MJ": None,
+    }
 
 
 # ---------------------------------------------------------------------------

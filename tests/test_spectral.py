@@ -24,8 +24,8 @@ from soilspec.spectral import (
     DIMENSIONLESS,
     IRRADIANCE_UNITS,
     SR_UNITS,
-    integrate_products,
     read_spectrum_csv,
+    report_integrals,
     same_grid,
     sample_on_union,
     union_grid,
@@ -612,7 +612,7 @@ def test_integrate_product_disjoint_supports():
 
 
 # ---------------------------------------------------------------------------
-# integrate_products
+# report_integrals
 # ---------------------------------------------------------------------------
 
 def _limits_in(draw, grid):
@@ -624,42 +624,59 @@ def _limits_in(draw, grid):
     return Waveband("b", a, b) if a < b else Waveband("b", lo, hi)
 
 
+def _past(draw, grid):
+    """A band that reaches past one end of ``grid``'s span."""
+    lo, hi, past = float(grid[0]), float(grid[-1]), draw(st.floats(1e-6, 50.0))
+    return draw(st.sampled_from([Waveband("b", lo - past, hi), Waveband("b", lo, hi + past)]))
+
+
 @st.composite
-def _entries(draw):
-    """1-6 entries over E, tau and SR, each of 1-3 factors (repeats allowed)
-    with a band in their overlap. tau is on E's grid as one shared array
-    (``with_values`` keeps E's kind, which the kernel does not check), on an
-    equal copy of it, or on a grid of its own; SR's support is drawn apart
-    from E's, so it is often narrower. Entries may hold one factors tuple.
-    One entry in four lists holds a band past its product's support, or
-    factors whose supports do not overlap, somewhere among the others."""
+def _reports(draw):
+    """The arguments of one report_integrals call. tau is on E's grid as
+    one shared array (``with_values`` keeps E's kind, which the kernel does
+    not check), on an equal copy of it, or on a grid of its own; each of the
+    1-3 SRs has its support drawn apart from E's, so it is often narrower.
+    Each junction band lies in the overlap of E, tau and its SR, the full
+    band in that of E and tau, and the 0-3 tau bands on tau's support. One
+    draw in four has one band past its support, or an SR that E does not
+    reach."""
     e = draw(_factor(Kind.IRRADIANCE, 2.0))
-    sr = draw(_factor(Kind.SPECTRAL_RESPONSE, 0.7))
     v = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=e.n_samples,
                                  max_size=e.n_samples)))
     tau = draw(st.sampled_from([e.with_values(v),
                                 Spectrum(e.wavelengths_nm.copy(), v, Kind.TRANSMITTANCE)])
                | _factor(Kind.TRANSMITTANCE, 1.0))
-    entries = []
-    for _ in range(draw(st.integers(1, 6))):
-        if entries and draw(st.booleans()):
-            fs = draw(st.sampled_from([fs for fs, _ in entries]))
-        else:
-            fs = tuple(draw(st.lists(st.sampled_from([e, tau, sr]), min_size=1, max_size=3)))
-        entries.append((fs, _limits_in(draw, _reference_product(fs)[0])))
+    srs = draw(st.lists(_factor(Kind.SPECTRAL_RESPONSE, 0.7), min_size=1, max_size=3))
+    responses = [(sr, _limits_in(draw, _reference_product((e, tau, sr))[0])) for sr in srs]
+    full_band = _limits_in(draw, _reference_product((e, tau))[0])
+    tau_bands = [_limits_in(draw, tau.wavelengths_nm) for _ in range(draw(st.integers(0, 3)))]
     if draw(st.integers(0, 3)) == 0:
-        fs = draw(st.sampled_from([fs for fs, _ in entries] + [(e, _APART)]))
-        if fs[-1] is _APART:
-            band = Waveband("b", 400.0, 800.0)
+        k = draw(st.integers(0, len(responses) + len(tau_bands)))
+        if k < len(responses):
+            sr = responses[k][0]
+            responses[k] = draw(st.sampled_from([(sr, _past(draw, _reference_product((e, sr))[0])),
+                                                 (sr, _past(draw, _reference_product((e, tau, sr))[0])),
+                                                 (_APART, Waveband("b", 400.0, 800.0))]))
+        elif k == len(responses):
+            full_band = draw(st.sampled_from([_past(draw, e.wavelengths_nm),
+                                              _past(draw, _reference_product((e, tau))[0])]))
         else:
-            grid = _reference_product(fs)[0]
-            lo, hi, past = float(grid[0]), float(grid[-1]), draw(st.floats(1e-6, 50.0))
-            band = draw(st.sampled_from([Waveband("b", lo - past, hi), Waveband("b", lo, hi + past)]))
-        entries.insert(draw(st.integers(0, len(entries))), (fs, band))
-    return entries
+            tau_bands[k - len(responses) - 1] = _past(draw, tau.wavelengths_nm)
+    return e, tau, responses, full_band, tuple(tau_bands)
 
 
 _APART = Spectrum(np.array([1100.0, 1200.0]), np.ones(2), Kind.SPECTRAL_RESPONSE)  # past every _factor
+
+
+def _report_calls(e, tau, responses, full_band, tau_bands):
+    """The single calls whose results report_integrals returns, in its order,
+    as (factors, band): integrate for one factor, integrate_product else."""
+    calls = [call for sr, band in responses for call in (((e, sr), band), ((e, tau, sr), band))]
+    return calls + [((e,), full_band), ((e, tau), full_band)] + [((tau,), b) for b in tau_bands]
+
+
+def _single(fs, band):
+    return integrate(fs[0], band) if len(fs) == 1 else integrate_product(*fs, band=band)
 
 
 _PAIR_TAU = Spectrum(_E.wavelengths_nm.copy(), _TAU.values, Kind.TRANSMITTANCE)
@@ -668,70 +685,86 @@ _NARROW_SR = Spectrum(np.array([305.0, 320.0, 335.0]), np.array([0.2, 0.5, 0.4])
 
 
 def _junction(e, tau, sr, band):
-    """A junction's cleaned and soiled entries, then tau alone over the band."""
-    return [((e, sr), band), ((e, tau, sr), band), ((tau,), band)]
+    """A report of one junction, whose band is also the full band and
+    tau's one band."""
+    return e, tau, [(sr, band)], band, (band,)
 
 
 @settings(max_examples=300, deadline=None)
-@given(entries=_entries())
-@example(entries=_junction(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 305.0, 335.0)))  # SR's support
-@example(entries=_junction(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 310.0, 325.0)))  # on E's samples
-@example(entries=_junction(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 311.0, 317.5)))  # between samples
-@example(entries=_junction(_E, _E.with_values(_TAU.values), _NARROW_SR,
-                           Waveband("b", 306.0, 334.0)))                    # one shared array
-@example(entries=_junction(_E, _TAU, _NARROW_SR, Waveband("b", 305.0, 325.0)))  # tau's own grid
-@example(entries=[((_E, _E), Waveband("b", _UP, _DOWN)), ((_E,), Waveband("b", 300.0, 340.0))])
-def test_integrate_products_equals_the_single_integrals(entries):
+@given(report=_reports())
+@example(report=_junction(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 305.0, 335.0)))  # SR's support
+@example(report=_junction(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 310.0, 325.0)))  # on E's samples
+@example(report=_junction(_E, _PAIR_TAU, _NARROW_SR, Waveband("b", 311.0, 317.5)))  # between samples
+@example(report=_junction(_E, _E.with_values(_TAU.values), _NARROW_SR,
+                          Waveband("b", 306.0, 334.0)))                     # one shared array
+@example(report=_junction(_E, _TAU, _NARROW_SR, Waveband("b", 305.0, 325.0)))   # tau's own grid
+@example(report=(_E, _TAU, [(_E.with_values(_TAU.values), Waveband("b", _UP, _DOWN))],
+                 Waveband("b", _UP, _DOWN), (Waveband("b", 300.0, 340.0),)))  # SR on E's grid
+@example(report=_junction(_E, _PAIR_TAU, _E.with_values(_TAU.values[::-1]),
+                          Waveband("b", 300.0, 340.0)))                     # all on one grid
+def test_report_integrals_equals_the_single_integrals(report):
+    calls = _report_calls(*report)
     try:
-        singles = [_single(fs, band) for fs, band in entries]
+        singles = [_single(fs, band) for fs, band in calls]
     except (NoOverlap, BandOutOfSupport) as error:
-        # the first entry that fails alone raises the same error here
+        # the first call that fails alone raises the same error here
         with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
-            integrate_products(entries)
+            report_integrals(*report)
         return
-    got = integrate_products(entries)
-    assert len(got) == len(entries)
-    for value, single, (fs, band) in zip(got, singles, entries):
+    got = report_integrals(*report)
+    assert len(got) == len(calls)
+    for value, single, (fs, band) in zip(got, singles, calls):
         assert value.hex() == _reference_trapezoid(*_reference_product(fs), band).hex()
         assert value.hex() == single.hex()
-    assert integrate_products(iter(entries)) == got  # any iterable of entries
-    assert integrate_products([]) == []
 
 
-def _single(fs, band):
-    return integrate(fs[0], band) if len(fs) == 1 else integrate_product(*fs, band=band)
+_WIDE_SR = Spectrum(np.array([300.0, 312.0, 318.0, 340.0]), np.array([0.1, 0.3, 0.6, 0.2]),
+                    Kind.SPECTRAL_RESPONSE)
 
 
-def test_integrate_products_samples_a_shared_grid_once(monkeypatch):
+def test_report_integrals_samples_a_shared_grid_once(monkeypatch):
+    # one union per junction when tau is on E's grid, of E's grid and the
+    # SR's, which the cleaned and soiled currents share; otherwise two per
+    # junction and one of E's and tau's grids
     import soilspec.spectral as spectral
     unions = []
     monkeypatch.setattr(spectral, "_union",
                         lambda grids, lo, hi, f=spectral._union: unions.append(grids) or f(grids, lo, hi))
-    band = Waveband("b", 306.0, 334.0)
-    for tau, built in ((_PAIR_TAU, 1), (_E.with_values(_TAU.values), 1), (_TAU, 2)):
+    responses = [(_NARROW_SR, Waveband("b", 306.0, 334.0)), (_WIDE_SR, Waveband("b", 300.0, 340.0))]
+    whole = Waveband("b", 300.0, 340.0)
+    for tau, built in ((_PAIR_TAU, 2), (_E.with_values(_TAU.values), 2), (_TAU, 5)):
         unions.clear()
-        integrate_products(_junction(_E, tau, _NARROW_SR, band))
+        report_integrals(_E, tau, responses, whole, (whole,))
         assert len(unions) == built
+        if built == 2:
+            assert [sorted(g.tobytes() for g in grids) for grids in unions] == [
+                sorted([_E.wavelengths_nm.tobytes(), sr.wavelengths_nm.tobytes()])
+                for sr, _ in responses]
 
 
 _FAR = Spectrum(np.array([400.0, 500.0]), np.ones(2), Kind.SPECTRAL_RESPONSE)
+_FAR_TAU = Spectrum(np.array([400.0, 500.0]), np.ones(2), Kind.TRANSMITTANCE)
+_SHORT_TAU = Spectrum(np.array([310.0, 340.0]), np.ones(2), Kind.TRANSMITTANCE)
+_WHOLE = Waveband("b", 300.0, 340.0)
 
 
-@pytest.mark.parametrize("entries", [
-    [((_E, _FAR), Waveband("b", 300.0, 340.0))],                          # no overlap
-    [((_E, _TAU), Waveband("b", 299.0, 340.0))],                          # below the support
-    [((_E,), Waveband("b", 300.0, 340.0)), ((_TAU, _NARROW_SR), Waveband("b", 300.0, 340.0))],
-    # the first failing entry raises, though a later one fails another way
-    [((_E, _NARROW_SR), Waveband("b", 300.0, 320.0)), ((_E, _FAR), Waveband("b", 300.0, 340.0))],
-    [((_E, _FAR), Waveband("b", 300.0, 340.0)), ((_E,), Waveband("b", 290.0, 340.0))],
-    [((), Waveband("b", 300.0, 340.0))],                                  # no factor
-])
-def test_integrate_products_raises_the_first_entrys_error(entries):
+@pytest.mark.parametrize("report", [
+    (_E, _TAU, [(_FAR, _WHOLE)], _WHOLE, ()),
+    (_E, _TAU, [], Waveband("b", 299.0, 340.0), ()),
+    # the first failing call raises, though a later one fails another way
+    (_E, _TAU, [(_NARROW_SR, Waveband("b", 300.0, 320.0)), (_FAR, _WHOLE)], _WHOLE, ()),
+    (_E, _TAU, [(_FAR, _WHOLE)], Waveband("b", 290.0, 340.0), ()),
+    (_E, _SHORT_TAU, [(_NARROW_SR, Waveband("b", 306.0, 334.0))], _WHOLE, ()),
+    (_E, _FAR_TAU, [], _WHOLE, ()),
+    (_E, _TAU, [(_NARROW_SR, Waveband("b", 306.0, 334.0))], _WHOLE, (_WHOLE, Waveband("b", 300.0, 341.0))),
+], ids=["no-overlap", "below-the-support", "first-of-two", "no-overlap-before-the-full-band",
+        "soiled-current-only", "no-overlap-of-e-and-tau", "second-tau-band"])
+def test_report_integrals_raises_the_first_failing_calls_error(report):
     with pytest.raises(Exception) as expected:
-        for fs, band in entries:
+        for fs, band in _report_calls(*report):
             _single(fs, band)
     with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
-        integrate_products(entries)
+        report_integrals(*report)
 
 
 # ---------------------------------------------------------------------------

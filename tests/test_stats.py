@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from soilspec import linfit, mape, mpe, r2
 from soilspec.errors import (
     DegenerateX,
     LengthMismatch,
+    NonFiniteStatistic,
     TooFewPoints,
     ZeroMeasured,
     ZeroVariance,
@@ -108,3 +111,17 @@ def test_linfit_residuals_sum_to_zero():
 def test_linfit_constant_y_propagates_zero_variance():
     with pytest.raises(ZeroVariance):
         linfit([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    # the sums of squares of R^2 overflow
+    (lambda: linfit([0.1, 0.2, 0.3], [1e300, 2e300, 3e300]), "R^2 overflowed: ss_measured = inf"),
+    # the sum of squares of x overflows, which left a finite slope of 0
+    (lambda: linfit([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]), "the linear fit overflowed: sxx = inf"),
+    (lambda: mape([1e-300, 1.0], [1e10, 1.0]), "MAPE overflowed: mape = inf"),
+    (lambda: mpe([1e-300, 1.0], [-1e10, 1.0]), "MPE overflowed: mpe = -inf"),
+], ids=["linfit-r2", "linfit-sxx", "mape", "mpe"])
+def test_overflowing_statistic_is_a_typed_error_without_a_warning(call, message):
+    with pytest.raises(NonFiniteStatistic, match=f"^{re.escape(message)}"):
+        call()
