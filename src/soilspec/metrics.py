@@ -55,6 +55,7 @@ from .spectral import (
     Waveband,
     integrate,
     integrate_product,
+    integrate_rows,
     report_integrals,
     require_kind,
     sample_on_union,
@@ -64,12 +65,15 @@ __all__ = [
     "IndexReport",
     "Transmittance",
     "soiling_transmittance",
+    "soiling_ratio",
+    "clamp_ratio",
     "sratio",
     "bsratio",
     "ssratio",
     "smr",
     "smratio",
     "ast",
+    "ast_rows",
     "index_report",
     "index_report_weighted",
     "CONTROL_FLOOR",
@@ -92,11 +96,27 @@ class Transmittance(NamedTuple):
 def soiling_transmittance(soiled: Spectrum, control: Spectrum) -> Transmittance:
     """Soiling transmittance from a soiled/control coupon scan pair.
 
-    Pointwise ratio soiled/control on the union grid over the overlap of
-    the two scans. Ratio values in (1, 1 + 0.02] are kept (noise) and
+    The :func:`soiling_ratio` of the pair, soiled/control on the union
+    grid over the overlap of the two scans, kept or clamped and counted
+    by :func:`clamp_ratio`: values in (1, 1 + 0.02] are kept (noise) and
     counted as ``noisy``; values above that are clamped to the bound and
     counted as ``clamped``. A control value below :data:`CONTROL_FLOOR`
     anywhere in the overlap raises :class:`ControlBelowFloor`.
+    """
+    grid, ratio = soiling_ratio(soiled, control)
+    tau, noisy, clamped = clamp_ratio(ratio)
+    return Transmittance(Spectrum(grid, tau, Kind.TRANSMITTANCE, DIMENSIONLESS),
+                         int(noisy), int(clamped))
+
+
+def soiling_ratio(soiled: Spectrum, control: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The union grid of a soiled/control coupon scan pair over their
+    overlap (see :func:`~soilspec.spectral.sample_on_union`) and the
+    ratio soiled/control on it, before :func:`clamp_ratio`.
+
+    Both scans must be transmittances (:class:`KindMismatch`); a control
+    value below :data:`CONTROL_FLOOR` anywhere in the overlap raises
+    :class:`ControlBelowFloor`.
     """
     require_kind(soiled, Kind.TRANSMITTANCE, "soiled scan")
     require_kind(control, Kind.TRANSMITTANCE, "control scan")
@@ -106,18 +126,36 @@ def soiling_transmittance(soiled: Spectrum, control: Spectrum) -> Transmittance:
             f"control transmittance {c.min():.4g} below floor {CONTROL_FLOOR} "
             f"near {grid[int(np.argmin(c))]:.1f} nm"
         )
-    ratio = s / c
+    return grid, s / c
+
+
+def clamp_ratio(ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Soiling transmittance values from :func:`soiling_ratio` ratios, with
+    their noise counts: ``(values, noisy, clamped)``.
+
+    ``ratio`` is one curve, or a stack of curves on one grid, one per
+    row, counted per curve. A ratio in (1, 1 + 0.02] is kept and counted
+    as noisy; one above that is clamped to the bound and counted as
+    clamped.
+    """
     hi = 1.0 + TRANSMITTANCE_EPS
-    clamped = int(np.count_nonzero(ratio > hi))
-    noisy = int(np.count_nonzero(ratio > 1.0)) - clamped
-    return Transmittance(Spectrum(grid, np.minimum(ratio, hi), Kind.TRANSMITTANCE, DIMENSIONLESS),
-                         noisy, clamped)
+    clamped = (ratio > hi).sum(axis=-1)
+    noisy = (ratio > 1.0).sum(axis=-1) - clamped
+    return np.minimum(ratio, hi), noisy, clamped
 
 
 def ast(tau: Spectrum, band: Waveband) -> float:
     """Average spectral transmittance of soiling over a waveband."""
     require_kind(tau, Kind.TRANSMITTANCE, "soiling transmittance")
-    return integrate(tau, band) / band.width_nm
+    return ast_rows(tau.wavelengths_nm, tau.values[None], band)[0]
+
+
+def ast_rows(wavelengths_nm: np.ndarray, taus: np.ndarray, band: Waveband) -> list[float]:
+    """The :func:`ast` of each row of ``taus``, a stack of soiling
+    transmittance curves sampled on one grid, in one call (see
+    :func:`~soilspec.spectral.integrate_rows`): each with the bits of
+    :func:`ast` of a spectrum of that row."""
+    return [x / band.width_nm for x in integrate_rows(wavelengths_nm, taus, band)]
 
 
 def _sum_by_grid(spectra: Sequence[Spectrum]) -> list[Spectrum]:

@@ -48,7 +48,14 @@ from .errors import (
     ZeroDenominator,
     ZeroVariance,
 )
-from .metrics import IndexReport, ast, index_report_weighted, soiling_transmittance
+from .metrics import (
+    IndexReport,
+    ast,
+    ast_rows,
+    clamp_ratio,
+    index_report_weighted,
+    soiling_ratio,
+)
 from .spectral import (
     Kind,
     Spectrum,
@@ -324,7 +331,13 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
     the arithmetic mean of the three replicate curves.
 
     The replicate count is checked before any scan is read; a scan held as
-    a path is read with its pair and dropped with it (see :func:`_scan`).
+    a path is read with its pair and dropped once the pair's ratio is taken
+    (see :func:`_scan`). When the three pairs' grids are equal, the ratios
+    are one stack, clamped and averaged over the band at once and meaned
+    on that grid; pairs on different grids make a spectrum each, meaned on
+    the union of their grids. Both ways give the bits, and raise the
+    errors, of :func:`~soilspec.metrics.soiling_transmittance` and
+    :func:`~soilspec.metrics.ast` pair by pair.
     """
     if not m.complete:
         raise IncompleteReplicates(
@@ -332,18 +345,22 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
             f"{len(m.soiled_scans)} soiled / {len(m.control_scans)} control"
         )
     short: list[str] = []
-    pairs = [
-        soiling_transmittance(_scan(s, short), _scan(c, short))
-        for s, c in zip(m.soiled_scans, m.control_scans)
-    ]
-    taus = [p.tau for p in pairs]
-    asts = tuple(ast(t, cell.full_band) for t in taus)
+    ratios = [soiling_ratio(_scan(s, short), _scan(c, short))
+              for s, c in zip(m.soiled_scans, m.control_scans)]
+    (grid, _), *rest = ratios
+    if all(np.array_equal(g, grid) for g, _ in rest):
+        taus, noisy, clamped = clamp_ratio(np.array([r for _, r in ratios]))
+        asts = tuple(ast_rows(grid, taus, cell.full_band))
+    else:
+        values, noisy, clamped = zip(*(clamp_ratio(r) for _, r in ratios))
+        spectra = [Spectrum(g, v, Kind.TRANSMITTANCE) for (g, _), v in zip(ratios, values)]
+        asts = tuple(ast(t, cell.full_band) for t in spectra)
+        grid, taus = sample_on_union(spectra)
     spread = max(asts) - min(asts)
-    quality = (tuple(p.noisy for p in pairs), tuple(p.clamped for p in pairs), tuple(short))
+    quality = (tuple(map(int, noisy)), tuple(map(int, clamped)), tuple(short))
     if spread > SPREAD_THRESHOLD:
         return WeekValidation(False, None, "SpreadExceeded", asts, spread, *quality)
-    grid, sampled = sample_on_union(taus)
-    tau = Spectrum(grid, np.mean(sampled, axis=0), Kind.TRANSMITTANCE)
+    tau = Spectrum(grid, np.mean(taus, axis=0), Kind.TRANSMITTANCE)
     return WeekValidation(True, tau, None, asts, spread, *quality)
 
 

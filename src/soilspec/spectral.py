@@ -8,7 +8,10 @@ pointwise products, and definite integrals over a :class:`Waveband`.
 Junction currents and soiled broadband integrals are integrals of a
 product; :func:`integrate_product` computes one from the factors' arrays
 without building the product spectrum, and equals
-``integrate(pointwise_product(...), band)`` bit for bit.
+``integrate(pointwise_product(...), band)`` bit for bit. Both are calls
+of :func:`integrate_rows`, which integrates each row of a stack of
+curves on one grid, such as a week's replicate transmittances (a single
+curve is a stack of one row).
 :func:`report_integrals` computes the twelve a report needs at once,
 from the report's fixed layout: each junction's union grids are built
 once, each spectrum sampled with one ``np.interp`` call and every band
@@ -57,6 +60,7 @@ __all__ = [
     "Waveband",
     "resample",
     "integrate",
+    "integrate_rows",
     "integrate_product",
     "report_integrals",
     "pointwise_product",
@@ -260,9 +264,9 @@ def resample(s: Spectrum, grid: Sequence[float] | np.ndarray) -> Spectrum:
 
 
 def _trapezoids(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The trapezoid of each interval of the samples (x, y): the one
-    formula of every band integral."""
-    return (x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0
+    """The trapezoid of each interval of the samples (x, y), of each row
+    of ``y`` for a stack: the one formula of every band integral."""
+    return (x[1:] - x[:-1]) * (y[..., 1:] + y[..., :-1]) / 2.0
 
 
 def _require_cover(first: float, last: float, band: Waveband) -> None:
@@ -276,23 +280,23 @@ _ZERO = np.zeros(1)  # the 0.0 before each band's trapezoids in report_integrals
 _ZERO.flags.writeable = False
 
 
-def _band_terms(w: np.ndarray, v: np.ndarray, band: Waveband, t: np.ndarray | None = None,
+def _band_terms(w: np.ndarray, v: np.ndarray, band: Waveband, t: np.ndarray,
                 ends: Sequence[float] | None = None) -> np.ndarray:
     """The trapezoids of the samples (w, v) over a band inside [w[0], w[-1]],
-    whose sum is the band integral.
+    whose sum is the band integral, from ``t``, the :func:`_trapezoids` of
+    all of (w, v).
 
     The band's interior samples are bracketed by its two limits, at the
     values ``np.interp`` gives there on (w, v), which ``ends`` may hold
     already; it finds the interval that brackets each limit, so the
-    values are those it gives on the bracketing slice. ``t`` holds the
-    :func:`_trapezoids` of all of (w, v); without it, those of the band's
-    slice are formed. The two end trapezoids are formed again with the
-    limits, so both ways give the same bits; a band on the whole grid
-    takes the trapezoids as they are.
+    values are those it gives on the bracketing slice. The two end
+    trapezoids are formed again with the limits, so the terms have the
+    bits of the trapezoids of the band's own samples; a band on the whole
+    grid takes the trapezoids as they are.
     """
     lo, hi = band.lambda_min_nm, band.lambda_max_nm
     if lo == w.item(0) and hi == w.item(-1):  # np.interp would give the end samples
-        return _trapezoids(w, v) if t is None else t
+        return t
     ylo, yhi = np.interp((lo, hi), w, v).tolist() if ends is None else ends
     i0 = int(w.searchsorted(lo, "right"))
     i1 = int(w.searchsorted(hi, "left"))
@@ -300,7 +304,7 @@ def _band_terms(w: np.ndarray, v: np.ndarray, band: Waveband, t: np.ndarray | No
     # samples lie between, and the limits replace the two outside them.
     if i0 == i1:  # the band lies inside one interval
         return np.array(((hi - lo) * (yhi + ylo) / 2.0,))
-    terms = _trapezoids(w[i0 - 1:i1 + 1], v[i0 - 1:i1 + 1]) if t is None else t[i0 - 1:i1].copy()
+    terms = t[i0 - 1:i1].copy()
     terms[0] = (w.item(i0) - lo) * (v.item(i0) + ylo) / 2.0
     terms[-1] = (hi - w.item(i1 - 1)) * (yhi + v.item(i1 - 1)) / 2.0
     return terms
@@ -314,9 +318,24 @@ def integrate(s: Spectrum, band: Waveband) -> float:
     integrands on the sample grid. Raises :class:`BandOutOfSupport` when
     the band leaves the spectrum's support.
     """
-    w = s.wavelengths_nm
+    return integrate_rows(s.wavelengths_nm, s.values[None], band)[0]
+
+
+def integrate_rows(wavelengths_nm: np.ndarray, rows: np.ndarray, band: Waveband) -> list[float]:
+    """The :func:`integrate` of each row of a stack of curves sampled on
+    one grid, in one call.
+
+    ``wavelengths_nm`` is a spectrum's grid, as :class:`Spectrum` checks
+    it, and ``rows`` a 2-D array of curves on it, one per row. Each
+    integral has the bits of :func:`integrate` of a spectrum of that row:
+    the trapezoids of the whole stack are formed at once, then each row's
+    band is closed on its own samples and summed. Raises
+    :class:`BandOutOfSupport` when the band leaves the grid.
+    """
+    w = wavelengths_nm
     _require_cover(w[0], w[-1], band)
-    return float(np.add.reduce(_band_terms(w, s.values, band)))
+    return [float(np.add.reduce(_band_terms(w, v, band, t)))
+            for v, t in zip(rows, _trapezoids(w, rows))]
 
 
 def _equal_grids(w: np.ndarray, g: np.ndarray) -> bool:
@@ -420,8 +439,7 @@ def integrate_product(*spectra: Spectrum, band: Waveband) -> float:
     cover the band.
     """
     grid, vals = _product(spectra)
-    _require_cover(grid[0], grid[-1], band)
-    return float(np.add.reduce(_band_terms(grid, vals, band)))
+    return integrate_rows(grid, vals[None], band)[0]
 
 
 def report_integrals(e: Spectrum, tau: Spectrum, responses: Sequence[tuple[Spectrum, Waveband]],

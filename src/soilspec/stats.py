@@ -9,6 +9,13 @@ The sums behind a statistic can overflow for finite data of large
 magnitude (say, a ratio to a band whose transmittance is 1e-200). Such
 a sum or statistic, infinite or NaN, raises :class:`NonFiniteStatistic`
 and numpy issues no warning, so a campaign records the fit as failed.
+The sums of squares can also underflow, for series of tiny magnitude
+(say, an index near 1e-200). R^2 and the fitted slope do not change when
+a series is scaled by a power of two, and such a scaling is exact, so a
+sum that falls below the smallest normal float is formed again from the
+deviations scaled to about 1: the statistic then has the bits it would
+have without underflow, and only a constant series raises
+:class:`ZeroVariance` (or, for x, :class:`DegenerateX`).
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ from .errors import (
 )
 
 __all__ = ["FitResult", "mape", "mpe", "r2", "linfit"]
+
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,21 @@ def _finite(what: str, **values: float) -> None:
     if not all(math.isfinite(v) for v in values.values()):
         raise NonFiniteStatistic(f"{what} overflowed: "
                                  + ", ".join(f"{k} = {v!r}" for k, v in values.items()))
+
+
+def _unit_scaled(d: np.ndarray) -> tuple[np.ndarray, int]:
+    """``d * 2**-e`` and ``e``, the exponent (:func:`math.frexp`) of the
+    largest magnitude in ``d``, which the scaling brings into [0.5, 1).
+
+    Scaling by a power of two is exact, so the sums of squares and
+    products of the scaled values are those of ``d`` times a power of two,
+    without underflow."""
+    e = math.frexp(float(np.max(np.abs(d))))[1]
+    return np.ldexp(d, -e), e
+
+
+def _constant(a: np.ndarray) -> bool:
+    return bool(a.min() == a.max())
 
 
 def _paired(measured, modelled) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +123,14 @@ def r2(measured, modelled) -> float:
     db = b - b.mean()
     ssa = float(np.sum(da * da))
     ssb = float(np.sum(db * db))
-    if ssa == 0.0 or ssb == 0.0:
-        raise ZeroVariance("a series is constant; correlation undefined")
+    if ssa < _TINY or ssb < _TINY or ssa * ssb < _TINY:
+        # underflow, or a constant series: see the module docstring
+        if _constant(a) or _constant(b):
+            raise ZeroVariance("a series is constant; correlation undefined")
+        if math.isfinite(ssa) and math.isfinite(ssb):  # an overflow is raised below
+            (da, _), (db, _) = _unit_scaled(da), _unit_scaled(db)
+            ssa = float(np.sum(da * da))
+            ssb = float(np.sum(db * db))
     num = float(np.sum(da * db))
     val = (num * num) / (ssa * ssb)
     _finite("R^2", ss_measured=ssa, ss_modelled=ssb, cross_sum=num, r2=val)
@@ -126,10 +156,16 @@ def linfit(x, y) -> FitResult:
     if n < 3:
         raise TooFewPoints(f"linear fit needs >= 3 points, got {n}")
     dx = xa - xa.mean()
+    dy = ya - ya.mean()
     sxx = float(np.sum(dx * dx))
-    if sxx == 0.0:
-        raise DegenerateX("x values are all identical")
-    slope = float(np.sum(dx * (ya - ya.mean())) / sxx)
+    if sxx < _TINY:  # underflow, or all x equal: see the module docstring
+        if _constant(xa):
+            raise DegenerateX("x values are all identical")
+        # The slope against x * 2**-e is the slope against x times 2**e.
+        scaled, e = _unit_scaled(dx)
+        slope = float(np.ldexp(np.sum(scaled * dy) / np.sum(scaled * scaled), -e))
+    else:
+        slope = float(np.sum(dx * dy) / sxx)
     intercept = float(ya.mean() - slope * xa.mean())
     _finite("the linear fit", sxx=sxx, slope=slope, intercept=intercept)
     yhat = slope * xa + intercept

@@ -34,7 +34,7 @@ from soilspec import (
     write_campaign_dir,
     write_spectrum_csv,
 )
-from soilspec import cli
+from soilspec import cli, errors
 from soilspec.cell import bundled_cell_config_path, reference_spectrum_path
 from soilspec.cli import build_parser, main
 
@@ -888,6 +888,47 @@ def test_campaign_prints_text_buffered_before_the_fork_once(three_weeks, tmp_pat
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["before",
                                         f"campaign: 3/3 weeks accepted; results in {out}"]
+
+
+@pytest.fixture(scope="module")
+def six_dim_weeks(tmp_path_factory):
+    """The demo scenario's first 6 weeks with each soiled scan dimmed by 1e-155
+    over 700-940 nm: the sums of squares of the sratio and ssratio fits
+    underflow, and those of the ratios to the mid band's AST overflow."""
+    root = tmp_path_factory.mktemp("dim")
+    scenario = yaml.safe_load((Path(pipeline.__file__).parent / "data" /
+                               "demo_scenario.yaml").read_text(encoding="utf-8"))
+    (root / "s.yaml").write_text(yaml.safe_dump({**scenario, "weeks": 6}), encoding="utf-8")
+    assert main(["synth", "--scenario", str(root / "s.yaml"), "--out", str(root / "data")]) == 0
+    for path in sorted((root / "data").glob("week*_soiled_*.csv")):
+        s = read_spectrum_csv(path)
+        band = (s.wavelengths_nm >= 700.0) & (s.wavelengths_nm <= 940.0)
+        write_spectrum_csv(s.with_values(np.where(band, s.values * 1e-155, s.values)), path)
+    return root / "data"
+
+
+@pytest.mark.parametrize("mode", ["noon", "daily"])
+def test_campaign_with_underflowing_fits_writes_every_output(six_dim_weeks, tmp_path, capsys,
+                                                              mode):
+    # Such a run ended with a ZeroDivisionError traceback and no outputs.
+    assert _campaign(six_dim_weeks, tmp_path, "--aggregation", mode) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.err == ""
+    assert captured.out.startswith("campaign: 6/6 weeks accepted")
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["campaign.json", "fits.json", "weekly.csv"]
+    fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
+    assert len(fits) == 6
+    for key, fit in fits.items():
+        if "error" in fit:
+            assert set(fit) == {"error"}
+            assert issubclass(getattr(errors, fit["error"]), errors.SoilspecError), key
+        else:
+            assert set(fit) == {"slope", "intercept", "r2", "mape_pct", "mpe_pct", "n"}
+            assert all(math.isfinite(v) for v in fit.values()) and fit["n"] == 6, key
+    # the fits whose sums of squares underflow hold numbers
+    assert "error" not in fits["sratio_vs_ast_MJ"] and "error" not in fits["ssratio_vs_ast_MJ"]
+    assert json.loads((out / "campaign.json").read_text(encoding="utf-8"))["fits"] == fits
 
 
 def _weekly_rows(out):

@@ -11,6 +11,7 @@ import random
 import re
 import struct
 import tempfile
+import unittest.mock
 import weakref
 from pathlib import Path
 
@@ -29,7 +30,10 @@ from soilspec import (
     IndexReport,
     Kind,
     SoilingModel,
+    Spectrum,
     WeeklyMeasurement,
+    ast,
+    boxcar_cell,
     index_report,
     is_cloudy,
     load_campaign_dir,
@@ -37,6 +41,7 @@ from soilspec import (
     run_campaign,
     select_spectra,
     soiling_rate_fit,
+    soiling_transmittance,
     synth_campaign,
     synth_tau,
     validate_week,
@@ -47,11 +52,17 @@ from soilspec.errors import (
     NoClearDay,
     NoIrradianceRecords,
     NoWeeksFound,
+    SoilspecError,
     TooFewPoints,
 )
 from soilspec import pipeline
 from soilspec.pipeline import CLOUDY_THRESHOLD, WeeklyOutcome, campaign_fits, read_field_csv
-from soilspec.spectral import read_spectrum_csv, spectrum_csv_text, write_spectrum_csv
+from soilspec.spectral import (
+    read_spectrum_csv,
+    sample_on_union,
+    spectrum_csv_text,
+    write_spectrum_csv,
+)
 
 from conftest import bundled_tau, flat_spectrum, linear_spectrum, mixed_grid_day, spectra_sha256
 
@@ -149,6 +160,132 @@ def test_accepted_tau_frozen_values(demo_weeks, bundled_cell):
     )
     assert spectra_sha256([validate_week(offset, bundled_cell).tau]) == (
         "090e31ad12fed1de02c1f6901f057a9f9bb640f0a767625cdf39341e615c7b1a")
+
+
+def _public_route(m, cell, reads):
+    """validate_week's result through the per-pair public functions, reading
+    each scan held as a path (its name appended to ``reads``) with its pair:
+    soiling_transmittance of each pair, ast of each tau, and the mean of the
+    taus on their sample_on_union grid. Raises the first error they raise."""
+    short = []
+
+    def scan(held):
+        if not isinstance(held, Path):
+            return held
+        reads.append(held.name)
+        s = read_spectrum_csv(held)
+        lo, hi = s.support
+        if lo > pipeline.SCAN_COVERAGE_NM[0] or hi < pipeline.SCAN_COVERAGE_NM[1]:
+            short.append(held.name)
+        return s
+
+    pairs = [soiling_transmittance(scan(s), scan(c))
+             for s, c in zip(m.soiled_scans, m.control_scans)]
+    asts = tuple(ast(p.tau, cell.full_band) for p in pairs)
+    spread = max(asts) - min(asts)
+    tau = None
+    if spread <= pipeline.SPREAD_THRESHOLD:
+        grid, sampled = sample_on_union([p.tau for p in pairs])
+        tau = Spectrum(grid, np.mean(sampled, axis=0), Kind.TRANSMITTANCE)
+    return (asts, spread, tau, tuple(p.noisy for p in pairs), tuple(p.clamped for p in pairs),
+            tuple(short))
+
+
+_TOY = boxcar_cell([("top", 300.0, 700.0), ("mid", 700.0, 900.0)])
+_FAULTS = ("floor", "kind", "overlap", "short")
+
+
+def _replicate_scans(layout, seed, fault, hit):
+    """Six coupon scans, soiled and control of each pair in turn, on a grid
+    that spans the toy cell's [300, 900] nm full band:
+
+    * ``one-array``: every scan holds one grid array;
+    * ``copies``: every scan holds an equal copy of it;
+    * ``two-grids``: the soiled scans hold one grid and the control scans
+      another, so each pair's union grid is the same;
+    * ``pair-grids``: each pair holds a grid of its own.
+
+    ``fault`` damages the pairs in ``hit``: a control value below the floor,
+    a soiled or control scan of the wrong kind, a control scan that does not
+    overlap its soiled scan, or scans that end short of the full band."""
+    rng = np.random.default_rng(seed)
+    step = float(rng.choice([5.0, 7.5, 10.0]))
+    hi = float(rng.choice([950.0, 2000.0]))
+    cut = 850.0 if fault == "short" else np.inf
+    base = np.arange(300.0 - step, hi + step, step)
+    level = rng.uniform(0.9, 0.99)
+    jitter = float(rng.choice([0.0005, 0.01]))
+    shared = Spectrum(base, np.ones(base.size), Kind.TRANSMITTANCE)
+    scans = []
+    for j in range(3):
+        grids = {"one-array": (base, base), "copies": (base.copy(), base.copy()),
+                 "two-grids": (base, base - step / 3), "pair-grids": (base - j, base - j)}[layout]
+        if fault == "short" and j in hit:
+            grids = [g[g <= cut] for g in grids]
+        gs, gc = grids
+        control = rng.uniform(0.3, 1.0, gc.size)
+        ratio = level + rng.normal(0.0, jitter) + rng.normal(0.0, 0.02, gs.size)
+        soiled = np.clip(np.interp(gs, gc, control) * ratio, 0.0, 1.02)
+        kinds = [Kind.TRANSMITTANCE, Kind.TRANSMITTANCE]
+        if j in hit:
+            if fault == "floor":
+                control[gc.size // 2] = 0.04
+            elif fault == "kind":
+                kinds[seed % 2] = Kind.IRRADIANCE
+            elif fault == "overlap":
+                gc = np.arange(2100.0, 2200.0, step)
+                control = rng.uniform(0.3, 1.0, gc.size)
+        for g, v, kind in zip((gs, gc), (soiled, control), kinds):
+            same = layout == "one-array" and g is base and kind is Kind.TRANSMITTANCE
+            scans.append(shared.with_values(v) if same else Spectrum(g, v, kind))
+    return scans
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout=st.sampled_from(["one-array", "copies", "two-grids", "pair-grids"]),
+       seed=st.integers(0, 2**32 - 1), fault=st.none() | st.sampled_from(_FAULTS),
+       hit=st.sets(st.integers(0, 2), min_size=1), as_files=st.booleans())
+def test_validate_week_matches_the_per_pair_public_route(layout, seed, fault, hit, as_files):
+    scans = _replicate_scans(layout, seed, fault, hit)
+    with tempfile.TemporaryDirectory() as tmp:
+        if as_files:
+            held = []
+            for i, s in enumerate(scans):
+                held.append(Path(tmp, f"week01_{('soiled', 'control')[i % 2]}_{i // 2 + 1}.csv"))
+                write_spectrum_csv(s, held[-1])
+            scans = held
+        m = WeeklyMeasurement(1, DATE, scans[0::2], scans[1::2])
+        expected_reads, reads = [], []
+
+        def read(path):
+            reads.append(path.name)
+            return read_spectrum_csv(path)
+
+        try:
+            expected = _public_route(m, _TOY, expected_reads)
+        except SoilspecError as exc:
+            expected = exc
+        with unittest.mock.patch.object(pipeline, "read_spectrum_csv", read):
+            if isinstance(expected, SoilspecError):
+                with pytest.raises(type(expected)) as raised:
+                    validate_week(m, _TOY)
+                assert str(raised.value) == str(expected)
+                assert reads == expected_reads
+                return
+            v = validate_week(m, _TOY)
+    assert fault is None
+    asts, spread, tau, noisy, clamped, short = expected
+    assert reads == expected_reads
+    assert [a.hex() for a in v.replicate_ast] == [a.hex() for a in asts]
+    assert v.spread.hex() == spread.hex()
+    assert (v.accepted, v.reason) == ((True, None) if tau is not None else (False, "SpreadExceeded"))
+    if tau is not None:
+        assert v.tau.wavelengths_nm.tobytes() == tau.wavelengths_nm.tobytes()
+        assert v.tau.values.tobytes() == tau.values.tobytes()
+        assert (v.tau.kind, v.tau.units) == (tau.kind, tau.units)
+    else:
+        assert v.tau is None
+    assert (v.noisy_samples, v.clamped_samples, v.short_scans) == (noisy, clamped, short)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +762,8 @@ def test_campaign_fits_on_synthetic_campaign(bundled_cell):
 def test_overflowing_fit_is_recorded_and_the_campaign_goes_on(bundled_cell):
     # six demo weeks whose soiled scans are dimmed by 1e-200 over 700-940 nm:
     # every week is accepted, but the ratios to the mid band's AST are about
-    # 1e200, so the sums of squares of two fits overflow
+    # 1e200, so the sums of squares of two fits overflow; sratio and ssratio
+    # are about 1e-200, and their sums of squares underflow, yet they vary
     scenario = dataclasses.replace(
         load_scenario(str(Path(pipeline.__file__).parent / "data" / "demo_scenario.yaml")), weeks=6)
     weeks, days = synth_campaign(scenario, bundled_cell)
@@ -640,13 +778,15 @@ def test_overflowing_fit_is_recorded_and_the_campaign_goes_on(bundled_cell):
     assert [w.accepted for w in result.weekly] == [True] * 6
     fits = campaign_fits(result)
     assert {key: fit.get("error") for key, fit in fits.items()} == {
-        "sratio_vs_ast_MJ": "ZeroVariance",
+        "sratio_vs_ast_MJ": None,
         "bsratio_vs_ast_MJ": None,
-        "ssratio_vs_ast_MJ": "ZeroVariance",
+        "ssratio_vs_ast_MJ": None,
         "smratio_vs_ast_MJ": "NonFiniteStatistic",
         "ast_top_over_mid_vs_ast_MJ": "NonFiniteStatistic",
         "ast_top_over_bot_vs_ast_MJ": None,
     }
+    for key in ("sratio_vs_ast_MJ", "ssratio_vs_ast_MJ"):
+        assert fits[key]["r2"] > 0.99 and 0.0 < abs(fits[key]["slope"]) < 1e-199
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from soilspec.spectral import (
     DIMENSIONLESS,
     IRRADIANCE_UNITS,
     SR_UNITS,
+    integrate_rows,
     read_spectrum_csv,
     report_integrals,
     same_grid,
@@ -556,11 +557,15 @@ _UP, _DOWN = float(np.nextafter(300.0, np.inf)), float(np.nextafter(340.0, 0.0))
 @example(case=([_E, _TAU], Waveband("b", 305.0, 325.0)))  # limits on interior samples
 def test_band_trapezoid_equals_reference_formula(case):
     # integrate_product is checked against an independent product and
-    # trapezoid here, not against pointwise_product, which shares its kernel.
+    # trapezoid here, not against pointwise_product, which shares its kernel;
+    # integrate_rows, row by row, on a stack of three curves on each grid.
     fs, band = case
     for f in fs:
         assert integrate(f, band).hex() == _reference_trapezoid(
             f.wavelengths_nm, f.values, band).hex()
+        rows = np.array([f.values, 0.3 * f.values, f.values[::-1]])
+        assert [x.hex() for x in integrate_rows(f.wavelengths_nm, rows, band)] == [
+            _reference_trapezoid(f.wavelengths_nm, v, band).hex() for v in rows]
     assert integrate_product(*fs, band=band).hex() == _reference_trapezoid(
         *_reference_product(fs), band).hex()
 

@@ -121,7 +121,74 @@ def test_linfit_constant_y_propagates_zero_variance():
     (lambda: linfit([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]), "the linear fit overflowed: sxx = inf"),
     (lambda: mape([1e-300, 1.0], [1e10, 1.0]), "MAPE overflowed: mape = inf"),
     (lambda: mpe([1e-300, 1.0], [-1e10, 1.0]), "MPE overflowed: mpe = -inf"),
-], ids=["linfit-r2", "linfit-sxx", "mape", "mpe"])
+    # one sum of squares overflows and the other underflows, which read as
+    # a constant series
+    (lambda: r2([1e200, 2e200, 3.5e200], [1e-200, 2e-200, 3e-200]),
+     "R^2 overflowed: ss_measured = inf, ss_modelled = 0.0"),
+], ids=["linfit-r2", "linfit-sxx", "mape", "mpe", "r2-over-and-underflow"])
 def test_overflowing_statistic_is_a_typed_error_without_a_warning(call, message):
     with pytest.raises(NonFiniteStatistic, match=f"^{re.escape(message)}"):
         call()
+
+
+# Series of tiny magnitude: their sums of squares underflow, and a power-of-two
+# scaling, which is exact, must leave every statistic's bits as they are.
+
+def _series(seed, n=7):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 2.0, n)
+    return a, 0.8 * a + rng.normal(scale=0.05, size=n)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(5))
+def test_r2_of_underflowing_series_keeps_its_bits(seed):
+    a, b = _series(seed)
+    assert r2(a * 2**-600, b * 2**-600).hex() == r2(a, b).hex()
+    # sums of squares near 2**-2000, one series alone, and a product below
+    # the smallest normal float of two sums above it
+    assert r2(a * 2**-1000, b * 2**-1000).hex() == r2(a, b).hex()
+    assert r2(a * 2**-600, b).hex() == r2(a, b).hex()
+    assert r2(a, b * 2**-600).hex() == r2(a, b).hex()
+    assert r2(a * 2**-300, b * 2**-300).hex() == r2(a, b).hex()
+
+
+def test_r2_at_1e_155_is_a_number_not_a_crash():
+    # ssa * ssb underflows to 0, which divided by zero
+    assert r2([1e-155, 2e-155, 3.1e-155], [1e-155, 2.1e-155, 2.9e-155]) == pytest.approx(
+        r2([1.0, 2.0, 3.1], [1.0, 2.1, 2.9]), rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1e-200, 1e-200, 1e-200], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [3e-320, 3e-320, 3e-320]),
+    ([1e-200, 2e-200, 3e-200], [0.1, 0.1, 0.1]),
+])
+def test_r2_of_a_tiny_constant_series_is_zero_variance(a, b):
+    with pytest.raises(ZeroVariance, match="^a series is constant"):
+        r2(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(5))
+def test_linfit_of_underflowing_x_keeps_its_bits(seed):
+    x, y = _series(seed)
+    fit = linfit(x, y)
+    for k in (600, 1000):
+        tiny = linfit(x * 2.0**-k, y)
+        assert tiny.slope.hex() == (fit.slope * 2.0**k).hex()
+        assert [v.hex() for v in (tiny.intercept, tiny.r2, tiny.mape_pct, tiny.mpe_pct)] == [
+            v.hex() for v in (fit.intercept, fit.r2, fit.mape_pct, fit.mpe_pct)]
+
+
+def test_linfit_of_tiny_x_is_a_fit():
+    # the sum of squares of x underflows to 0, which read as identical x
+    fit = linfit([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.1])
+    assert fit.slope == pytest.approx(1.05e200, rel=1e-12)
+    assert fit.intercept == pytest.approx(-1 / 15, rel=1e-9)
+    assert fit.r2 == pytest.approx(linfit([1.0, 2.0, 3.0], [1.0, 2.0, 3.1]).r2, rel=1e-12)
+
+
+def test_linfit_of_tiny_identical_x_is_degenerate():
+    with pytest.raises(DegenerateX, match="^x values are all identical$"):
+        linfit([1e-200, 1e-200, 1e-200], [1.0, 2.0, 3.0])
