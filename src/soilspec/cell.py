@@ -37,6 +37,7 @@ from .spectral import (
     DIMENSIONLESS,
     SR_UNITS,
     Kind,
+    ReportLayout,
     Spectrum,
     Waveband,
     integrate_product,
@@ -139,6 +140,12 @@ class CellModel:
     spans the junction bands, and ``reference_currents`` are the
     per-junction currents under ``reference_spectrum``. Band names,
     the full band's included, must be unique.
+
+    Besides its fields, a cell holds the last report layout it built (see
+    :meth:`report_layout`): one layout per cell per process. It is no
+    field, so it takes no part in ``==``, ``repr`` or
+    :func:`dataclasses.replace`, and a copy or a pickle of the cell starts
+    without one.
     """
 
     name: str
@@ -149,6 +156,7 @@ class CellModel:
     reference_currents: dict[str, float] = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_layout", None)
         object.__setattr__(self, "junctions", tuple(self.junctions))
         if len(self.junctions) < 2:
             raise ConfigError(f"cell {self.name!r}: need >= 2 junctions")
@@ -171,6 +179,37 @@ class CellModel:
         require_kind(self.reference_spectrum, Kind.IRRADIANCE, "reference spectrum")
         object.__setattr__(self, "reference_currents", {
             j.name: jsc_junction(self.reference_spectrum, j) for j in self.junctions})
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_layout": None}
+
+    def report_layout(self, e: Spectrum, tau: Spectrum, ast_bands: bool) -> ReportLayout:
+        """The :class:`~soilspec.spectral.ReportLayout` of this cell's report
+        of the irradiance ``e`` under the soiling transmittance ``tau``,
+        with the AST bands (:attr:`bands`) when ``ast_bands`` is true and
+        without them otherwise.
+
+        The cell holds the one layout it last built, and returns it while a
+        call's E grid and tau grid equal those it was built for (the same
+        array, or the same size and then the same samples, as
+        :func:`~soilspec.spectral.same_grid` tells) and the call asks for
+        the AST bands as that one did. Otherwise it builds a new layout,
+        which raises the first :class:`~soilspec.errors.NoOverlap` or
+        :class:`~soilspec.errors.BandOutOfSupport` of the report's
+        integrals, and holds that one; a build that raises leaves the held
+        layout as it was. A campaign whose spectra share one grid and
+        whose scans share another builds one layout and reuses it every
+        week. Threads may share a cell: the held layout is never changed,
+        only replaced whole, so a call reads one layout or the other, and
+        at worst two threads each build one.
+        """
+        held = self._layout
+        if held is not None and bool(held.tau_bands) == ast_bands and held.fits(e, tau):
+            return held
+        layout = ReportLayout(e, tau, [(j.sr, j.band) for j in self.junctions], self.full_band,
+                              self.bands if ast_bands else ())
+        object.__setattr__(self, "_layout", layout)
+        return layout
 
     def junction(self, name: str) -> Junction:
         for j in self.junctions:

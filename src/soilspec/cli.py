@@ -3,8 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 input error (missing or
 malformed files, empty scenarios), 2 computation error. Failures print a
 machine-readable JSON object ``{"error": <kind>, "message": <text>}`` on
-stderr. All outputs are deterministic given the inputs and flags; result
-files are written atomically (write-temp-then-rename).
+stderr. A command whose stdout is closed by its reader drops what it
+would print there and exits with its own code. All outputs are
+deterministic given the inputs and flags; result files are written
+atomically (write-temp-then-rename).
 """
 
 from __future__ import annotations
@@ -110,12 +112,24 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _say(text: str) -> None:
+    """Print a line on stdout. If stdout's reader has gone (a closed pipe),
+    the line is dropped, and so is the rest of stdout: the stream is sent
+    to ``os.devnull``, so that its flush at exit raises nothing either."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     e = read_spectrum_csv(args.e_file)
     tau = read_spectrum_csv(args.tau_file)
     cell = load_cell(args.cell)
     report = index_report(e, cell, tau)
-    print(report.to_json())
+    _say(report.to_json())
     return 0
 
 
@@ -141,10 +155,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     write_text_atomic(out / "weekly.csv", result.weekly_csv())
     write_text_atomic(out / "fits.json", _json_chunks(fits))
     s = result.summary
-    print(
-        f"campaign: {s['n_accepted']}/{s['n_weeks']} weeks accepted; "
-        f"results in {out}"
-    )
+    _say(f"campaign: {s['n_accepted']}/{s['n_weeks']} weeks accepted; results in {out}")
     return 0
 
 
@@ -158,7 +169,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             raise ConfigError(f"--seed: {exc}") from None
     weeks, days = synth_campaign(scenario)
     write_campaign_dir(weeks, days, out)
-    print(f"synth: wrote {len(weeks)} weeks and {len(days)} field days to {out}")
+    _say(f"synth: wrote {len(weeks)} weeks and {len(days)} field days to {out}")
     return 0
 
 

@@ -56,7 +56,6 @@ from .spectral import (
     integrate,
     integrate_product,
     integrate_rows,
-    report_integrals,
     require_kind,
     sample_on_union,
 )
@@ -345,10 +344,14 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     order each is first seen; so the report is the same, bit for bit,
     whether equal grids share one array or each spectrum has its own copy.
     Each grid's currents and broadband integrals, and with the first grid
-    the AST band integrals of ``tau``, come from one
-    :func:`report_integrals` call, whose every result has the bits of
-    the :func:`jsc_junction`, :func:`integrate` or
-    :func:`integrate_product` call it stands for.
+    the AST band integrals of ``tau``, come from one evaluation of the
+    report layout that :meth:`CellModel.report_layout` gives for that grid
+    and ``tau``, as :func:`~soilspec.spectral.report_integrals` would give
+    them: every result has the bits of the :func:`jsc_junction`,
+    :func:`integrate` or :func:`integrate_product` call it stands for. The
+    cell holds the last layout it built and reuses it while the grids
+    repeat, as they do week after week in a campaign whose field spectra
+    share one grid and whose coupon scans share another.
     """
     if len(spectra) == 0:
         raise ValueError("need at least one irradiance spectrum")
@@ -360,18 +363,16 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     soiled = {j.name: 0.0 for j in cell.junctions}
     b_clean = 0.0
     b_soil = 0.0
-    responses = [(j.sr, j.band) for j in cell.junctions]
-    bands = cell.bands  # integrated with the first grid only
+    asts = None  # integrated with the first grid only
     for e in _sum_by_grid(spectra):
-        got = report_integrals(e, tau, responses, cell.full_band, bands)
+        got = cell.report_layout(e, tau, ast_bands=asts is None).integrals(e, tau)
         for j, c, s in zip(cell.junctions, got[0:2 * n:2], got[1:2 * n:2]):
             cleaned[j.name] += c
             soiled[j.name] += s
         b_clean += got[2 * n]
         b_soil += got[2 * n + 1]
-        if bands:
-            asts = {b.name: a / b.width_nm for b, a in zip(bands, got[2 * n + 2:])}
-            bands = ()
+        if asts is None:
+            asts = {b.name: a / b.width_nm for b, a in zip(cell.bands, got[2 * n + 2:])}
     clean_stack = stack_current(cleaned, cell)
     soiled_stack = stack_current(soiled, cell)
     sr = _ratio(soiled_stack.value, clean_stack.value, ZeroCleanCurrent, "cleaned stack current")

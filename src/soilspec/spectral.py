@@ -8,15 +8,19 @@ pointwise products, and definite integrals over a :class:`Waveband`.
 Junction currents and soiled broadband integrals are integrals of a
 product; :func:`integrate_product` computes one from the factors' arrays
 without building the product spectrum, and equals
-``integrate(pointwise_product(...), band)`` bit for bit. Both are calls
-of :func:`integrate_rows`, which integrates each row of a stack of
-curves on one grid, such as a week's replicate transmittances (a single
-curve is a stack of one row).
-:func:`report_integrals` computes the twelve a report needs at once,
-from the report's fixed layout: each junction's union grids are built
-once, each spectrum sampled with one ``np.interp`` call and every band
-summed with one reduction, and each result has the bits of the single
-call it stands for.
+``integrate(pointwise_product(...), band)`` bit for bit: both form the
+trapezoids of the band's samples of one curve and close the band.
+:func:`integrate_rows` does the same for each row of a stack of curves
+on one grid, such as a week's replicate transmittances, with the bits of
+:func:`integrate` of each row.
+:func:`report_integrals` computes the twelve a report needs at once:
+it builds a :class:`ReportLayout`, everything that depends only on the
+grids (each junction's union grids, the SRs sampled on them and where
+each band cuts its grid), and evaluates it, sampling each spectrum with
+one ``np.interp`` call and summing every band with one reduction; each
+result has the bits of the single call it stands for. A caller whose
+grids repeat, as a campaign's do, may keep the layout and evaluate it
+again (see :meth:`~soilspec.cell.CellModel.report_layout`).
 :func:`pointwise_product` stays for callers that need the product curve.
 
 Conventions
@@ -38,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import itertools
+import math
 import os
 import re
 import threading
@@ -63,6 +68,7 @@ __all__ = [
     "integrate_rows",
     "integrate_product",
     "report_integrals",
+    "ReportLayout",
     "pointwise_product",
     "same_grid",
     "union_grid",
@@ -276,38 +282,64 @@ def _require_cover(first: float, last: float, band: Waveband) -> None:
                                f"not covered by support [{float(first)}, {float(last)}] nm")
 
 
-_ZERO = np.zeros(1)  # the 0.0 before each band's trapezoids in report_integrals
-_ZERO.flags.writeable = False
+def _band_cut(w: np.ndarray, band: Waveband) -> tuple[int, int, float, float | None] | None:
+    """Where a band inside [w[0], w[-1]] cuts the grid ``w``.
 
-
-def _band_terms(w: np.ndarray, v: np.ndarray, band: Waveband, t: np.ndarray,
-                ends: Sequence[float] | None = None) -> np.ndarray:
-    """The trapezoids of the samples (w, v) over a band inside [w[0], w[-1]],
-    whose sum is the band integral, from ``t``, the :func:`_trapezoids` of
-    all of (w, v).
-
-    The band's interior samples are bracketed by its two limits, at the
-    values ``np.interp`` gives there on (w, v), which ``ends`` may hold
-    already; it finds the interval that brackets each limit, so the
-    values are those it gives on the bracketing slice. The two end
-    trapezoids are formed again with the limits, so the terms have the
-    bits of the trapezoids of the band's own samples; a band on the whole
-    grid takes the trapezoids as they are.
+    ``None`` for a band on the whole grid, whose integral is the sum of
+    every trapezoid as it is, since ``np.interp`` would give the end
+    samples at its limits. Otherwise ``(i0, i1, d0, d1)``, with
+    w[i0-1] <= lo < w[i0] and w[i1-1] < hi <= w[i1]: the band's interior
+    samples lie between, its two limits replace the samples outside them,
+    and ``d0`` and ``d1`` are the widths of the two end trapezoids. A band
+    inside one interval (i0 == i1) is one trapezoid, of width ``d0`` and
+    with ``d1`` None.
     """
     lo, hi = band.lambda_min_nm, band.lambda_max_nm
-    if lo == w.item(0) and hi == w.item(-1):  # np.interp would give the end samples
-        return t
-    ylo, yhi = np.interp((lo, hi), w, v).tolist() if ends is None else ends
-    i0 = int(w.searchsorted(lo, "right"))
-    i1 = int(w.searchsorted(hi, "left"))
-    # w[i0-1] <= lo < w[i0] and w[i1-1] < hi <= w[i1]: the band's interior
-    # samples lie between, and the limits replace the two outside them.
-    if i0 == i1:  # the band lies inside one interval
-        return np.array(((hi - lo) * (yhi + ylo) / 2.0,))
-    terms = t[i0 - 1:i1].copy()
-    terms[0] = (w.item(i0) - lo) * (v.item(i0) + ylo) / 2.0
-    terms[-1] = (hi - w.item(i1 - 1)) * (yhi + v.item(i1 - 1)) / 2.0
+    if lo == w.item(0) and hi == w.item(-1):
+        return None
+    # one search for both limits: the samples <= lo are those below the
+    # next double up from lo
+    i0, i1 = w.searchsorted((math.nextafter(lo, math.inf), hi)).tolist()
+    if i0 == i1:
+        return i0, i1, hi - lo, None
+    return i0, i1, w.item(i0) - lo, hi - w.item(i1 - 1)
+
+
+def _end_terms(cuts: Sequence[tuple[int, int, float, float | None]], limits: Sequence[float],
+               inner: Sequence[float]) -> list[float]:
+    """The trapezoids that close each band of ``cuts`` (see :func:`_band_cut`),
+    from ``limits``, the values ``np.interp`` gives at the two limits of
+    each band, and ``inner``, its two samples next to them (``v[i0]`` and
+    ``v[i1-1]``): the first and the last of a band's trapezoids, or the
+    one of a band inside one interval. They have the bits of the
+    trapezoids of the band's own samples."""
+    terms: list[float] = []
+    for k, (_, _, d0, d1) in enumerate(cuts):
+        ylo, yhi = limits[2 * k], limits[2 * k + 1]
+        if d1 is None:
+            terms.append(d0 * (yhi + ylo) / 2.0)
+        else:
+            terms += d0 * (inner[2 * k] + ylo) / 2.0, d1 * (yhi + inner[2 * k + 1]) / 2.0
     return terms
+
+
+def _band_sum(w: np.ndarray, v: np.ndarray, band: Waveband,
+              cut: tuple[int, int, float, float | None] | None, t: np.ndarray) -> float:
+    """The integral over a band of the samples (w, v), from its cut (see
+    :func:`_band_cut`) and ``t``, the :func:`_trapezoids` of the band's
+    slice ``[i0 - 1, i1]`` of the samples (all of them for a band on the
+    whole grid), whose ends it replaces."""
+    if cut is not None:
+        limits = np.interp((band.lambda_min_nm, band.lambda_max_nm), w, v).tolist()
+        ends = _end_terms((cut,), limits, (v.item(cut[0]), v.item(cut[1] - 1)))
+        t[0], t[-1] = ends[0], ends[-1]
+    return float(np.add.reduce(t))
+
+
+def _band_slice(cut: tuple[int, int, float, float | None] | None) -> slice:
+    """The samples a band's integral reads: those from the one before its
+    lower limit to the one after its upper limit."""
+    return slice(None) if cut is None else slice(cut[0] - 1, cut[1] + 1)
 
 
 def integrate(s: Spectrum, band: Waveband) -> float:
@@ -318,7 +350,16 @@ def integrate(s: Spectrum, band: Waveband) -> float:
     integrands on the sample grid. Raises :class:`BandOutOfSupport` when
     the band leaves the spectrum's support.
     """
-    return integrate_rows(s.wavelengths_nm, s.values[None], band)[0]
+    return _integrate(s.wavelengths_nm, s.values, band)
+
+
+def _integrate(w: np.ndarray, v: np.ndarray, band: Waveband) -> float:
+    """The :func:`integrate` of the samples (w, v), ``w`` checked as
+    :class:`Spectrum` checks a grid: of the band's trapezoids only."""
+    _require_cover(w.item(0), w.item(-1), band)
+    cut = _band_cut(w, band)
+    k = _band_slice(cut)
+    return _band_sum(w, v, band, cut, _trapezoids(w[k], v[k]))
 
 
 def integrate_rows(wavelengths_nm: np.ndarray, rows: np.ndarray, band: Waveband) -> list[float]:
@@ -328,14 +369,16 @@ def integrate_rows(wavelengths_nm: np.ndarray, rows: np.ndarray, band: Waveband)
     ``wavelengths_nm`` is a spectrum's grid, as :class:`Spectrum` checks
     it, and ``rows`` a 2-D array of curves on it, one per row. Each
     integral has the bits of :func:`integrate` of a spectrum of that row:
-    the trapezoids of the whole stack are formed at once, then each row's
-    band is closed on its own samples and summed. Raises
-    :class:`BandOutOfSupport` when the band leaves the grid.
+    the trapezoids of the band's samples are formed for the whole stack
+    at once, then each row's band is closed and summed as
+    :func:`integrate` closes and sums it. Raises :class:`BandOutOfSupport`
+    when the band leaves the grid.
     """
     w = wavelengths_nm
-    _require_cover(w[0], w[-1], band)
-    return [float(np.add.reduce(_band_terms(w, v, band, t)))
-            for v, t in zip(rows, _trapezoids(w, rows))]
+    _require_cover(w.item(0), w.item(-1), band)
+    cut = _band_cut(w, band)
+    k = _band_slice(cut)
+    return [_band_sum(w, v, band, cut, t) for v, t in zip(rows, _trapezoids(w[k], rows[:, k]))]
 
 
 def _equal_grids(w: np.ndarray, g: np.ndarray) -> bool:
@@ -439,7 +482,179 @@ def integrate_product(*spectra: Spectrum, band: Waveband) -> float:
     cover the band.
     """
     grid, vals = _product(spectra)
-    return integrate_rows(grid, vals[None], band)[0]
+    return _integrate(grid, vals, band)
+
+
+class ReportLayout:
+    """The part of a report's band integrals that depends only on the
+    grids: what :func:`report_integrals` builds before it reads a value.
+
+    Built from an irradiance ``e`` and a soiling transmittance ``tau``, of
+    which it reads only the grids, a cell's ``(sr, band)`` pairs in stack
+    order (``responses``), its ``full_band`` and the AST bands
+    ``tau_bands``. Building checks the supports in the order of the single
+    calls that :func:`report_integrals` stands for, so the first that
+    would raise :class:`NoOverlap` or :class:`BandOutOfSupport` raises it
+    here, with the same message. The layout holds:
+
+    * each junction's union of E's and its SR's grids (cleaned current),
+      and of E's, tau's and its SR's (soiled current), which are one union
+      when tau is on E's grid (see :func:`same_grid`); and the union of
+      E's and tau's grids, which is then E's grid;
+    * those grids laid end to end with E's and tau's, and the differences
+      of that concatenated grid;
+    * each SR sampled on its junction's unions;
+    * each band's bracketing indices on its product's grid and the offsets
+      of the one ``np.add.reduceat`` call that sums every band.
+
+    :meth:`integrals` evaluates it for an E and a tau on the grids it was
+    built for, and :meth:`fits` tells whether they are. A layout is not
+    changed after it is built, so threads may share one.
+    """
+
+    __slots__ = ("tau_bands", "_we", "_wt", "_shared", "_x_e", "_x_tau", "_at", "_n_clean",
+                 "_n_sr", "_sr", "_dx", "_interps", "_tau_limits", "_cuts", "_inner", "_gather",
+                 "_scatter", "_zeros", "_firsts")
+
+    def __init__(self, e: Spectrum, tau: Spectrum,
+                 responses: Sequence[tuple[Spectrum, Waveband]], full_band: Waveband,
+                 tau_bands: Sequence[Waveband]) -> None:
+        we, wt = e.wavelengths_nm, tau.wavelengths_nm
+        shared = _equal_grids(we, wt)
+        e0, e1, t0, t1 = we.item(0), we.item(-1), wt.item(0), wt.item(-1)
+        cleaned: list[np.ndarray] = []  # each junction's union for E * SR
+        soiled: list[np.ndarray] = []  # and for E * tau * SR
+        for sr, band in responses:
+            ws = sr.wavelengths_nm
+            lo, hi = max(e0, ws.item(0)), min(e1, ws.item(-1))
+            if lo >= hi:
+                raise _no_overlap((e, sr))
+            _require_cover(lo, hi, band)
+            cleaned.append(we if _equal_grids(we, ws) else _union((we, ws), lo, hi))
+            if not shared:
+                lo, hi = max(lo, t0), min(hi, t1)
+                if lo >= hi:
+                    raise _no_overlap((e, tau, sr))
+                _require_cover(lo, hi, band)
+                soiled.append(_union((we, wt, ws), lo, hi))
+        _require_cover(e0, e1, full_band)
+        if shared:
+            soiled, w = cleaned, we
+        else:
+            lo, hi = max(e0, t0), min(e1, t1)
+            if lo >= hi:
+                raise _no_overlap((e, tau))
+            _require_cover(lo, hi, full_band)
+            w = _union((we, wt), lo, hi)
+        for band in tau_bands:
+            _require_cover(t0, t1, band)
+
+        # The products' grids end to end: the cleaned currents', the soiled
+        # ones', then those of E * tau, E and tau.
+        n = len(cleaned)
+        grids = [*cleaned, *soiled, w, we, wt]
+        x = np.concatenate(grids)
+        starts = list(itertools.accumulate([g.size for g in grids], initial=0))
+        # E is sampled on x[:end], the unions and w, and tau on x[at:end], the
+        # soiled unions and w, where E * tau is formed. When tau is on E's grid
+        # the soiled unions are the cleaned ones and w is E's grid, so both are
+        # sampled on the cleaned unions alone.
+        at, end = (0, starts[n]) if shared else (starts[n], starts[2 * n + 1])
+        # Each SR is sampled with one np.interp call over its junction's unions.
+        sr_clean, sr_soiled = [], []
+        for (sr, _), a, b in zip(responses, cleaned, soiled):
+            s = np.interp(a if shared else np.concatenate((a, b)), sr.wavelengths_nm, sr.values)
+            sr_clean.append(s[:a.size])
+            sr_soiled.append(s[-b.size:])
+        self.tau_bands = tuple(tau_bands)
+        self._we, self._wt, self._shared = we, wt, shared
+        self._x_e, self._x_tau, self._at = x[:end], x[at:end], at
+        self._n_clean, self._n_sr = starts[n], starts[2 * n]
+        self._sr = np.concatenate([*sr_clean, *sr_soiled]) if n else x[:0]
+        self._dx = x[1:] - x[:-1]
+
+        # Each band: its product's segment of the concatenated values, and
+        # where it cuts that segment's grid. Its terms go behind a 0.0 into
+        # one array, gathered from the trapezoids at once, and its end
+        # trapezoids and the 0.0s are written over their places, so that
+        # one np.add.reduceat call sums every band: it adds a band's
+        # trapezoids to the 0.0 before them, as np.add.reduce adds them to
+        # 0.0, so with its bits.
+        segments = []
+        for j, (_, band) in enumerate(responses):
+            segments += (j, band), (n + j, band)
+        segments += (2 * n + 1, full_band), (2 * n, full_band)
+        segments += [(2 * n + 2, band) for band in tau_bands]
+        self._interps, self._tau_limits, self._cuts = [], [], []
+        firsts, sizes, offsets, ends, inner = [], [], [], [], []
+        size = 0
+        for g, band in segments:
+            i, j = starts[g], starts[g + 1]
+            cut = _band_cut(grids[g], band)
+            firsts.append(size)
+            if cut is None:
+                source, count = i, j - i - 1
+            else:
+                i0, i1 = cut[0], cut[1]
+                limits = (band.lambda_min_nm, band.lambda_max_nm)
+                if g == 2 * n + 2:
+                    self._tau_limits += limits
+                else:
+                    self._interps.append((limits, grids[g], i, j))
+                self._cuts.append(cut)
+                inner += i + i0, i + i1 - 1  # the samples next to the limits
+                source, count = i + i0 - 1, i1 - i0 + 1
+                ends += (size + 1,) if cut[3] is None else (size + 1, size + count)
+            # where the band's 0.0 and terms are taken from the trapezoids:
+            # its 0.0 from the place before its first term, which it replaces
+            offsets.append(source - size - 1)
+            sizes.append(count + 1)
+            size += count + 1
+        m, k = len(firsts), len(firsts) + len(ends)
+        places = np.array(firsts + ends + inner + offsets + sizes, dtype=np.intp)
+        self._firsts, self._scatter, self._inner = places[:m], places[:k], places[k:k + len(inner)]
+        self._gather = places[-2 * m:-m].repeat(places[-m:])
+        self._gather += np.arange(size)
+        self._zeros = [0.0] * len(firsts)
+
+    def fits(self, e: Spectrum, tau: Spectrum) -> bool:
+        """Whether ``e`` and ``tau`` are on the grids this layout was built
+        for: each the same array, or of the same size and then with the
+        same samples (see :func:`same_grid`)."""
+        return (_equal_grids(e.wavelengths_nm, self._we)
+                and _equal_grids(tau.wavelengths_nm, self._wt))
+
+    def integrals(self, e: Spectrum, tau: Spectrum) -> list[float]:
+        """The band integrals of E under tau, in the order of
+        :func:`report_integrals`. E and tau must be on the grids the layout
+        was built for (see :meth:`fits`).
+
+        E and tau are each sampled with one ``np.interp`` call over all the
+        unions they are needed on; at a point of its own grid ``np.interp``
+        gives a spectrum's sample back, so a factor whose grid is the union
+        keeps its values. Each product is formed in argument order, the
+        products are laid out end to end with E and tau, and their
+        trapezoids are formed at once. Each band is closed on its
+        product's grid, and one ``np.add.reduceat`` call sums them all.
+        """
+        ev = np.interp(self._x_e, e.wavelengths_nm, e.values)
+        et = ev[self._at:] * np.interp(self._x_tau, tau.wavelengths_nm, tau.values)
+        # E * tau is a part of et unless tau is on E's grid
+        ew = (e.values * tau.values,) if self._shared else ()
+        y = np.concatenate((ev[:self._n_clean], et, *ew, e.values, tau.values))
+        y[:self._n_sr] *= self._sr
+        t = y[1:] + y[:-1]  # the trapezoids, as _trapezoids forms them, in place
+        t *= self._dx
+        t /= 2.0
+        limits = []  # the values at each cut band's limits
+        for lims, w, i, j in self._interps:
+            limits += np.interp(lims, w, y[i:j]).tolist()
+        if self._tau_limits:
+            limits += np.interp(self._tau_limits, tau.wavelengths_nm, tau.values).tolist()
+        terms = t[self._gather]
+        terms[self._scatter] = self._zeros + _end_terms(self._cuts, limits,
+                                                        y[self._inner].tolist())
+        return np.add.reduceat(terms, self._firsts).tolist()
 
 
 def report_integrals(e: Spectrum, tau: Spectrum, responses: Sequence[tuple[Spectrum, Waveband]],
@@ -454,90 +669,19 @@ def report_integrals(e: Spectrum, tau: Spectrum, responses: Sequence[tuple[Spect
     band=full_band)``; then those of ``integrate(tau, b)`` for each band
     ``b`` of ``tau_bands``.
 
+    It builds the grids' :class:`ReportLayout` and evaluates it, and holds
+    nothing: a caller that integrates on the same grids again may keep
+    the layout instead (see :meth:`~soilspec.cell.CellModel.report_layout`).
     A junction's cleaned current is taken on the union of E's and its
     SR's grids, and its soiled current on the union of E's, tau's and its
     SR's; when tau is on E's grid (see :func:`same_grid`) the two are one
     union. E * tau is taken on the union of E's and tau's grids, which is
-    then E's grid, with their values as they are. E and tau are each
-    sampled with one ``np.interp`` call over all the unions they are
-    needed on, and each SR with one over its junction's; at a point of its
-    own grid ``np.interp`` gives a spectrum's sample back, so a factor
-    whose grid is the union keeps its values. Each product is formed in
-    argument order, the products are laid out end to end with E and tau,
-    and their trapezoids are formed at once. Each band is closed on its
-    product's grid, and one ``np.add.reduceat`` call sums them all. The
-    supports are checked in the order of the single calls, so the first
-    that would raise :class:`NoOverlap` or :class:`BandOutOfSupport`
-    raises it here, with the same message.
+    then E's grid, with their values as they are. The supports are
+    checked in the order of the single calls, so the first that would
+    raise :class:`NoOverlap` or :class:`BandOutOfSupport` raises it here,
+    with the same message.
     """
-    we, wt = e.wavelengths_nm, tau.wavelengths_nm
-    shared = _equal_grids(we, wt)
-    e0, e1, t0, t1 = we.item(0), we.item(-1), wt.item(0), wt.item(-1)
-    cleaned: list[np.ndarray] = []  # each junction's union for E * SR
-    soiled: list[np.ndarray] = []  # and for E * tau * SR
-    for sr, band in responses:
-        ws = sr.wavelengths_nm
-        lo, hi = max(e0, ws.item(0)), min(e1, ws.item(-1))
-        if lo >= hi:
-            raise _no_overlap((e, sr))
-        _require_cover(lo, hi, band)
-        cleaned.append(we if _equal_grids(we, ws) else _union((we, ws), lo, hi))
-        if not shared:
-            lo, hi = max(lo, t0), min(hi, t1)
-            if lo >= hi:
-                raise _no_overlap((e, tau, sr))
-            _require_cover(lo, hi, band)
-            soiled.append(_union((we, wt, ws), lo, hi))
-    _require_cover(e0, e1, full_band)
-    if shared:
-        soiled, w = cleaned, we
-    else:
-        lo, hi = max(e0, t0), min(e1, t1)
-        if lo >= hi:
-            raise _no_overlap((e, tau))
-        _require_cover(lo, hi, full_band)
-        w = _union((we, wt), lo, hi)
-    for band in tau_bands:
-        _require_cover(t0, t1, band)
-
-    # The products' grids end to end: the cleaned currents', the soiled
-    # ones', then those of E * tau, E and tau.
-    n = len(cleaned)
-    grids = [*cleaned, *soiled, w, we, wt]
-    x = np.concatenate(grids)
-    starts = list(itertools.accumulate([g.size for g in grids], initial=0))
-    # E is sampled on x[:end], the unions and w, and tau on x[at:end], the
-    # soiled unions and w, where E * tau is formed. When tau is on E's grid
-    # the soiled unions are the cleaned ones and w is E's grid, so both are
-    # sampled on the cleaned unions alone.
-    at, end = (0, starts[n]) if shared else (starts[n], starts[2 * n + 1])
-    ev = np.interp(x[:end], we, e.values)
-    et = ev[at:] * np.interp(x[at:end], wt, tau.values)
-    ys_clean, ys_soiled = [], []
-    soiled_starts = starts if shared else starts[n:]
-    for (sr, _), a, b, i, k in zip(responses, cleaned, soiled, starts, soiled_starts):
-        s = np.interp(a if shared else np.concatenate((a, b)), sr.wavelengths_nm, sr.values)
-        ys_clean.append(ev[i:i + a.size] * s[:a.size])
-        ys_soiled.append(et[k - at:k - at + b.size] * s[-b.size:])
-    ew = e.values * tau.values if shared else et[starts[2 * n] - at:]
-    y = np.concatenate([*ys_clean, *ys_soiled, ew, e.values, tau.values])
-    t = _trapezoids(x, y)
-
-    # Each band's trapezoids go behind a 0.0 into one array, and one
-    # np.add.reduceat sums them: it adds a band's trapezoids to the 0.0
-    # before them, as np.add.reduce adds them to 0.0, so with its bits.
-    pieces = []
-    for g, band in [*((g, band) for j, (_, band) in enumerate(responses) for g in (j, n + j)),
-                    (2 * n + 1, full_band), (2 * n, full_band)]:
-        i, j = starts[g], starts[g + 1]
-        pieces += _ZERO, _band_terms(grids[g], y[i:j], band, t[i:j - 1])
-    # tau's bands, with one np.interp call for the limits of all of them
-    ends = np.interp([z for b in tau_bands for z in (b.lambda_min_nm, b.lambda_max_nm)],
-                     wt, tau.values).tolist()
-    for k, band in enumerate(tau_bands):
-        pieces += _ZERO, _band_terms(wt, tau.values, band, t[starts[-2]:], ends[2 * k:2 * k + 2])
-    firsts = list(itertools.accumulate([p.size for p in pieces[:-1]], initial=0))[::2]
-    return np.add.reduceat(np.concatenate(pieces), firsts).tolist()
+    return ReportLayout(e, tau, responses, full_band, tau_bands).integrals(e, tau)
 
 
 def require_kind(s: Spectrum, kind: Kind, what: str) -> None:

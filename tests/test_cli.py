@@ -890,6 +890,47 @@ def test_campaign_prints_text_buffered_before_the_fork_once(three_weeks, tmp_pat
                                         f"campaign: 3/3 weeks accepted; results in {out}"]
 
 
+def _run_cli(argv, closed_stdout):
+    """``soilspec`` in a child process, its stdout captured or on a pipe
+    whose read end is already closed."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    if not closed_stdout:
+        return subprocess.run([sys.executable, "-m", "soilspec.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "soilspec.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_closed_stdout_keeps_the_exit_code_and_the_outputs(tmp_path):
+    # the reader of stdout has gone before synth and campaign print their
+    # line: each still writes every output, prints nothing on stderr and
+    # exits 0, and the outputs equal a normal run's byte for byte
+    (tmp_path / "s.yaml").write_text("weeks: 3\ndeposition_per_week: 0.02\nseed: 5\n")
+    data, out = tmp_path / "data", tmp_path / "out"
+    trees = []
+    for closed in (False, True):
+        for argv in (["synth", "--scenario", str(tmp_path / "s.yaml"), "--out", str(data)],
+                     ["campaign", "--cell", str(bundled_cell_config_path()), "--data", str(data),
+                      "--out", str(out)]):
+            proc = _run_cli(argv, closed)
+            assert (proc.returncode, proc.stderr) == (0, b""), (argv[0], proc.stderr)
+        trees.append((_tree_bytes(data), _tree_bytes(out)))
+        shutil.rmtree(data)
+        shutil.rmtree(out)
+    assert sorted(trees[0][1]) == ["campaign.json", "fits.json", "weekly.csv"]
+    assert trees[1] == trees[0]
+
+
 @pytest.fixture(scope="module")
 def six_dim_weeks(tmp_path_factory):
     """The demo scenario's first 6 weeks with each soiled scan dimmed by 1e-155

@@ -1,10 +1,18 @@
+import copy
 import dataclasses
+import os
+import pickle
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import soilspec.cell
 import soilspec.metrics
+import soilspec.spectral as spectral
 from soilspec import (
     IndexReport,
     Junction,
@@ -381,27 +389,38 @@ def _per_spectrum_indexes(spectra, cell, tau):
 
 
 def _record_kernel_calls(monkeypatch):
-    """Record the arguments of every report_integrals call the report makes,
-    and every jsc_junction call, of which it should make none."""
-    calls, singles = [], []
-    kernel = soilspec.metrics.report_integrals
-    monkeypatch.setattr(soilspec.metrics, "report_integrals",
-                        lambda *args: calls.append(args) or kernel(*args))
+    """Record every report layout a cell builds, with its arguments, every
+    evaluation of a layout, as (layout, E, tau), and every jsc_junction
+    call the report makes, of which it should make none."""
+    builds, evals, singles = [], [], []
+    build, evaluate = soilspec.cell.ReportLayout, spectral.ReportLayout.integrals
+
+    def record_build(*args):
+        builds.append((build(*args), args))
+        return builds[-1][0]
+
+    monkeypatch.setattr(soilspec.cell, "ReportLayout", record_build)
+    monkeypatch.setattr(spectral.ReportLayout, "integrals",
+                        lambda layout, e, tau: evals.append((layout, e, tau))
+                        or evaluate(layout, e, tau))
     monkeypatch.setattr(soilspec.metrics, "jsc_junction",
                         lambda *args: singles.append(args) or jsc_junction(*args))
-    return calls, singles
+    return builds, evals, singles
 
 
-def _check_one_call_per_grid(calls, grids, cell, tau):
-    """One kernel call per distinct grid, in first-seen order, told by the
-    irradiance of each call; each with tau, the cell's (SR, band) pairs in
-    stack order and its full band, and the first alone with the AST bands."""
-    assert [c[0].wavelengths_nm.tobytes() for c in calls] == [g.tobytes() for g in grids]
+def _check_one_call_per_grid(builds, evals, grids, cell, tau):
+    """One evaluation per distinct grid, in first-seen order, told by the
+    irradiance of each, each of a layout the cell (a fresh one) built for
+    it in this report: with tau, the cell's (SR, band) pairs in stack
+    order and its full band, and the first alone with the AST bands."""
+    assert [e.wavelengths_nm.tobytes() for _, e, _ in evals] == [g.tobytes() for g in grids]
+    assert [layout for layout, _ in builds] == [layout for layout, _, _ in evals]
     responses = [(j.sr, j.band) for j in cell.junctions]
-    for k, (_, t, got, full_band, tau_bands) in enumerate(calls):
-        assert t is tau and full_band == cell.full_band
-        assert list(got) == responses
-        assert tuple(tau_bands) == (cell.bands if k == 0 else ())
+    for k, ((layout, e, t), (_, args)) in enumerate(zip(evals, builds)):
+        built_e, built_tau, got, full_band, tau_bands = args
+        assert t is tau and built_tau is tau and built_e is e
+        assert list(got) == responses and full_band == cell.full_band
+        assert tuple(tau_bands) == layout.tau_bands == (cell.bands if k == 0 else ())
 
 
 def _grid_sums(spectra):
@@ -417,11 +436,12 @@ def _grid_sums(spectra):
 def test_weighted_report_mixed_grids_matches_per_spectrum_sums(bundled_cell, monkeypatch):
     spectra = mixed_grid_day()
     tau = bundled_tau()
-    calls, singles = _record_kernel_calls(monkeypatch)
-    report = index_report_weighted(spectra, bundled_cell, tau)
+    cell = dataclasses.replace(bundled_cell)  # a fresh cell, holding no layout
+    builds, evals, singles = _record_kernel_calls(monkeypatch)
+    report = index_report_weighted(spectra, cell, tau)
     # the 5 nm grid, then the 4 nm one, and no single-current call
-    _check_one_call_per_grid(calls, [spectra[0].wavelengths_nm, spectra[1].wavelengths_nm],
-                             bundled_cell, tau)
+    _check_one_call_per_grid(builds, evals,
+                             [spectra[0].wavelengths_nm, spectra[1].wavelengths_nm], cell, tau)
     assert singles == []
     expected, limiting = _per_spectrum_indexes(spectra, bundled_cell, tau)
     for key, value in expected.items():
@@ -444,10 +464,11 @@ def test_weighted_report_groups_grids_by_content(bundled_cell, monkeypatch):
     assert a1.wavelengths_nm is a0.wavelengths_nm
     assert a_copy.wavelengths_nm is not a0.wavelengths_nm
     tau = bundled_tau()
-    calls, singles = _record_kernel_calls(monkeypatch)
-    report = index_report_weighted(day, bundled_cell, tau).to_dict()
+    cell = dataclasses.replace(bundled_cell)  # a fresh cell, holding no layout
+    builds, evals, singles = _record_kernel_calls(monkeypatch)
+    report = index_report_weighted(day, cell, tau).to_dict()
     # one evaluation per distinct grid: A (all three spectra), then B
-    _check_one_call_per_grid(calls, [grid_a, b.wavelengths_nm], bundled_cell, tau)
+    _check_one_call_per_grid(builds, evals, [grid_a, b.wavelengths_nm], cell, tau)
     assert singles == []
     monkeypatch.undo()
     own_grids = [Spectrum(e.wavelengths_nm.copy(), e.values, e.kind, e.units) for e in day]
@@ -522,17 +543,17 @@ def test_weighted_report_samples_each_junction_once_when_tau_is_on_the_grid(bund
     # and tau on another equal copy: one distinct grid, one kernel call, and
     # one union per junction, of the grid and the junction's SR, which its
     # cleaned and soiled currents share; no single-current call
-    import soilspec.spectral as spectral
     grid = np.arange(297.5, 1815.0, 5.0)
     a0 = synth_spectrum(0.2, grid)
     day = [a0, a0.with_values(0.3 * a0.values), synth_spectrum(-0.1, grid.copy())]
     tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), grid.copy())
-    calls, singles = _record_kernel_calls(monkeypatch)
+    cell = dataclasses.replace(bundled_cell)  # a fresh cell, holding no layout
+    builds, evals, singles = _record_kernel_calls(monkeypatch)
     unions = []
     monkeypatch.setattr(spectral, "_union", lambda grids, lo, hi, f=spectral._union:
                         unions.append(grids) or f(grids, lo, hi))
-    report = index_report_weighted(day, bundled_cell, tau).to_dict()
-    _check_one_call_per_grid(calls, [grid], bundled_cell, tau)
+    report = index_report_weighted(day, cell, tau).to_dict()
+    _check_one_call_per_grid(builds, evals, [grid], cell, tau)
     assert singles == []
     assert len(unions) == len(bundled_cell.junctions)
     for grids, j in zip(unions, bundled_cell.junctions):
@@ -626,7 +647,131 @@ def test_report_raises_the_first_failing_integrals_error(bundled_cell, e_grid, t
     e = synth_spectrum(0.3, e_grid)
     tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), tau_grid)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        index_report(e, bundled_cell, tau)
+        index_report(e, dataclasses.replace(bundled_cell), tau)  # a fresh cell
+
+
+# ---------------------------------------------------------------------------
+# the report layout a cell holds
+# ---------------------------------------------------------------------------
+
+def _grid_cases():
+    """(E, tau) on grid A, on grid B, on an equal copy A' of A, and E on
+    grid A with tau on grid B (C)."""
+    grid_a, grid_b = np.arange(297.5, 1815.0, 5.0), np.arange(296.0, 1816.0, 4.0)
+    soil = SoilingModel(k=0.3, alpha=1.2)
+    a = synth_spectrum(0.2, grid_a), synth_tau(soil, grid_a)
+    b = synth_spectrum(-0.1, grid_b), synth_tau(SoilingModel(k=0.1, alpha=0.8), grid_a.copy())
+    a_copy = synth_spectrum(0.5, grid_a.copy()), synth_tau(soil, grid_a.copy())
+    c = a[0], synth_tau(soil, grid_b.copy())
+    return {"A": a, "B": b, "A'": a_copy, "C": c}
+
+
+@pytest.mark.parametrize("order, built", [("A B A".split(), 3), ("A A'".split(), 1),
+                                          ("A A' B A".split(), 3), ("A C A".split(), 3)])
+def test_held_layout_gives_a_fresh_cells_report(bundled_cell, monkeypatch, order, built):
+    # the cell reuses its layout while the grids repeat, by content, and
+    # every report has the bits of one from a cell that holds none
+    cases = _grid_cases()
+    cell = dataclasses.replace(bundled_cell)
+    expected = {k: _hexed(index_report(e, dataclasses.replace(bundled_cell), tau).to_dict())
+                for k, (e, tau) in cases.items()}
+    builds, evals, _ = _record_kernel_calls(monkeypatch)
+    for k in order:
+        e, tau = cases[k]
+        assert _hexed(index_report(e, cell, tau).to_dict()) == expected[k], k
+    assert len(builds) == built
+    assert len(evals) == len(order)
+
+
+def test_held_layout_is_asked_for_with_or_without_the_ast_bands(bundled_cell):
+    # the first grid of a day takes the AST bands and a second one does not,
+    # so a two-grid day builds two layouts; each is reused when asked alike
+    e, tau = _grid_cases()["A"]
+    cell = dataclasses.replace(bundled_cell)
+    with_bands = cell.report_layout(e, tau, ast_bands=True)
+    assert with_bands.tau_bands == cell.bands
+    assert cell.report_layout(e, tau, ast_bands=True) is with_bands
+    without = cell.report_layout(e, tau, ast_bands=False)
+    assert without is not with_bands and without.tau_bands == ()
+    assert cell.report_layout(e, tau, ast_bands=False) is without
+
+
+@pytest.mark.parametrize("e_grid, tau_grid, error, message", [
+    (_GRID_5NM, np.arange(400.0, 2001.0, 4.0), BandOutOfSupport,
+     "band 'top' [300.0, 720.0] nm not covered by support [400.0, 720.0] nm"),
+    (_GRID_5NM, np.arange(1000.0, 2001.0, 4.0), NoOverlap,
+     "spectra supports do not overlap: [297.5, 1812.5], [1000.0, 2000.0], [300.0, 720.0]"),
+], ids=["tau-from-400", "tau-from-1000"])
+def test_failed_layout_build_raises_again_and_keeps_the_held_layout(
+        bundled_cell, monkeypatch, e_grid, tau_grid, error, message):
+    good_e, good_tau = _grid_cases()["A"]
+    cell = dataclasses.replace(bundled_cell)
+    good = _hexed(index_report(good_e, cell, good_tau).to_dict())
+    held = cell.report_layout(good_e, good_tau, ast_bands=True)
+    e = synth_spectrum(0.3, e_grid)
+    tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), tau_grid)
+    for _ in range(2):  # the same error and message on the next identical call
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            index_report(e, cell, tau)
+    builds, _, _ = _record_kernel_calls(monkeypatch)
+    assert cell.report_layout(good_e, good_tau, ast_bands=True) is held
+    assert _hexed(index_report(good_e, cell, good_tau).to_dict()) == good
+    assert builds == []
+
+
+def test_held_layout_under_threads(bundled_cell):
+    # more threads than cores share one cell and alternate its grids, with
+    # a short switch interval, for half a second; every report must have
+    # the bits of a fresh cell's
+    cases = list(_grid_cases().values())
+    expected = [_hexed(index_report(e, dataclasses.replace(bundled_cell), tau).to_dict())
+                for e, tau in cases]
+    cell = dataclasses.replace(bundled_cell)
+    n_threads = 2 * (os.cpu_count() or 1) + 2
+    deadline = time.monotonic() + 0.5
+    wrong, done = [], []
+
+    def work(k):
+        i = 0
+        while i < 2 * len(cases) or time.monotonic() < deadline:
+            c = (k + i) % len(cases)
+            if _hexed(index_report(cases[c][0], cell, cases[c][1]).to_dict()) != expected[c]:
+                wrong.append((k, i))
+            i += 1
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(n_threads))
+    assert wrong == []
+
+
+def test_held_layout_leaves_equality_repr_replace_and_pickle_alone(bundled_cell, monkeypatch):
+    e, tau = _grid_cases()["A"]
+    cell = dataclasses.replace(bundled_cell)
+    before = repr(cell), pickle.dumps(cell), copy.copy(cell)
+    report = index_report(e, cell, tau).to_dict()
+    assert cell.report_layout(e, tau, ast_bands=True) is not None
+    assert cell == bundled_cell == before[2]
+    assert repr(cell) == before[0]
+    assert dataclasses.replace(cell, name="x") == dataclasses.replace(bundled_cell, name="x")
+    assert pickle.dumps(cell) == before[1]  # the layout is not pickled
+    # a copy, an unpickled cell and a replaced one each build their own layout
+    builds, _, _ = _record_kernel_calls(monkeypatch)
+    for other in (pickle.loads(pickle.dumps(cell)), copy.copy(cell), dataclasses.replace(cell)):
+        assert repr(other) == repr(cell)
+        assert index_report(e, other, tau).to_dict() == report
+    assert copy.copy(cell) == dataclasses.replace(cell) == cell  # spectra compare by identity
+    assert len(builds) == 3
 
 
 # ---------------------------------------------------------------------------
