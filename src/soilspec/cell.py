@@ -183,18 +183,18 @@ class CellModel:
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_layout": None}
 
-    def report_layout(self, e: Spectrum, tau: Spectrum, ast_bands: bool) -> ReportLayout:
+    def report_layout(self, e: Spectrum, tau: Spectrum) -> ReportLayout:
         """The :class:`~soilspec.spectral.ReportLayout` of this cell's report
         of the irradiance ``e`` under the soiling transmittance ``tau``,
-        with the AST bands (:attr:`bands`) when ``ast_bands`` is true and
-        without them otherwise.
+        with the cell's (SR, band) pairs in stack order, its full band and
+        :attr:`bands` as the AST bands.
 
         The cell holds the one layout it last built, and returns it while a
         call's E grid and tau grid equal those it was built for (the same
         array, or the same size and then the same samples, as
-        :func:`~soilspec.spectral.same_grid` tells) and the call asks for
-        the AST bands as that one did. Otherwise it builds a new layout,
-        which raises the first :class:`~soilspec.errors.NoOverlap` or
+        :meth:`~soilspec.spectral.ReportLayout.fits` tells). Otherwise it
+        builds a new layout, which raises the first
+        :class:`~soilspec.errors.NoOverlap` or
         :class:`~soilspec.errors.BandOutOfSupport` of the report's
         integrals, and holds that one; a build that raises leaves the held
         layout as it was. A campaign whose spectra share one grid and
@@ -204,10 +204,10 @@ class CellModel:
         at worst two threads each build one.
         """
         held = self._layout
-        if held is not None and bool(held.tau_bands) == ast_bands and held.fits(e, tau):
+        if held is not None and held.fits(e, tau):
             return held
         layout = ReportLayout(e, tau, [(j.sr, j.band) for j in self.junctions], self.full_band,
-                              self.bands if ast_bands else ())
+                              self.bands)
         object.__setattr__(self, "_layout", layout)
         return layout
 

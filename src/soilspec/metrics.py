@@ -343,15 +343,15 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     by their samples, not by the array holding them, and evaluated in the
     order each is first seen; so the report is the same, bit for bit,
     whether equal grids share one array or each spectrum has its own copy.
-    Each grid's currents and broadband integrals, and with the first grid
-    the AST band integrals of ``tau``, come from one evaluation of the
-    report layout that :meth:`CellModel.report_layout` gives for that grid
-    and ``tau``, as :func:`~soilspec.spectral.report_integrals` would give
-    them: every result has the bits of the :func:`jsc_junction`,
-    :func:`integrate` or :func:`integrate_product` call it stands for. The
-    cell holds the last layout it built and reuses it while the grids
-    repeat, as they do week after week in a campaign whose field spectra
-    share one grid and whose coupon scans share another.
+    Each grid's currents, broadband integrals and AST band integrals of
+    ``tau`` come from one evaluation of the layout that
+    :meth:`CellModel.report_layout` gives for that grid and ``tau``, each
+    with the bits of the :func:`jsc_junction`, :func:`integrate` or
+    :func:`integrate_product` call it stands for; the ASTs, tau's alone,
+    are read from the first grid's. The cell holds the last layout it
+    built and reuses it while the grids repeat, as they do week after week
+    in a campaign whose field spectra share one grid and whose coupon
+    scans share another.
     """
     if len(spectra) == 0:
         raise ValueError("need at least one irradiance spectrum")
@@ -363,9 +363,9 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     soiled = {j.name: 0.0 for j in cell.junctions}
     b_clean = 0.0
     b_soil = 0.0
-    asts = None  # integrated with the first grid only
+    asts = None  # taken from the first grid
     for e in _sum_by_grid(spectra):
-        got = cell.report_layout(e, tau, ast_bands=asts is None).integrals(e, tau)
+        got = cell.report_layout(e, tau).integrals(e, tau)
         for j, c, s in zip(cell.junctions, got[0:2 * n:2], got[1:2 * n:2]):
             cleaned[j.name] += c
             soiled[j.name] += s

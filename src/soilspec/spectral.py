@@ -13,14 +13,13 @@ trapezoids of the band's samples of one curve and close the band.
 :func:`integrate_rows` does the same for each row of a stack of curves
 on one grid, such as a week's replicate transmittances, with the bits of
 :func:`integrate` of each row.
-:func:`report_integrals` computes the twelve a report needs at once:
-it builds a :class:`ReportLayout`, everything that depends only on the
-grids (each junction's union grids, the SRs sampled on them and where
-each band cuts its grid), and evaluates it, sampling each spectrum with
-one ``np.interp`` call and summing every band with one reduction; each
-result has the bits of the single call it stands for. A caller whose
-grids repeat, as a campaign's do, may keep the layout and evaluate it
-again (see :meth:`~soilspec.cell.CellModel.report_layout`).
+A report's integrals come from a :class:`ReportLayout`, everything that
+depends only on the grids (each junction's union grids, the SRs sampled
+on them and where each band cuts its grid), built once and evaluated
+with one ``np.interp`` call per spectrum and one reduction for every
+band; each result has the bits of the single call it stands for. A cell
+holds the layout it last built (see
+:meth:`~soilspec.cell.CellModel.report_layout`).
 :func:`pointwise_product` stays for callers that need the product curve.
 
 Conventions
@@ -67,11 +66,8 @@ __all__ = [
     "integrate",
     "integrate_rows",
     "integrate_product",
-    "report_integrals",
     "ReportLayout",
     "pointwise_product",
-    "same_grid",
-    "union_grid",
     "sample_on_union",
     "read_spectrum_csv",
     "spectrum_csv_text",
@@ -382,35 +378,8 @@ def integrate_rows(wavelengths_nm: np.ndarray, rows: np.ndarray, band: Waveband)
 
 
 def _equal_grids(w: np.ndarray, g: np.ndarray) -> bool:
+    """Whether two grids are the same array, or of one size and equal."""
     return w is g or (w.size == g.size and bool((w == g).all()))
-
-
-def same_grid(a: Spectrum, b: Spectrum) -> bool:
-    """Whether two spectra are sampled on one grid: the same array, or
-    arrays of one size holding equal samples (the size is compared first)."""
-    return _equal_grids(a.wavelengths_nm, b.wavelengths_nm)
-
-
-def union_grid(spectra: Iterable[Spectrum]) -> np.ndarray:
-    """Union of sample grids restricted to the common overlap.
-
-    When every grid is the first one's (see :func:`same_grid`), that is
-    the union, and the first spectrum's read-only grid array is returned
-    as it is."""
-    spectra = list(spectra)
-    if not spectra:
-        raise ValueError("need at least one spectrum")
-    first = spectra[0]
-    for s in spectra[1:]:  # a loop: all() over a generator costs about 1 us more a call
-        if not same_grid(s, first):
-            break
-    else:
-        return first.wavelengths_nm
-    lo = max([s.wavelengths_nm[0] for s in spectra])
-    hi = min([s.wavelengths_nm[-1] for s in spectra])
-    if lo >= hi:
-        raise _no_overlap(spectra)
-    return _union([s.wavelengths_nm for s in spectra], lo, hi)
 
 
 def _no_overlap(spectra: Sequence[Spectrum]) -> NoOverlap:
@@ -434,14 +403,27 @@ def _union(grids: Sequence[np.ndarray], lo: float, hi: float) -> np.ndarray:
 
 
 def sample_on_union(spectra: Sequence[Spectrum]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The :func:`union_grid` of the spectra and each one's values on it:
-    its own read-only ``values`` for a spectrum already on that grid, which
+    """The union of the spectra's grids over the overlap of their supports
+    and each one's values on it. When every grid is the first one's (see
+    :func:`_equal_grids`), that grid is the union and is returned as it is;
+    a spectrum on the union keeps its own read-only ``values``, which
     ``np.interp`` would reproduce bit for bit."""
-    grid = union_grid(spectra)
-    lo, hi, n = grid[0], grid[-1], grid.size
-    # n points from lo to hi, all of them union points, are the union.
-    return grid, [s.values if (w := s.wavelengths_nm).size == n and w[0] == lo and w[-1] == hi
-                  else np.interp(grid, w, s.values) for s in spectra]
+    if not spectra:
+        raise ValueError("need at least one spectrum")
+    grid = spectra[0].wavelengths_nm
+    for s in spectra[1:]:  # a loop: all() over a generator costs about 1 us more a call
+        if not _equal_grids(s.wavelengths_nm, grid):
+            break
+    else:
+        return grid, [s.values for s in spectra]
+    lo = max([s.wavelengths_nm[0] for s in spectra])
+    hi = min([s.wavelengths_nm[-1] for s in spectra])
+    if lo >= hi:
+        raise _no_overlap(spectra)
+    grid = _union([s.wavelengths_nm for s in spectra], lo, hi)
+    # grid.size points from lo to hi, all of them union points, are the union.
+    return grid, [s.values if (w := s.wavelengths_nm).size == grid.size and w[0] == lo
+                  and w[-1] == hi else np.interp(grid, w, s.values) for s in spectra]
 
 
 def _product(spectra: Sequence[Spectrum]) -> tuple[np.ndarray, np.ndarray]:
@@ -487,20 +469,26 @@ def integrate_product(*spectra: Spectrum, band: Waveband) -> float:
 
 class ReportLayout:
     """The part of a report's band integrals that depends only on the
-    grids: what :func:`report_integrals` builds before it reads a value.
+    grids, built before a value is read.
 
     Built from an irradiance ``e`` and a soiling transmittance ``tau``, of
     which it reads only the grids, a cell's ``(sr, band)`` pairs in stack
     order (``responses``), its ``full_band`` and the AST bands
-    ``tau_bands``. Building checks the supports in the order of the single
-    calls that :func:`report_integrals` stands for, so the first that
-    would raise :class:`NoOverlap` or :class:`BandOutOfSupport` raises it
-    here, with the same message. The layout holds:
+    ``tau_bands``. :meth:`integrals` returns, for each pair, its cleaned
+    current and then its soiled one, with the bits of
+    ``integrate_product(e, sr, band=band)`` and ``integrate_product(e,
+    tau, sr, band=band)``; then those of ``integrate(e, full_band)`` and
+    ``integrate_product(e, tau, band=full_band)``; then those of
+    ``integrate(tau, b)`` for each band ``b`` of ``tau_bands``. Building
+    checks the supports in the order of those single calls, so the first
+    that would raise :class:`NoOverlap` or :class:`BandOutOfSupport`
+    raises it here, with the same message. The layout holds:
 
     * each junction's union of E's and its SR's grids (cleaned current),
       and of E's, tau's and its SR's (soiled current), which are one union
-      when tau is on E's grid (see :func:`same_grid`); and the union of
-      E's and tau's grids, which is then E's grid;
+      when tau is on E's grid (see :meth:`fits`); and the union of E's
+      and tau's grids, which is then E's grid. It builds them with
+      :func:`_union`, from the overlaps it has already checked;
     * those grids laid end to end with E's and tau's, and the differences
       of that concatenated grid;
     * each SR sampled on its junction's unions;
@@ -512,9 +500,9 @@ class ReportLayout:
     changed after it is built, so threads may share one.
     """
 
-    __slots__ = ("tau_bands", "_we", "_wt", "_shared", "_x_e", "_x_tau", "_at", "_n_clean",
-                 "_n_sr", "_sr", "_dx", "_interps", "_tau_limits", "_cuts", "_inner", "_gather",
-                 "_scatter", "_zeros", "_firsts")
+    __slots__ = ("_we", "_wt", "_shared", "_x_e", "_x_tau", "_at", "_n_clean", "_n_sr", "_sr",
+                 "_dx", "_interps", "_tau_limits", "_cuts", "_inner", "_gather", "_scatter",
+                 "_zeros", "_firsts")
 
     def __init__(self, e: Spectrum, tau: Spectrum,
                  responses: Sequence[tuple[Spectrum, Waveband]], full_band: Waveband,
@@ -566,7 +554,6 @@ class ReportLayout:
             s = np.interp(a if shared else np.concatenate((a, b)), sr.wavelengths_nm, sr.values)
             sr_clean.append(s[:a.size])
             sr_soiled.append(s[-b.size:])
-        self.tau_bands = tuple(tau_bands)
         self._we, self._wt, self._shared = we, wt, shared
         self._x_e, self._x_tau, self._at = x[:end], x[at:end], at
         self._n_clean, self._n_sr = starts[n], starts[2 * n]
@@ -620,14 +607,14 @@ class ReportLayout:
     def fits(self, e: Spectrum, tau: Spectrum) -> bool:
         """Whether ``e`` and ``tau`` are on the grids this layout was built
         for: each the same array, or of the same size and then with the
-        same samples (see :func:`same_grid`)."""
+        same samples."""
         return (_equal_grids(e.wavelengths_nm, self._we)
                 and _equal_grids(tau.wavelengths_nm, self._wt))
 
     def integrals(self, e: Spectrum, tau: Spectrum) -> list[float]:
-        """The band integrals of E under tau, in the order of
-        :func:`report_integrals`. E and tau must be on the grids the layout
-        was built for (see :meth:`fits`).
+        """The band integrals of E under tau, in the order that
+        :class:`ReportLayout` gives. E and tau must be on the grids the
+        layout was built for (see :meth:`fits`).
 
         E and tau are each sampled with one ``np.interp`` call over all the
         unions they are needed on; at a point of its own grid ``np.interp``
@@ -655,33 +642,6 @@ class ReportLayout:
         terms[self._scatter] = self._zeros + _end_terms(self._cuts, limits,
                                                         y[self._inner].tolist())
         return np.add.reduceat(terms, self._firsts).tolist()
-
-
-def report_integrals(e: Spectrum, tau: Spectrum, responses: Sequence[tuple[Spectrum, Waveband]],
-                     full_band: Waveband, tau_bands: Sequence[Waveband]) -> list[float]:
-    """The band integrals of one irradiance's report, in one pass.
-
-    ``responses`` holds a cell's ``(sr, band)`` pairs in stack order. The
-    list returned holds, for each pair, its cleaned current and then its
-    soiled one, with the bits of ``integrate_product(e, sr, band=band)``
-    and ``integrate_product(e, tau, sr, band=band)``; then those of
-    ``integrate(e, full_band)`` and ``integrate_product(e, tau,
-    band=full_band)``; then those of ``integrate(tau, b)`` for each band
-    ``b`` of ``tau_bands``.
-
-    It builds the grids' :class:`ReportLayout` and evaluates it, and holds
-    nothing: a caller that integrates on the same grids again may keep
-    the layout instead (see :meth:`~soilspec.cell.CellModel.report_layout`).
-    A junction's cleaned current is taken on the union of E's and its
-    SR's grids, and its soiled current on the union of E's, tau's and its
-    SR's; when tau is on E's grid (see :func:`same_grid`) the two are one
-    union. E * tau is taken on the union of E's and tau's grids, which is
-    then E's grid, with their values as they are. The supports are
-    checked in the order of the single calls, so the first that would
-    raise :class:`NoOverlap` or :class:`BandOutOfSupport` raises it here,
-    with the same message.
-    """
-    return ReportLayout(e, tau, responses, full_band, tau_bands).integrals(e, tau)
 
 
 def require_kind(s: Spectrum, kind: Kind, what: str) -> None:

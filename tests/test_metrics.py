@@ -412,15 +412,15 @@ def _check_one_call_per_grid(builds, evals, grids, cell, tau):
     """One evaluation per distinct grid, in first-seen order, told by the
     irradiance of each, each of a layout the cell (a fresh one) built for
     it in this report: with tau, the cell's (SR, band) pairs in stack
-    order and its full band, and the first alone with the AST bands."""
+    order, its full band and its AST bands."""
     assert [e.wavelengths_nm.tobytes() for _, e, _ in evals] == [g.tobytes() for g in grids]
     assert [layout for layout, _ in builds] == [layout for layout, _, _ in evals]
     responses = [(j.sr, j.band) for j in cell.junctions]
-    for k, ((layout, e, t), (_, args)) in enumerate(zip(evals, builds)):
+    for (_, e, t), (_, args) in zip(evals, builds):
         built_e, built_tau, got, full_band, tau_bands = args
         assert t is tau and built_tau is tau and built_e is e
         assert list(got) == responses and full_band == cell.full_band
-        assert tuple(tau_bands) == layout.tau_bands == (cell.bands if k == 0 else ())
+        assert tuple(tau_bands) == cell.bands
 
 
 def _grid_sums(spectra):
@@ -683,17 +683,22 @@ def test_held_layout_gives_a_fresh_cells_report(bundled_cell, monkeypatch, order
     assert len(evals) == len(order)
 
 
-def test_held_layout_is_asked_for_with_or_without_the_ast_bands(bundled_cell):
-    # the first grid of a day takes the AST bands and a second one does not,
-    # so a two-grid day builds two layouts; each is reused when asked alike
-    e, tau = _grid_cases()["A"]
+def test_two_grid_day_builds_two_layouts_with_the_ast_bands(bundled_cell, monkeypatch):
+    # a fresh cell builds one layout per grid of the day, each with the AST
+    # bands; the day's ASTs are tau's alone, with the bits of a one-grid
+    # report of either grid under the same tau
+    spectra = mixed_grid_day()
+    tau = bundled_tau()
     cell = dataclasses.replace(bundled_cell)
-    with_bands = cell.report_layout(e, tau, ast_bands=True)
-    assert with_bands.tau_bands == cell.bands
-    assert cell.report_layout(e, tau, ast_bands=True) is with_bands
-    without = cell.report_layout(e, tau, ast_bands=False)
-    assert without is not with_bands and without.tau_bands == ()
-    assert cell.report_layout(e, tau, ast_bands=False) is without
+    builds, evals, _ = _record_kernel_calls(monkeypatch)
+    report = index_report_weighted(spectra, cell, tau)
+    assert len(builds) == len(evals) == 2
+    assert [tuple(args[4]) for _, args in builds] == [cell.bands, cell.bands]
+    monkeypatch.undo()
+    for e in spectra[:2]:
+        one_grid = index_report(e, dataclasses.replace(bundled_cell), tau)
+        assert ({b: v.hex() for b, v in report.ast.items()}
+                == {b: v.hex() for b, v in one_grid.ast.items()})
 
 
 @pytest.mark.parametrize("e_grid, tau_grid, error, message", [
@@ -707,14 +712,14 @@ def test_failed_layout_build_raises_again_and_keeps_the_held_layout(
     good_e, good_tau = _grid_cases()["A"]
     cell = dataclasses.replace(bundled_cell)
     good = _hexed(index_report(good_e, cell, good_tau).to_dict())
-    held = cell.report_layout(good_e, good_tau, ast_bands=True)
+    held = cell.report_layout(good_e, good_tau)
     e = synth_spectrum(0.3, e_grid)
     tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), tau_grid)
     for _ in range(2):  # the same error and message on the next identical call
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             index_report(e, cell, tau)
     builds, _, _ = _record_kernel_calls(monkeypatch)
-    assert cell.report_layout(good_e, good_tau, ast_bands=True) is held
+    assert cell.report_layout(good_e, good_tau) is held
     assert _hexed(index_report(good_e, cell, good_tau).to_dict()) == good
     assert builds == []
 
@@ -760,7 +765,7 @@ def test_held_layout_leaves_equality_repr_replace_and_pickle_alone(bundled_cell,
     cell = dataclasses.replace(bundled_cell)
     before = repr(cell), pickle.dumps(cell), copy.copy(cell)
     report = index_report(e, cell, tau).to_dict()
-    assert cell.report_layout(e, tau, ast_bands=True) is not None
+    assert cell.report_layout(e, tau) is not None
     assert cell == bundled_cell == before[2]
     assert repr(cell) == before[0]
     assert dataclasses.replace(cell, name="x") == dataclasses.replace(bundled_cell, name="x")
@@ -825,6 +830,56 @@ def test_standalone_indexes_equal_report_bit_for_bit(bundled_cell):
         assert smr(e, bundled_cell) == rep.smr_cleaned
         assert smr(e, bundled_cell, tau) == rep.smr_soiled
         assert smratio(e, bundled_cell, tau) == rep.smratio
+
+
+# The standalone indexes on five cases with E and tau each on its own
+# random grid (seed 34), as (sratio, bsratio, ssratio, smr cleaned, smr
+# soiled, smratio), computed with each index on its own single calls.
+_PINNED_STANDALONE = [
+    ("0x1.32c42be64b708p-1", "0x1.67f1b4afbd881p-1", "0x1.b45b8686cd331p-1",
+     "0x1.5fd4e923c7b8fp-1", "0x1.31a2f1671d4d5p-1", "0x1.bcc65cf9d2098p-1"),
+    ("0x1.b8c9550042f01p-1", "0x1.8ebbe0bfc1952p-1", "0x1.1affc4a48ffa9p+0",
+     "0x1.605c5309381afp+0", "0x1.22a2f3fd82940p+0", "0x1.a64fb6134c3dep-1"),
+    ("0x1.69796d05e644dp-1", "0x1.4978800183095p-1", "0x1.18ddef4f7167ap+0",
+     "0x1.5774395c1aa05p+0", "0x1.eb61077b86f13p-1", "0x1.6e423cc1a93f1p-1"),
+    ("0x1.55cd17206f9a4p-1", "0x1.8c45baa46ea13p-1", "0x1.b99ef5f01dd03p-1",
+     "0x1.bad7d5ec2942ap-1", "0x1.743d09acdcef9p-1", "0x1.ae5e8a082e200p-1"),
+    ("0x1.f74f4ecba0e54p-1", "0x1.f4a9d7b650a6fp-1", "0x1.015a670bfaedbp+0",
+     "0x1.1143f264da71bp+0", "0x1.0d5cbddce3ddbp+0", "0x1.f8afda56cf7e8p-1"),
+]
+
+
+def test_standalone_indexes_are_pinned_on_random_grids(bundled_cell):
+    rng = np.random.default_rng(34)
+    for expected in _PINNED_STANDALONE:
+        tilt, soil = rng.uniform(-1.0, 1.0), SoilingModel(rng.uniform(0.02, 0.6),
+                                                          rng.uniform(0.5, 2.0))
+        e = synth_spectrum(float(tilt), _offset_grid(rng))
+        tau = synth_tau(soil, _offset_grid(rng))
+        cell = bundled_cell
+        assert (sratio(e, cell, tau).hex(), bsratio(e, cell, tau).hex(),
+                ssratio(e, cell, tau).hex(), smr(e, cell).hex(), smr(e, cell, tau).hex(),
+                smratio(e, cell, tau).hex()) == expected
+
+
+def test_standalone_indexes_need_only_their_own_bands(bundled_cell):
+    # E sampled on 300-1000 nm covers the eligible top and mid bands but
+    # not the bot band or the full band: sratio, smr and smratio read only
+    # top and mid and return their values, while bsratio, ssratio and the
+    # report, which need the whole stack, raise
+    e = synth_spectrum(0.3, np.arange(300.0, 1000.1, 5.0))
+    tau = synth_tau(SoilingModel(k=0.3, alpha=1.2), np.arange(298.0, 1814.0, 4.0))
+    cell = dataclasses.replace(bundled_cell)
+    assert (sratio(e, cell, tau).hex(), smr(e, cell).hex(), smr(e, cell, tau).hex(),
+            smratio(e, cell, tau).hex()) == ("0x1.a110eef75614cp-1", "0x1.2027c81a40a1fp+0",
+                                             "0x1.0047652311a53p+0", "0x1.c75c7839aca42p-1")
+    full = "band 'MJ' [300.0, 1810.0] nm not covered by support [300.0, 1000.0] nm"
+    for f in (bsratio, ssratio):
+        with pytest.raises(BandOutOfSupport, match=f"^{re.escape(full)}$"):
+            f(e, cell, tau)
+    bot = "band 'bot' [920.0, 1810.0] nm not covered by support [920.0, 1000.0] nm"
+    with pytest.raises(BandOutOfSupport, match=f"^{re.escape(bot)}$"):
+        index_report(e, cell, tau)
 
 
 _ZCC, _ZD, _ZC = ZeroCleanCurrent, ZeroDenominator, ZeroCurrent

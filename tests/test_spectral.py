@@ -24,12 +24,11 @@ from soilspec.spectral import (
     DIMENSIONLESS,
     IRRADIANCE_UNITS,
     SR_UNITS,
+    ReportLayout,
+    _equal_grids,
     integrate_rows,
     read_spectrum_csv,
-    report_integrals,
-    same_grid,
     sample_on_union,
-    union_grid,
     write_spectrum_csv,
     write_text_atomic,
 )
@@ -362,8 +361,6 @@ def test_product_units_and_kind():
 
 def test_union_grid_needs_a_spectrum():
     with pytest.raises(ValueError, match="need at least one spectrum"):
-        union_grid([])
-    with pytest.raises(ValueError, match="need at least one spectrum"):
         sample_on_union([])
 
 
@@ -423,17 +420,13 @@ def test_sample_on_union_equals_unique_and_interp(spectra):
     ws = [s.wavelengths_nm for s in spectra]
     lo, hi = max(w[0] for w in ws), min(w[-1] for w in ws)
     if lo >= hi:
-        for f in (union_grid, sample_on_union):
-            with pytest.raises(NoOverlap):
-                f(spectra)
+        with pytest.raises(NoOverlap):
+            sample_on_union(spectra)
         return
     pts = np.concatenate(ws)
     expected = np.unique(pts[(pts >= lo) & (pts <= hi)])
     grid, sampled = sample_on_union(spectra)
     assert grid.tobytes() == expected.tobytes()
-    assert union_grid(spectra).tobytes() == expected.tobytes()
-    # union_grid takes any iterable, a one-shot generator included
-    assert union_grid(s for s in spectra).tobytes() == expected.tobytes()
     assert len(sampled) == len(spectra)
     for s, v in zip(spectra, sampled):
         assert v.tobytes() == np.interp(grid, s.wavelengths_nm, s.values).tobytes()
@@ -445,15 +438,14 @@ def test_union_of_equal_grids_is_the_first_grid_itself():
     a, b = _sharing([300.0, 305.0, 320.0], 2)
     copy = _on([300.0, 305.0, 320.0])[0]
     for spectra in ([a], [a, b], [a, copy, b], [copy, a]):
-        assert same_grid(spectra[0], spectra[-1])
-        assert union_grid(spectra) is spectra[0].wavelengths_nm
+        assert _equal_grids(spectra[0].wavelengths_nm, spectra[-1].wavelengths_nm)
         grid, sampled = sample_on_union(spectra)
         assert grid is spectra[0].wavelengths_nm
         assert all(v is s.values for s, v in zip(spectra, sampled))
     # a grid of another size, and one of the same size with another sample
     for other in _on([300.0, 305.0], [300.0, 306.0, 320.0]):
-        assert not same_grid(a, other)
-        assert union_grid([a, other]) is not a.wavelengths_nm
+        assert not _equal_grids(a.wavelengths_nm, other.wavelengths_nm)
+        assert sample_on_union([a, other])[0] is not a.wavelengths_nm
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +609,7 @@ def test_integrate_product_disjoint_supports():
 
 
 # ---------------------------------------------------------------------------
-# report_integrals
+# a report's integrals from its layout
 # ---------------------------------------------------------------------------
 
 def _limits_in(draw, grid):
@@ -637,7 +629,7 @@ def _past(draw, grid):
 
 @st.composite
 def _reports(draw):
-    """The arguments of one report_integrals call. tau is on E's grid as
+    """The arguments of one ReportLayout build. tau is on E's grid as
     one shared array (``with_values`` keeps E's kind, which the kernel does
     not check), on an equal copy of it, or on a grid of its own; each of the
     1-3 SRs has its support drawn apart from E's, so it is often narrower.
@@ -674,7 +666,7 @@ _APART = Spectrum(np.array([1100.0, 1200.0]), np.ones(2), Kind.SPECTRAL_RESPONSE
 
 
 def _report_calls(e, tau, responses, full_band, tau_bands):
-    """The single calls whose results report_integrals returns, in its order,
+    """The single calls that a ReportLayout's integrals stand for, in order,
     as (factors, band): integrate for one factor, integrate_product else."""
     calls = [call for sr, band in responses for call in (((e, sr), band), ((e, tau, sr), band))]
     return calls + [((e,), full_band), ((e, tau), full_band)] + [((tau,), b) for b in tau_bands]
@@ -714,9 +706,9 @@ def test_report_integrals_equals_the_single_integrals(report):
     except (NoOverlap, BandOutOfSupport) as error:
         # the first call that fails alone raises the same error here
         with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
-            report_integrals(*report)
+            ReportLayout(*report).integrals(report[0], report[1])
         return
-    got = report_integrals(*report)
+    got = ReportLayout(*report).integrals(report[0], report[1])
     assert len(got) == len(calls)
     for value, single, (fs, band) in zip(got, singles, calls):
         assert value.hex() == _reference_trapezoid(*_reference_product(fs), band).hex()
@@ -739,7 +731,7 @@ def test_report_integrals_samples_a_shared_grid_once(monkeypatch):
     whole = Waveband("b", 300.0, 340.0)
     for tau, built in ((_PAIR_TAU, 2), (_E.with_values(_TAU.values), 2), (_TAU, 5)):
         unions.clear()
-        report_integrals(_E, tau, responses, whole, (whole,))
+        ReportLayout(_E, tau, responses, whole, (whole,)).integrals(_E, tau)
         assert len(unions) == built
         if built == 2:
             assert [sorted(g.tobytes() for g in grids) for grids in unions] == [
@@ -769,7 +761,7 @@ def test_report_integrals_raises_the_first_failing_calls_error(report):
         for fs, band in _report_calls(*report):
             _single(fs, band)
     with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
-        report_integrals(*report)
+        ReportLayout(*report).integrals(report[0], report[1])
 
 
 # ---------------------------------------------------------------------------
