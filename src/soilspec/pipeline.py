@@ -952,9 +952,7 @@ def write_campaign_dir(weeks: Sequence[WeeklyMeasurement],
             if len(scans) > 3:
                 raise ValueError(f"week id {m.week_id} has {len(scans)} {role} scans; "
                                  f"scan files are numbered 1 to 3")
-    for a, b in zip(days, days[1:]):
-        if a.date == b.date:
-            raise ValueError(f"field day {b.date} appears more than once")
+    _day_map(days)
     spec_rels, spectra = _spectrum_files(days)
     out_dir = Path(out_dir)
     if out_dir.is_dir():

@@ -140,6 +140,11 @@ class CampaignScenario:
             raise ValueError(f"week {self.weeks} would be scanned past {dt.date.max} "
                              f"(start_date {self.start_date})")
         object.__setattr__(self, "rain_weeks", tuple(self.rain_weeks))
+        listed = set()
+        for r in self.rain_weeks:
+            if r.week in listed:
+                raise ValueError(f"rain week {r.week} is listed more than once")
+            listed.add(r.week)
 
     @property
     def grid(self) -> np.ndarray:
@@ -259,8 +264,10 @@ def load_scenario(path: str | Path) -> CampaignScenario:
     doc = read_yaml(path)
     kinds = typing.get_type_hints(CampaignScenario)
     reject_unknown_keys(doc, kinds, path, "scenario")
-    rain = [(typed(e, "week", int, path), typed(e, "wash_fraction", float, path))
-            for e in typed(doc, "rain_weeks", list, path, default=[])]
+    rain = []
+    for e in typed(doc, "rain_weeks", list, path, default=[]):
+        rain.append((typed(e, "week", int, path), typed(e, "wash_fraction", float, path)))
+        reject_unknown_keys(e, ("week", "wash_fraction"), path, "rain week")
     kwargs = {f.name: typed(doc, f.name, kinds[f.name], path, f.default)
               for f in fields(CampaignScenario) if f.name != "rain_weeks"}
     try:

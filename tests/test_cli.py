@@ -380,6 +380,23 @@ def test_synth_rain_week_without_wash_fraction(tmp_path, capsys):
     _assert_config_error(rc, capsys, "s.yaml")
 
 
+@pytest.mark.parametrize("entries, named", [
+    ("  - {week: 2, wash_fraction: 0.5, wash_fration: 0.9}\n", "'wash_fration'"),
+    ("  - {week: 2, wash_fraction: 0.5}\n  - {week: 2, wash_fraction: 0.3}\n", "rain week 2 "),
+    ("  - {week: 2, wash_fraction: 0.5, wash_fration: 0.9}\n"
+     "  - {week: 2, wash_fraction: 0.3}\n", "'wash_fration'"),
+], ids=["misspelt-key", "week-listed-twice", "both"])
+def test_synth_rain_week_fault_names_file_and_key(tmp_path, capsys, entries, named):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("weeks: 4\ndeposition_per_week: 0.02\nrain_weeks:\n" + entries)
+    rc = main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    doc = _one_error(capsys)
+    assert doc["error"] == "ConfigError"
+    assert f"{scenario}: " in doc["message"] and named in doc["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_compute_junction_entry_not_a_mapping(toy_fixtures, capsys):
     (toy_fixtures / "cell.yaml").write_text(
         "name: toy\n"

@@ -135,6 +135,26 @@ def test_one_function_starts_processes():
         ("pipeline.py", "multiprocessing", "_in_two")]
 
 
+def calls_by_definition(source, names):
+    """(called name, enclosing top-level function or class name, or None at
+    module level) of each call of one of ``names`` in ``source``."""
+    return sorted({(node.func.id, getattr(top, "name", None))
+                   for top in ast.parse(source).body
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in names})
+
+
+def test_one_band_finisher_has_two_engines():
+    # Every band integral is closed by _band_cut and _end_terms, reached only
+    # from integrate_rows, for curves on one grid, and ReportLayout, for a
+    # report: no third way of integrating a band.
+    source = (PACKAGE_DIR / "spectral.py").read_text(encoding="utf-8")
+    assert calls_by_definition(source, {"_band_cut", "_end_terms"}) == [
+        ("_band_cut", "ReportLayout"), ("_band_cut", "integrate_rows"),
+        ("_end_terms", "ReportLayout"), ("_end_terms", "integrate_rows")]
+
+
 def test_no_module_warns():
     # Noise and coverage are per-week data, which Python's once-per-location
     # warning filter would thin out; so no module imports warnings.

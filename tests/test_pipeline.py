@@ -439,6 +439,27 @@ def test_select_refuses_two_field_days_of_one_date_in_either_order():
     assert select_spectra(DATE, {DATE: clear}) is clear  # a mapping is used as given
 
 
+def bare_day(date, dni, gni):
+    """A field day of one noon record without a spectrum."""
+    ts = dt.datetime.combine(date, dt.time(12, 0))
+    return FieldDay(date=date, records=(FieldRecord(timestamp=ts, dni=dni, gni=gni),))
+
+
+def test_select_skips_a_neighbour_without_irradiance():
+    # the day before has no record with GNI > 0, so no clear-sky test applies
+    days = [cloudy_day(DATE), bare_day(DATE - dt.timedelta(days=1), 0.0, 0.0),
+            clear_day(DATE + dt.timedelta(days=1))]
+    assert select_spectra(DATE, days).date == DATE + dt.timedelta(days=1)
+
+
+def test_select_skips_a_neighbour_outside_the_calendar():
+    first, last = dt.date.min, dt.date.max
+    days = [cloudy_day(first), clear_day(first + dt.timedelta(days=1))]
+    assert select_spectra(first, days).date == first + dt.timedelta(days=1)
+    with pytest.raises(NoClearDay):
+        select_spectra(last, [cloudy_day(last)])
+
+
 # ---------------------------------------------------------------------------
 # campaign driver
 # ---------------------------------------------------------------------------
@@ -528,6 +549,20 @@ def test_negative_field_spectra_reject_the_week(bundled_cell, aggregation):
     result = run_campaign(weeks, days, bundled_cell, aggregation)
     assert [(w.accepted, w.rejection_reason) for w in result.weekly] == [
         (True, None), (False, "NegativeIndex"), (True, None)]
+
+
+@pytest.mark.parametrize("aggregation", list(Aggregation))
+def test_clear_day_without_spectral_records_rejects_the_week(toy2j, aggregation):
+    # the scan day is cloudy and the day before has no spectral record
+    weeks = [measurement([0.85, 0.85, 0.85])]
+    before = DATE - dt.timedelta(days=1)
+    days = [cloudy_day(DATE), bare_day(before, 800.0, 1000.0)]
+    week = run_campaign(weeks, days, toy2j, aggregation).weekly[0]
+    assert week.rejection_reason == "NoSpectralData"
+    assert week.spectra_date == before
+    assert week.report is None
+    tau = validate_week(weeks[0], toy2j).tau
+    assert week.ast_by_band == {b.name: ast(tau, b) for b in toy2j.bands}
 
 
 def test_run_campaign_refuses_two_field_days_of_one_date(bundled_cell):
@@ -942,6 +977,23 @@ def test_field_file_round_trip_is_exact(day):
         assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
         for rel in files:
             assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+
+_FIELD_ROW = "2017-01-02T12:00:00,800.0,1000.0,750.0,200.0,,,,"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("timestamp,dni\n" + _FIELD_ROW + "\n", "f.csv: expected header "),
+    (pipeline.FIELD_HEADER + "\n", "f.csv: no records"),
+    (pipeline.FIELD_HEADER + "\n" + _FIELD_ROW + "\n" + _FIELD_ROW[:-1] + "\n",
+     "f.csv:3: expected 9 columns, got 8: "),
+], ids=["wrong-header", "header-only", "short-row"])
+def test_field_csv_fault_names_the_file_and_line(tmp_path, text, message):
+    # _FIELD_ROW alone is a valid file body; the short row lacks its last, empty cell
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_field_csv(path)
 
 
 def test_load_campaign_dir_empty(tmp_path):

@@ -562,6 +562,25 @@ def test_band_trapezoid_equals_reference_formula(case):
         *_reference_product(fs), band).hex()
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (300.0, 2000.0),    # the whole grid
+    (352.5, 1701.3),    # limits between samples
+    (1000.0, 1003.0),   # inside one interval
+])
+def test_integrate_rows_does_not_depend_on_the_stack_layout(lo, hi):
+    # Each row of a stack is summed as one run of samples, whatever the
+    # stack's memory layout: a column-major stack or a strided view of one
+    # gives the bits of integrate of each row.
+    w = np.linspace(300.0, 2000.0, 341)
+    rows = np.random.default_rng(5).uniform(0.0, 1.5, (4, w.size))
+    band = Waveband("b", lo, hi)
+    expected = [integrate(Spectrum(w, v, Kind.IRRADIANCE), band).hex() for v in rows]
+    for stack in (rows, np.asfortranarray(rows), rows.T.copy().T):
+        assert [x.hex() for x in integrate_rows(w, stack, band)] == expected
+    wide = np.repeat(rows, 2, axis=1)
+    assert [x.hex() for x in integrate_rows(w, wide[:, ::2], band)] == expected
+
+
 def _grid_factors():
     e = Spectrum(np.arange(300.0, 901.0, 10.0),
                  np.linspace(0.5, 1.5, 61), Kind.IRRADIANCE)

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,25 @@ def test_scenario_unknown_key(tmp_path):
     path = tmp_path / "s.yaml"
     path.write_text("weeks: 5\ndeposition_per_week: 0.02\ntypo_knob: 1\n")
     with pytest.raises(ConfigError, match="typo_knob"):
+        load_scenario(path)
+
+
+def test_scenario_rain_week_listed_twice():
+    with pytest.raises(ValueError, match="rain week 2 is listed more than once"):
+        CampaignScenario(weeks=4, deposition_per_week=0.02,
+                         rain_weeks=(RainEvent(2, 0.5), RainEvent(3, 0.1), RainEvent(2, 0.3)))
+
+
+@pytest.mark.parametrize("entries, message", [
+    ("  - {week: 2, wash_fraction: 0.5, wash_fration: 0.9}\n",
+     "unknown rain week keys ['wash_fration']"),
+    ("  - {week: 2, wash_fraction: 0.5}\n  - {week: 2, wash_fraction: 0.3}\n",
+     "rain week 2 is listed more than once"),
+], ids=["misspelt-key", "week-listed-twice"])
+def test_scenario_file_rain_week_fault(tmp_path, entries, message):
+    path = tmp_path / "s.yaml"
+    path.write_text("weeks: 4\ndeposition_per_week: 0.02\nrain_weeks:\n" + entries)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         load_scenario(path)
 
 
