@@ -348,7 +348,7 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
     ratios = [soiling_ratio(_scan(s, short), _scan(c, short))
               for s, c in zip(m.soiled_scans, m.control_scans)]
     (grid, _), *rest = ratios
-    if all(np.array_equal(g, grid) for g, _ in rest):
+    if all(g is grid or np.array_equal(g, grid) for g, _ in rest):
         taus, noisy, clamped = clamp_ratio(np.array([r for _, r in ratios]))
         asts = tuple(ast_rows(grid, taus, cell.full_band))
     else:

@@ -26,9 +26,9 @@ Conventions
 * Interpolation is linear and never extrapolates: ratios of spectra amplify
   extrapolation artifacts, so any request outside the sampled support is an
   error.
-* Integration is the trapezoidal rule on the native sample grid with the
-  band endpoints inserted by interpolation. Measured spectra are
-  piecewise-linear samples, so the rule is exact for the data as given.
+* Integration is the trapezoidal rule on the native sample grid, exact for
+  piecewise-linear measured data; band limits are inserted by ``np.interp``
+  unless both are samples, which it would give back bit for bit.
 * Units ride along as a metadata tag, combined on multiplication; only a
   cell loading an SR or EQE file checks them. Every junction-current and
   index operation checks the kind of its inputs (:class:`KindMismatch`).
@@ -276,24 +276,27 @@ def _require_cover(first: float, last: float, band: Waveband) -> None:
                                f"not covered by support [{float(first)}, {float(last)}] nm")
 
 
-def _band_cut(w: np.ndarray, band: Waveband) -> tuple[int, int, float, float | None] | None:
-    """Where a band inside [w[0], w[-1]] cuts the grid ``w``.
+def _band_cut(w: np.ndarray, band: Waveband) -> tuple[int, int, float | None, float | None]:
+    """Where a band inside [w[0], w[-1]] cuts the grid ``w``: ``(i0, i1, d0,
+    d1)``, with w[i0-1] <= lo < w[i0] and w[i1-1] < hi <= w[i1].
 
-    ``None`` for a band on the whole grid, whose integral is the sum of
-    every trapezoid as it is, since ``np.interp`` would give the end
-    samples at its limits. Otherwise ``(i0, i1, d0, d1)``, with
-    w[i0-1] <= lo < w[i0] and w[i1-1] < hi <= w[i1]: the band's interior
-    samples lie between, its two limits replace the samples outside them,
-    and ``d0`` and ``d1`` are the widths of the two end trapezoids. A band
-    inside one interval (i0 == i1) is one trapezoid, of width ``d0`` and
-    with ``d1`` None.
+    ``d0`` and ``d1`` are None when both limits are samples (w[i0-1] == lo
+    and w[i1] == hi), the whole grid among them: the trapezoids of w[i0-1]
+    to w[i1] are then the band's as they stand, since closing them would
+    take ``np.interp``'s values at the limits, the samples themselves, and
+    redo the same operations on the same doubles. Otherwise the limits
+    replace the samples outside them, and ``d0`` and ``d1`` are the widths
+    of the two end trapezoids; a band inside one interval (i0 == i1) is
+    one trapezoid, of width ``d0`` and with ``d1`` None.
     """
     lo, hi = band.lambda_min_nm, band.lambda_max_nm
     if lo == w.item(0) and hi == w.item(-1):
-        return None
+        return 1, w.size - 1, None, None
     # one search for both limits: the samples <= lo are those below the
     # next double up from lo
     i0, i1 = w.searchsorted((math.nextafter(lo, math.inf), hi)).tolist()
+    if w.item(i0 - 1) == lo and w.item(i1) == hi:
+        return i0, i1, None, None
     if i0 == i1:
         return i0, i1, hi - lo, None
     return i0, i1, w.item(i0) - lo, hi - w.item(i1 - 1)
@@ -335,26 +338,24 @@ def integrate_rows(wavelengths_nm: np.ndarray, rows: np.ndarray, band: Waveband)
     ``wavelengths_nm`` is a spectrum's grid, as :class:`Spectrum` checks
     it, and ``rows`` a 2-D array of curves on it, one per row. The
     trapezoids of the band's samples are formed for the whole stack at
-    once. A band on the whole grid sums them as they are; any other band
-    replaces each row's first and last trapezoid with the ones that close
-    it (see :func:`_band_cut` and :func:`_end_terms`) before the sum.
+    once. A band whose limits are samples sums them as they are; any
+    other replaces each row's first and last trapezoid with the ones that
+    close it (see :func:`_band_cut` and :func:`_end_terms`) before the sum.
     Each row is summed alike whatever the stack's memory layout. Raises
     :class:`BandOutOfSupport` when the band leaves the grid.
     """
     w = wavelengths_nm
     _require_cover(w.item(0), w.item(-1), band)
-    cut = _band_cut(w, band)
+    cut = i0, i1, d0, _ = _band_cut(w, band)
     # numpy sums each row of a C-ordered stack pairwise, as it sums one curve
     rows = np.ascontiguousarray(rows)
-    if cut is None:
-        return np.add.reduce(_trapezoids(w, rows), axis=1).tolist()
-    i0, i1 = cut[0], cut[1]
     t = _trapezoids(w[i0 - 1:i1 + 1], rows[:, i0 - 1:i1 + 1])
-    limits = (band.lambda_min_nm, band.lambda_max_nm)
-    for k in range(len(rows)):  # indexing: iterating an array costs about 0.5 us more
-        v = rows[k]
-        ends = _end_terms((cut,), np.interp(limits, w, v).tolist(), (v.item(i0), v.item(i1 - 1)))
-        t[k, 0], t[k, -1] = ends[0], ends[-1]
+    if d0 is not None:
+        limits = (band.lambda_min_nm, band.lambda_max_nm)
+        for k in range(len(rows)):  # indexing: iterating an array costs about 0.5 us more
+            v = rows[k]
+            ends = _end_terms((cut,), np.interp(limits, w, v).tolist(), (v.item(i0), v.item(i1 - 1)))
+            t[k, 0], t[k, -1] = ends[0], ends[-1]
     return np.add.reduce(t, axis=1).tolist()
 
 
@@ -473,8 +474,8 @@ class ReportLayout:
     * those grids laid end to end with E's and tau's, and the differences
       of that concatenated grid;
     * each SR sampled on its junction's unions;
-    * each band's bracketing indices on its product's grid and the offsets
-      of the one ``np.add.reduceat`` call that sums every band.
+    * where each band cuts its product's grid (see :func:`_band_cut`) and
+      the offsets of the one ``np.add.reduceat`` call that sums every band.
 
     :meth:`integrals` evaluates it for an E and a tau on the grids it was
     built for, and :meth:`fits` tells whether they are. A layout is not
@@ -558,12 +559,10 @@ class ReportLayout:
         size = 0
         for g, band in segments:
             i, j = starts[g], starts[g + 1]
-            cut = _band_cut(grids[g], band)
+            cut = i0, i1, d0, d1 = _band_cut(grids[g], band)
             firsts.append(size)
-            if cut is None:
-                source, count = i, j - i - 1
-            else:
-                i0, i1 = cut[0], cut[1]
+            source, count = i + i0 - 1, i1 - i0 + 1
+            if d0 is not None:
                 limits = (band.lambda_min_nm, band.lambda_max_nm)
                 if g == 2 * n + 2:
                     self._tau_limits += limits
@@ -571,8 +570,7 @@ class ReportLayout:
                     self._interps.append((limits, grids[g], i, j))
                 self._cuts.append(cut)
                 inner += i + i0, i + i1 - 1  # the samples next to the limits
-                source, count = i + i0 - 1, i1 - i0 + 1
-                ends += (size + 1,) if cut[3] is None else (size + 1, size + count)
+                ends += (size + 1,) if d1 is None else (size + 1, size + count)
             # where the band's 0.0 and terms are taken from the trapezoids:
             # its 0.0 from the place before its first term, which it replaces
             offsets.append(source - size - 1)
@@ -602,8 +600,8 @@ class ReportLayout:
         gives a spectrum's sample back, so a factor whose grid is the union
         keeps its values. Each product is formed in argument order, the
         products are laid out end to end with E and tau, and their
-        trapezoids are formed at once. Each band is closed on its
-        product's grid, and one ``np.add.reduceat`` call sums them all.
+        trapezoids are formed at once. A band whose limits are not both
+        samples is closed on its grid; one ``np.add.reduceat`` sums all.
         """
         ev = np.interp(self._x_e, e.wavelengths_nm, e.values)
         et = ev[self._at:] * np.interp(self._x_tau, tau.wavelengths_nm, tau.values)

@@ -144,6 +144,8 @@ class CampaignScenario:
         for r in self.rain_weeks:
             if r.week in listed:
                 raise ValueError(f"rain week {r.week} is listed more than once")
+            if r.week > self.weeks:
+                raise ValueError(f"rain week {r.week} is after the last week ({self.weeks})")
             listed.add(r.week)
 
     @property

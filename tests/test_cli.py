@@ -385,7 +385,8 @@ def test_synth_rain_week_without_wash_fraction(tmp_path, capsys):
     ("  - {week: 2, wash_fraction: 0.5}\n  - {week: 2, wash_fraction: 0.3}\n", "rain week 2 "),
     ("  - {week: 2, wash_fraction: 0.5, wash_fration: 0.9}\n"
      "  - {week: 2, wash_fraction: 0.3}\n", "'wash_fration'"),
-], ids=["misspelt-key", "week-listed-twice", "both"])
+    ("  - {week: 9, wash_fraction: 0.5}\n", "rain week 9 "),
+], ids=["misspelt-key", "week-listed-twice", "both", "week-after-the-last"])
 def test_synth_rain_week_fault_names_file_and_key(tmp_path, capsys, entries, named):
     scenario = tmp_path / "s.yaml"
     scenario.write_text("weeks: 4\ndeposition_per_week: 0.02\nrain_weeks:\n" + entries)
@@ -956,7 +957,9 @@ def six_dim_weeks(tmp_path_factory):
     root = tmp_path_factory.mktemp("dim")
     scenario = yaml.safe_load((Path(pipeline.__file__).parent / "data" /
                                "demo_scenario.yaml").read_text(encoding="utf-8"))
-    (root / "s.yaml").write_text(yaml.safe_dump({**scenario, "weeks": 6}), encoding="utf-8")
+    # its rain weeks (18 and 37) fall after the sixth, and wash nothing before it
+    (root / "s.yaml").write_text(yaml.safe_dump({**scenario, "weeks": 6, "rain_weeks": []}),
+                                 encoding="utf-8")
     assert main(["synth", "--scenario", str(root / "s.yaml"), "--out", str(root / "data")]) == 0
     for path in sorted((root / "data").glob("week*_soiled_*.csv")):
         s = read_spectrum_csv(path)

@@ -566,6 +566,7 @@ def test_band_trapezoid_equals_reference_formula(case):
     (300.0, 2000.0),    # the whole grid
     (352.5, 1701.3),    # limits between samples
     (1000.0, 1003.0),   # inside one interval
+    (400.0, 1600.0),    # limits on interior samples
 ])
 def test_integrate_rows_does_not_depend_on_the_stack_layout(lo, hi):
     # Each row of a stack is summed as one run of samples, whatever the
@@ -579,6 +580,26 @@ def test_integrate_rows_does_not_depend_on_the_stack_layout(lo, hi):
         assert [x.hex() for x in integrate_rows(w, stack, band)] == expected
     wide = np.repeat(rows, 2, axis=1)
     assert [x.hex() for x in integrate_rows(w, wide[:, ::2], band)] == expected
+
+
+def _count_interp(monkeypatch):
+    """Count the np.interp calls made from here on."""
+    calls = []
+    monkeypatch.setattr(np, "interp", lambda *a, f=np.interp: calls.append(a) or f(*a))
+    return calls
+
+
+def test_band_on_samples_is_summed_without_interpolation(monkeypatch):
+    # np.interp would give the samples at the limits back, so the band's
+    # trapezoids are summed as they stand
+    w = np.linspace(300.0, 2000.0, 341)
+    rows = np.random.default_rng(7).uniform(0.0, 1.5, (3, w.size))
+    band = Waveband("b", 400.0, 1600.0)
+    expected = [_reference_trapezoid(w, v, band).hex() for v in rows]
+    calls = _count_interp(monkeypatch)
+    got = integrate_rows(w, rows, band)
+    assert calls == []
+    assert [x.hex() for x in got] == expected
 
 
 def _grid_factors():
@@ -718,7 +739,7 @@ def _junction(e, tau, sr, band):
                  Waveband("b", _UP, _DOWN), (Waveband("b", 300.0, 340.0),)))  # SR on E's grid
 @example(report=_junction(_E, _PAIR_TAU, _E.with_values(_TAU.values[::-1]),
                           Waveband("b", 300.0, 340.0)))                     # all on one grid
-def test_report_integrals_equals_the_single_integrals(report):
+def test_report_layout_equals_the_single_integrals(report):
     calls = _report_calls(*report)
     try:
         singles = [_single(fs, band) for fs, band in calls]
@@ -738,7 +759,7 @@ _WIDE_SR = Spectrum(np.array([300.0, 312.0, 318.0, 340.0]), np.array([0.1, 0.3, 
                     Kind.SPECTRAL_RESPONSE)
 
 
-def test_report_integrals_samples_a_shared_grid_once(monkeypatch):
+def test_report_layout_samples_a_shared_grid_once(monkeypatch):
     # one union per junction when tau is on E's grid, of E's grid and the
     # SR's, which the cleaned and soiled currents share; otherwise two per
     # junction and one of E's and tau's grids
@@ -756,6 +777,21 @@ def test_report_integrals_samples_a_shared_grid_once(monkeypatch):
             assert [sorted(g.tobytes() for g in grids) for grids in unions] == [
                 sorted([_E.wavelengths_nm.tobytes(), sr.wavelengths_nm.tobytes()])
                 for sr, _ in responses]
+
+
+@pytest.mark.parametrize("tau", [_PAIR_TAU, _TAU], ids=["tau-on-e-grid", "tau-own-grid"])
+def test_report_layout_on_samples_interpolates_only_e_and_tau(monkeypatch, tau):
+    # every band's limits are samples of its product's grid: 310 and 325 nm
+    # of the junction's and of E * tau's, 300 and 325 nm of tau's
+    on_samples = Waveband("b", 310.0, 325.0)
+    report = (_E, tau, [(_NARROW_SR, on_samples)], on_samples, (Waveband("b", 300.0, 325.0),))
+    expected = [_reference_trapezoid(*_reference_product(fs), band).hex()
+                for fs, band in _report_calls(*report)]
+    layout = ReportLayout(*report)
+    calls = _count_interp(monkeypatch)
+    got = layout.integrals(_E, tau)
+    assert len(calls) == 2  # E sampled on its unions, tau on its own
+    assert [x.hex() for x in got] == expected
 
 
 _FAR = Spectrum(np.array([400.0, 500.0]), np.ones(2), Kind.SPECTRAL_RESPONSE)

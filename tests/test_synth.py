@@ -252,12 +252,21 @@ def test_scenario_rain_week_listed_twice():
                          rain_weeks=(RainEvent(2, 0.5), RainEvent(3, 0.1), RainEvent(2, 0.3)))
 
 
+def test_scenario_rain_week_after_the_last_week():
+    with pytest.raises(ValueError, match=re.escape("rain week 9 is after the last week (4)")):
+        CampaignScenario(weeks=4, deposition_per_week=0.02, rain_weeks=(RainEvent(9, 0.5),))
+    # the last week itself may take rain
+    CampaignScenario(weeks=4, deposition_per_week=0.02, rain_weeks=(RainEvent(4, 0.5),))
+
+
 @pytest.mark.parametrize("entries, message", [
     ("  - {week: 2, wash_fraction: 0.5, wash_fration: 0.9}\n",
      "unknown rain week keys ['wash_fration']"),
     ("  - {week: 2, wash_fraction: 0.5}\n  - {week: 2, wash_fraction: 0.3}\n",
      "rain week 2 is listed more than once"),
-], ids=["misspelt-key", "week-listed-twice"])
+    ("  - {week: 9, wash_fraction: 0.5}\n",
+     "rain week 9 is after the last week (4)"),
+], ids=["misspelt-key", "week-listed-twice", "week-after-the-last"])
 def test_scenario_file_rain_week_fault(tmp_path, entries, message):
     path = tmp_path / "s.yaml"
     path.write_text("weeks: 4\ndeposition_per_week: 0.02\nrain_weeks:\n" + entries)
