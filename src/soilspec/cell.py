@@ -141,11 +141,12 @@ class CellModel:
     per-junction currents under ``reference_spectrum``. Band names,
     the full band's included, must be unique.
 
-    Besides its fields, a cell holds the last report layout it built (see
-    :meth:`report_layout`): one layout per cell per process. It is no
-    field, so it takes no part in ``==``, ``repr`` or
-    :func:`dataclasses.replace`, and a copy or a pickle of the cell starts
-    without one.
+    Besides its fields, a cell holds its (SR, band) pairs and its
+    :attr:`bands`, built once at construction for every report layout,
+    and the last report layout it built (see :meth:`report_layout`): one
+    layout per cell per process. None of them is a field, so they take no
+    part in ``==``, ``repr`` or :func:`dataclasses.replace`, and a copy or
+    a pickle of the cell starts without a layout.
     """
 
     name: str
@@ -172,6 +173,9 @@ class CellModel:
             min(j.band.lambda_min_nm for j in self.junctions),
             max(j.band.lambda_max_nm for j in self.junctions),
         ))
+        object.__setattr__(self, "_responses", tuple((j.sr, j.band) for j in self.junctions))
+        object.__setattr__(self, "_bands",
+                           (self.full_band,) + tuple(j.band for j in self.junctions))
         band_names = [b.name for b in self.bands]
         repeated = sorted({n for n in band_names if band_names.count(n) > 1})
         if repeated:
@@ -206,8 +210,7 @@ class CellModel:
         held = self._layout
         if held is not None and held.fits(e, tau):
             return held
-        layout = ReportLayout(e, tau, [(j.sr, j.band) for j in self.junctions], self.full_band,
-                              self.bands)
+        layout = ReportLayout(e, tau, self._responses, self.full_band, self._bands)
         object.__setattr__(self, "_layout", layout)
         return layout
 
@@ -224,7 +227,7 @@ class CellModel:
     @property
     def bands(self) -> tuple[Waveband, ...]:
         """The full band, then the junction bands in stack order."""
-        return (self.full_band,) + tuple(j.band for j in self.junctions)
+        return self._bands
 
 
 def jsc_cell(e: Spectrum, cell: CellModel, tau: Spectrum | None = None) -> JscResult:

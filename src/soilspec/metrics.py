@@ -162,29 +162,40 @@ def _sum_by_grid(spectra: Sequence[Spectrum]) -> list[Spectrum]:
     order, holding the sum of the values of the spectra on that grid; a sum
     that overflows raises :class:`NonFiniteIndex`.
 
-    Grids are grouped by content, so equal grids held by different arrays
-    share a group. A grid's bytes are read only when the grid array differs
-    from the previous spectrum's, as it does not along spectra built by
-    :meth:`Spectrum.with_values` from one another."""
+    One pass over the spectra checks each one's kind, so the first that is
+    no irradiance raises :class:`KindMismatch` before any sum, and keeps
+    each group's ``values`` arrays. Grids are grouped by content, so equal
+    grids held by different arrays share a group. A grid's bytes are read
+    only when the grid array differs from the previous spectrum's, as it
+    does not along spectra built by :meth:`Spectrum.with_values` from one
+    another. A group of k > 1 is summed as one C-ordered (k, n) stack, the
+    stack that ``np.sum(list, axis=0)`` builds, so with its bits. A single
+    spectrum is checked and returned as it is."""
     if len(spectra) == 1:
+        require_kind(spectra[0], Kind.IRRADIANCE, "irradiance spectrum")
         return list(spectra)
-    groups: dict[bytes, list[Spectrum]] = {}
-    grid = key = None
+    groups: dict[bytes, tuple[Spectrum, list[np.ndarray]]] = {}
+    grid = None
+    irradiance = Kind.IRRADIANCE  # read once: an enum member costs about 0.1 us a read
     for e in spectra:
+        if e.kind is not irradiance:  # tested here: a call per spectrum costs more
+            require_kind(e, irradiance, "irradiance spectrum")
         if e.wavelengths_nm is not grid:
             grid = e.wavelengths_nm
-            key = grid.tobytes()
-        groups.setdefault(key, []).append(e)
+            first, values = groups.setdefault(grid.tobytes(), (e, []))
+        values.append(e.values)
     summed = []
-    for group in groups.values():
-        if len(group) == 1:
-            summed.append(group[0])
+    for first, values in groups.values():
+        k = len(values)
+        if k == 1:
+            summed.append(first)
             continue
-        total = np.sum([e.values for e in group], axis=0)
-        if not np.isfinite(total).all():
-            raise NonFiniteIndex(f"the summed irradiance of {len(group)} spectra on one grid "
-                                 f"is not finite")
-        summed.append(group[0].with_values(total))
+        total = np.add.reduce(np.concatenate(values).reshape(k, -1), axis=0)
+        try:
+            summed.append(first.with_values(total))
+        except ValueError:  # the only check a sum of finite values can fail
+            raise NonFiniteIndex(f"the summed irradiance of {k} spectra on one grid "
+                                 f"is not finite") from None
     return summed
 
 
@@ -352,27 +363,34 @@ def index_report_weighted(spectra: Sequence[Spectrum], cell: CellModel,
     built and reuses it while the grids repeat, as they do week after week
     in a campaign whose field spectra share one grid and whose coupon
     scans share another.
+
+    The empty list raises ``ValueError`` and a ``tau`` that is no
+    transmittance raises :class:`KindMismatch` first; then the first
+    spectrum that is no irradiance raises it, before any sum. The sums and
+    the layout evaluations run under one local ``np.errstate`` that keeps
+    numpy from warning of an overflow: an infinite or NaN sum, integral
+    or index raises :class:`NonFiniteIndex` instead.
     """
     if len(spectra) == 0:
         raise ValueError("need at least one irradiance spectrum")
     require_kind(tau, Kind.TRANSMITTANCE, "soiling transmittance")
-    for e in spectra:
-        require_kind(e, Kind.IRRADIANCE, "irradiance spectrum")
     n = len(cell.junctions)
     cleaned = {j.name: 0.0 for j in cell.junctions}
     soiled = {j.name: 0.0 for j in cell.junctions}
     b_clean = 0.0
     b_soil = 0.0
     asts = None  # taken from the first grid
-    for e in _sum_by_grid(spectra):
-        got = cell.report_layout(e, tau).integrals(e, tau)
-        for j, c, s in zip(cell.junctions, got[0:2 * n:2], got[1:2 * n:2]):
-            cleaned[j.name] += c
-            soiled[j.name] += s
-        b_clean += got[2 * n]
-        b_soil += got[2 * n + 1]
-        if asts is None:
-            asts = {b.name: a / b.width_nm for b, a in zip(cell.bands, got[2 * n + 2:])}
+    # an overflow is caught by the finiteness checks below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in _sum_by_grid(spectra):
+            got = cell.report_layout(e, tau).integrals(e, tau)
+            for j, c, s in zip(cell.junctions, got[0:2 * n:2], got[1:2 * n:2]):
+                cleaned[j.name] += c
+                soiled[j.name] += s
+            b_clean += got[2 * n]
+            b_soil += got[2 * n + 1]
+            if asts is None:
+                asts = {b.name: a / b.width_nm for b, a in zip(cell.bands, got[2 * n + 2:])}
     clean_stack = stack_current(cleaned, cell)
     soiled_stack = stack_current(soiled, cell)
     sr = _ratio(soiled_stack.value, clean_stack.value, ZeroCleanCurrent, "cleaned stack current")

@@ -337,7 +337,10 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
     on that grid; pairs on different grids make a spectrum each, meaned on
     the union of their grids. Both ways give the bits, and raise the
     errors, of :func:`~soilspec.metrics.soiling_transmittance` and
-    :func:`~soilspec.metrics.ast` pair by pair.
+    :func:`~soilspec.metrics.ast` pair by pair. Each curve is built on its
+    grid as it stands (see :meth:`Spectrum.on_checked_grid`): a scan's
+    checked grid or a union of such grids, neither checked again. The
+    accepted transmittance is dimensionless, whatever the scans' unit tags.
     """
     if not m.complete:
         raise IncompleteReplicates(
@@ -353,14 +356,17 @@ def validate_week(m: WeeklyMeasurement, cell: CellModel) -> WeekValidation:
         asts = tuple(ast_rows(grid, taus, cell.full_band))
     else:
         values, noisy, clamped = zip(*(clamp_ratio(r) for _, r in ratios))
-        spectra = [Spectrum(g, v, Kind.TRANSMITTANCE) for (g, _), v in zip(ratios, values)]
+        spectra = [Spectrum.on_checked_grid(g, v, Kind.TRANSMITTANCE)
+                   for (g, _), v in zip(ratios, values)]
         asts = tuple(ast(t, cell.full_band) for t in spectra)
         grid, taus = sample_on_union(spectra)
     spread = max(asts) - min(asts)
     quality = (tuple(map(int, noisy)), tuple(map(int, clamped)), tuple(short))
     if spread > SPREAD_THRESHOLD:
         return WeekValidation(False, None, "SpreadExceeded", asts, spread, *quality)
-    tau = Spectrum(grid, np.mean(taus, axis=0), Kind.TRANSMITTANCE)
+    # np.mean's operations on float64, without its Python wrapper
+    tau = Spectrum.on_checked_grid(grid, np.add.reduce(taus, axis=0) / len(taus),
+                                   Kind.TRANSMITTANCE)
     return WeekValidation(True, tau, None, asts, spread, *quality)
 
 

@@ -233,11 +233,26 @@ class Spectrum:
         """A spectrum of this kind and units with new ``values`` on this
         spectrum's grid: the same read-only ``wavelengths_nm`` object, checked
         when this spectrum was built; the values are checked and copied."""
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size != self.wavelengths_nm.size:
+        return Spectrum.on_checked_grid(self.wavelengths_nm, values, self.kind, self.units)
+
+    @staticmethod
+    def on_checked_grid(wavelengths_nm: np.ndarray, values: np.ndarray, kind: Kind,
+                        units: str = "") -> "Spectrum":
+        """A spectrum on a grid that is already known to be valid: a
+        spectrum's ``wavelengths_nm``, or the union of such grids that
+        :func:`sample_on_union` returns, which is sorted and distinct by
+        construction. The grid is held as given, not checked or copied
+        again; a writable one is held through a read-only view. The values
+        are checked and copied as ``Spectrum(...)`` checks and copies them,
+        and ``units`` defaults to the canonical units for ``kind``."""
+        w, v = wavelengths_nm, np.asarray(values, dtype=float)
+        if v.ndim != 1 or v.size != w.size:
             raise ValueError("wavelengths and values must be 1-D and equal length")
+        if w.flags.writeable:
+            w = w.view()
+            w.flags.writeable = False
         s = Spectrum.__new__(Spectrum)
-        s._hold(self.wavelengths_nm, v, self.kind, self.units)
+        s._hold(w, v, kind, units)
         return s
 
 

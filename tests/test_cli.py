@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,43 @@ def test_compute_negative_index_is_computation_error(tmp_path, capsys):
                "--cell", str(bundled_cell_config_path())])
     assert rc == 2
     assert _one_error(capsys)["error"] == "NegativeIndex"
+
+
+def test_compute_overflowing_irradiance_prints_one_line_and_no_warning(tmp_path, capfd):
+    # the junction currents of the reference x 1e307 overflow; numpy warns
+    # of nothing (a warning would be an error here), and the typed error
+    # is the only line on stderr
+    reference = read_spectrum_csv(reference_spectrum_path())
+    write_spectrum_csv(reference.with_values(reference.values * 1e307), tmp_path / "e.csv")
+    write_spectrum_csv(flat_spectrum(280, 4000, 0.9, Kind.TRANSMITTANCE), tmp_path / "tau.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["compute", str(tmp_path / "e.csv"), str(tmp_path / "tau.csv"),
+                   "--cell", str(bundled_cell_config_path())])
+    assert rc == 2
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NonFiniteIndex"
+
+
+def test_daily_campaign_with_an_overflowing_spectrum_file_warns_of_nothing(tmp_path, capfd):
+    # the demo with spectra/3.csv x 1e307: every week is rejected, in both
+    # processes, and neither prints anything on stderr (the file descriptor,
+    # so the forked helper's output counts) nor warns (an error here)
+    data = tmp_path / "data"
+    demo = Path(pipeline.__file__).parent / "data" / "demo_scenario.yaml"
+    assert main(["synth", "--scenario", str(demo), "--out", str(data)]) == 0
+    s = read_spectrum_csv(data / "spectra" / "3.csv")
+    write_spectrum_csv(s.with_values(s.values * 1e307), data / "spectra" / "3.csv")
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _campaign(data, tmp_path, "--aggregation", "daily") == 0
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("campaign: 0/52 weeks accepted")
+    doc = json.loads((tmp_path / "out" / "campaign.json").read_text(encoding="utf-8"))
+    assert {w["rejection_reason"] for w in doc["weeks"]} == {"NonFiniteIndex"}
 
 
 def test_version_reports_reference_hash(capsys):

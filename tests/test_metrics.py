@@ -6,9 +6,12 @@ import re
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soilspec.cell
 import soilspec.metrics
@@ -483,6 +486,75 @@ def test_weighted_report_checks_kind_of_every_spectrum(toy2j, flat_e, linear_tau
     stray = flat_spectrum(300, 900, 1.0, Kind.TRANSMITTANCE)
     with pytest.raises(KindMismatch):
         index_report_weighted([flat_e, flat_e, stray], toy2j, linear_tau)
+
+
+_DAY_GRIDS = (np.arange(297.5, 1815.0, 5.0), np.arange(296.0, 1816.0, 4.0),
+              np.arange(299.0, 1817.0, 6.0))
+_DAY_TILTS = (0.2, -0.1, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_grids=st.integers(1, 3),
+       picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.floats(0.05, 2.0),
+                                st.booleans()), min_size=1, max_size=40))
+def test_weighted_report_equals_the_per_current_route_over_grid_sums(bundled_cell, n_grids,
+                                                                     picks):
+    # a day of 1-40 spectra on 1-3 grids in any order, each spectrum
+    # holding its grid's shared array (with_values) or an equal copy of it
+    shapes = [[synth_spectrum(t, g) for t in _DAY_TILTS] for g in _DAY_GRIDS[:n_grids]]
+    day = []
+    for g, shape, scale, shared in picks:
+        base = shapes[g % n_grids][shape]
+        values = scale * base.values
+        day.append(shapes[g % n_grids][0].with_values(values) if shared
+                   else Spectrum(base.wavelengths_nm.copy(), values, Kind.IRRADIANCE))
+    tau = bundled_tau()
+    report = index_report_weighted(day, bundled_cell, tau).to_dict()
+    assert _hexed(report) == _hexed(_per_current_report(_grid_sums(day), bundled_cell, tau))
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("own_grid", [False, True], ids=["shared-grid", "own-grid"])
+def test_stray_spectrum_raises_before_any_sum_or_layout(bundled_cell, monkeypatch, where,
+                                                        own_grid):
+    # a transmittance among a day's irradiances, on the day's grid array or
+    # on a grid of its own: the kind check raises before a grid's spectra
+    # are summed or a layout is built
+    a0 = synth_spectrum(0.2, _DAY_GRIDS[0])
+    day = [a0, a0.with_values(0.5 * a0.values), synth_spectrum(-0.1, _DAY_GRIDS[0].copy()),
+           a0.with_values(0.3 * a0.values)]
+    if own_grid:
+        stray = Spectrum(np.arange(296.0, 1816.0, 4.0), np.full(380, 0.9), Kind.TRANSMITTANCE)
+    else:
+        stray = Spectrum.on_checked_grid(a0.wavelengths_nm, np.full(a0.n_samples, 0.9),
+                                         Kind.TRANSMITTANCE)
+        assert stray.wavelengths_nm is a0.wavelengths_nm
+    day.insert({"first": 0, "middle": 2, "last": len(day)}[where], stray)
+    cell = dataclasses.replace(bundled_cell)  # a fresh cell, holding no layout
+    builds, evals, singles = _record_kernel_calls(monkeypatch)
+    sums = []
+    with_values = Spectrum.with_values
+    monkeypatch.setattr(Spectrum, "with_values",
+                        lambda s, v: sums.append(s) or with_values(s, v))
+    with pytest.raises(KindMismatch, match="^irradiance spectrum must be kind Irradiance, "
+                                           "got Transmittance$"):
+        index_report_weighted(day, cell, bundled_tau())
+    assert builds == evals == singles == sums == []
+
+
+@pytest.mark.parametrize("scale, size", [(1e308, 2), (1e307, 1)], ids=["sum", "integrals"])
+def test_overflowing_day_is_a_non_finite_index_without_a_warning(bundled_cell, reference,
+                                                                  scale, size):
+    # two spectra whose sum overflows, and one whose integrals do: numpy
+    # stays silent and the report raises the typed error
+    with np.errstate(over="ignore"):
+        e = reference.with_values(reference.values * scale)
+    day = [e] * size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIndex):
+            index_report_weighted(day, bundled_cell, bundled_tau())
+    assert np.geterr()["over"] == "warn"  # the errstate was local
 
 
 # Computed with the Spectrum-building product path this report used before

@@ -58,6 +58,7 @@ from soilspec.errors import (
 from soilspec import pipeline
 from soilspec.pipeline import CLOUDY_THRESHOLD, WeeklyOutcome, campaign_fits, read_field_csv
 from soilspec.spectral import (
+    DIMENSIONLESS,
     read_spectrum_csv,
     sample_on_union,
     spectrum_csv_text,
@@ -286,6 +287,29 @@ def test_validate_week_matches_the_per_pair_public_route(layout, seed, fault, hi
     else:
         assert v.tau is None
     assert (v.noisy_samples, v.clamped_samples, v.short_scans) == (noisy, clamped, short)
+
+
+@pytest.mark.parametrize("layout", ["one-array", "copies", "two-grids", "pair-grids"])
+def test_accepted_tau_is_dimensionless_and_read_only_whatever_the_scans_units(layout):
+    # scans tagged with units of their own, each on the grid array it had;
+    # "two-grids" gives a tau on each pair's union grid, "pair-grids" one on
+    # the union of the three pairs' grids
+    scans = [Spectrum.on_checked_grid(s.wavelengths_nm, s.values, s.kind, "percent")
+             for s in _replicate_scans(layout, 1, None, set())]
+    v = validate_week(WeeklyMeasurement(1, DATE, scans[0::2], scans[1::2]), _TOY)
+    assert v.accepted
+    tau = v.tau
+    assert (tau.kind, tau.units) == (Kind.TRANSMITTANCE, DIMENSIONLESS)
+    w = tau.wavelengths_nm
+    assert w.dtype == float and w.ndim == 1 and bool(np.all(w[1:] > w[:-1]))
+    for a in (w, tau.values):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    if layout in ("one-array", "copies"):
+        assert w is scans[0].wavelengths_nm  # held as it stands, not copied
+    else:
+        assert w.size > scans[0].n_samples  # a union grid
 
 
 # ---------------------------------------------------------------------------

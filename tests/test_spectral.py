@@ -98,6 +98,28 @@ def test_with_values_and_clamped_share_the_grid():
     assert c.values.tolist() == [0.15, 0.2, 0.25]
 
 
+def test_spectrum_on_a_checked_grid_holds_it_as_it_stands():
+    # a spectrum's read-only grid is held as it is; a writable one, such as
+    # a union grid, through a read-only view that leaves the caller's array
+    # writable; the values are checked and copied, and the units default
+    s = Spectrum(np.array([300.0, 350.0, 400.0]), np.array([1.0, 2.0, 3.0]), Kind.IRRADIANCE)
+    t = Spectrum.on_checked_grid(s.wavelengths_nm, [0.2, 0.5, 1.01], Kind.TRANSMITTANCE)
+    assert t.wavelengths_nm is s.wavelengths_nm
+    assert (t.kind, t.units) == (Kind.TRANSMITTANCE, DIMENSIONLESS)
+    union = np.array([300.0, 325.0, 400.0])
+    values = np.array([0.1, 0.2, 0.3])
+    u = Spectrum.on_checked_grid(union, values, Kind.TRANSMITTANCE, "custom")
+    assert u.wavelengths_nm.base is union and union.flags.writeable
+    assert not u.wavelengths_nm.flags.writeable and not u.values.flags.writeable
+    assert u.units == "custom"
+    values[0] = 0.9
+    assert u.values.tolist() == [0.1, 0.2, 0.3]
+    for bad, match in ((np.ones(2), "equal length"), (np.array([0.5, np.nan, 0.5]), "finite"),
+                       (np.array([0.5, 1.05, 0.5]), "clamp")):
+        with pytest.raises(ValueError, match=match):
+            Spectrum.on_checked_grid(union, bad, Kind.TRANSMITTANCE)
+
+
 @pytest.mark.parametrize("units", ["", "custom"], ids=["default-units", "custom-units"])
 def test_pickled_spectrum_stays_read_only(units):
     s = Spectrum(np.array([300.0, 350.0, 400.0]), np.array([0.2, 1.01, 0.1 + 0.2]),
